@@ -9,9 +9,9 @@
 //! independent, cost is not.
 
 use minidb::exec::symmetric::symmetric_hash_join_with_metrics;
-use minidb::exec::{ExecConfig, ExecContext};
+use minidb::exec::{ExecConfig, ExecContext, OpCounters};
 use minidb::expr::BoundExpr;
-use minidb::{Catalog, Column, DataType, Field, Profiler, Schema, Table, UdfRegistry};
+use minidb::{Catalog, Column, DataType, Field, Schema, Table, UdfRegistry};
 
 use bench::Report;
 
@@ -38,7 +38,7 @@ fn main() {
 
     let catalog = Catalog::new();
     let udfs = UdfRegistry::new();
-    let profiler = Profiler::new();
+    let ops = OpCounters::default();
 
     let mut report = Report::new(
         "Ablation: symmetric hash join vs bucket budget (20k x 20k rows, 512 keys)",
@@ -54,7 +54,7 @@ fn main() {
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,

@@ -195,7 +195,7 @@ fn main() {
             env.engine.db().execute(sql).expect("relational query");
         }
     }
-    let plan = env.engine.db().profiler().plan_cache_stats();
+    let plan = env.engine.db().plan_cache_stats();
     let record = serde_json::json!({
         "benchmark": "cache_cold_vs_warm",
         "dataset_rows": env.dataset.total_rows(),

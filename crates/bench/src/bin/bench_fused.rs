@@ -10,10 +10,11 @@
 //! fusion is not at least 2x faster overall or any fused plan materializes
 //! intermediate join rows.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use minidb::optimizer::OptimizerConfig;
-use minidb::{Database, OperatorKind};
+use minidb::Database;
 
 use bench::Report;
 
@@ -89,18 +90,26 @@ fn tables_identical(a: &minidb::Table, b: &minidb::Table) -> bool {
     true
 }
 
-/// Times one layer on one database; returns (seconds per rep, peak
-/// intermediate join rows per rep, result table).
-fn run_layer(db: &Database, sql: &str) -> (f64, u64, minidb::Table) {
-    let warmup = db.execute(sql).expect("layer executes").table().clone();
-    db.profiler().reset();
+/// Times one layer on one database; returns (seconds per rep, per-operator
+/// counters of one run, result table). Only the untimed warm-up run is
+/// traced; its span tree gives the counters.
+fn run_layer(db: &Database, sql: &str) -> (f64, HashMap<String, obs::OpAgg>, minidb::Table) {
+    db.tracer().enable();
+    let warmup = db.execute(sql).expect("layer executes");
+    db.tracer().disable();
+    let mut ops = HashMap::new();
+    warmup.trace().expect("warm-up run is traced").fold_operators(&mut ops);
     let start = Instant::now();
     for _ in 0..REPS {
         db.execute(sql).expect("layer executes");
     }
     let secs = start.elapsed().as_secs_f64() / REPS as f64;
-    let join_rows = db.profiler().rows_out(OperatorKind::Join) / REPS as u64;
-    (secs, join_rows, warmup)
+    (secs, ops, warmup.into_table())
+}
+
+/// Rows the operators named `name` produced (0 when none ran).
+fn rows_out(ops: &HashMap<String, obs::OpAgg>, name: &str) -> u64 {
+    ops.get(name).map_or(0, |agg| agg.rows_out)
 }
 
 fn main() {
@@ -119,10 +128,11 @@ fn main() {
 
     for (i, &(name, t_in, k_in, n_out)) in LAYERS.iter().enumerate() {
         let sql = layer_sql(i);
-        let (unfused_s, unfused_peak, reference) = run_layer(&unfused_db, &sql);
-        let (fused_s, fused_peak, got) = run_layer(&fused_db, &sql);
-        let fused_stats =
-            fused_db.profiler().stats(OperatorKind::JoinAggregate).expect("fused operator ran");
+        let (unfused_s, unfused_ops, reference) = run_layer(&unfused_db, &sql);
+        let (fused_s, fused_ops, got) = run_layer(&fused_db, &sql);
+        let (unfused_peak, fused_peak) =
+            (rows_out(&unfused_ops, "Join"), rows_out(&fused_ops, "Join"));
+        let fused_stats = *fused_ops.get("JoinAggregate").expect("fused operator ran");
         bit_identical &= tables_identical(&reference, &got);
         fused_peak_rows = fused_peak_rows.max(fused_peak);
         total_fused += fused_s;
@@ -149,11 +159,8 @@ fn main() {
             "speedup": speedup,
             "peak_intermediate_rows_unfused": unfused_peak,
             "peak_intermediate_rows_fused": fused_peak,
-            "bytes_not_materialized": fused_stats.bytes_not_materialized / REPS as u64,
+            "bytes_not_materialized": fused_stats.bytes_not_materialized,
         }));
-        // Fresh counters per layer so per-layer bytes don't accumulate.
-        fused_db.profiler().reset();
-        unfused_db.profiler().reset();
     }
 
     let overall = total_unfused / total_fused.max(1e-12);

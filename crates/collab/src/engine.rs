@@ -280,7 +280,7 @@ impl CollabEngine {
     /// Current cache counters at the three levels.
     fn cache_activity(&self) -> CacheActivity {
         CacheActivity {
-            plan: self.db.profiler().plan_cache_stats(),
+            plan: self.db.plan_cache_stats(),
             inference: self.inference_cache.stats(),
             artifact: self.artifact_cache.stats(),
         }

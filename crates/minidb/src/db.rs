@@ -8,12 +8,11 @@ use crate::catalog::Catalog;
 use crate::column::Column;
 use crate::cost::{CostContext, CostModel, DefaultCostModel, PlanCost};
 use crate::error::{Error, Result};
-use crate::exec::{self, ExecConfig, ExecContext};
+use crate::exec::{self, ExecConfig, ExecContext, OpCounters, OperatorKind};
 use crate::expr::EvalContext;
 use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::plan::logical::LogicalPlan;
 use crate::plan::planner::Planner;
-use crate::profile::{OperatorKind, Profiler};
 use crate::sql::ast::{ObjectKind, Query, Statement};
 use crate::sql::parser;
 use crate::stats::StatsCache;
@@ -27,7 +26,6 @@ pub struct QueryResult {
     rows_affected: usize,
     elapsed: std::time::Duration,
     rows_scanned: u64,
-    plan_cache_hit: bool,
     plan_cache: cachekit::StatsSnapshot,
     trace: Option<Arc<obs::SpanTree>>,
 }
@@ -39,7 +37,6 @@ impl QueryResult {
             rows_affected,
             elapsed: std::time::Duration::ZERO,
             rows_scanned: 0,
-            plan_cache_hit: false,
             plan_cache: cachekit::StatsSnapshot::default(),
             trace: None,
         }
@@ -76,7 +73,9 @@ impl QueryResult {
         self.elapsed
     }
 
-    /// Base-table rows read by Scan operators while this statement ran.
+    /// Base-table rows read by this statement's Scan operators. Scalar
+    /// subqueries evaluated while planning and statements a UDF issues run
+    /// as statements of their own and are not included.
     pub fn rows_scanned(&self) -> u64 {
         self.rows_scanned
     }
@@ -85,12 +84,11 @@ impl QueryResult {
     /// (skipping parse + plan). Always false for prepared queries and
     /// non-SELECT statements.
     pub fn plan_cache_hit(&self) -> bool {
-        self.plan_cache_hit
+        self.plan_cache.hits > 0
     }
 
-    /// Plan-cache lookups recorded while this statement ran (a delta of
-    /// the database-wide counters; with concurrent statements the window
-    /// may include their lookups too).
+    /// This statement's own plan-cache lookup: one hit, one miss, or
+    /// nothing (prepared queries and non-SELECT statements).
     pub fn plan_cache_stats(&self) -> cachekit::StatsSnapshot {
         self.plan_cache
     }
@@ -119,11 +117,28 @@ impl QueryResult {
 /// [`ExecConfig::slow_query_threshold`].
 pub type SlowQueryHook = Arc<dyn Fn(&obs::SpanTree) + Send + Sync>;
 
+/// One statement's own state, owned by its entry point and borrowed down
+/// to the executor: the executor configuration it runs under, its
+/// governance checkpoint, and its operator counters, which give the
+/// result's scan count and are added into the database totals when the
+/// statement ends.
+struct StmtScope {
+    config: ExecConfig,
+    governor: govern::Governor,
+    ops: OpCounters,
+}
+
 /// An in-memory SQL database instance.
 pub struct Database {
     catalog: Catalog,
     udfs: UdfRegistry,
-    profiler: Profiler,
+    /// Operator counters over the database's lifetime: each statement's
+    /// own table is added in when it ends. Exported by
+    /// [`Database::metrics_snapshot`].
+    ops: OpCounters,
+    /// Hits and misses of SELECT plan-cache lookups through
+    /// [`Database::execute`] (a stale entry counts as a miss).
+    plan_lookups: cachekit::CacheStats,
     stats: StatsCache,
     exec_config: RwLock<ExecConfig>,
     optimizer_config: RwLock<OptimizerConfig>,
@@ -249,7 +264,8 @@ impl DatabaseBuilder {
         Database {
             catalog: Catalog::new(),
             udfs: UdfRegistry::new(),
-            profiler: Profiler::new(),
+            ops: OpCounters::default(),
+            plan_lookups: cachekit::CacheStats::default(),
             stats: StatsCache::new(),
             exec_config: RwLock::new(self.exec_config),
             optimizer_config: RwLock::new(self.optimizer_config),
@@ -333,9 +349,12 @@ impl Database {
         self.udfs.register(udf);
     }
 
-    /// The per-operator profiler.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+    /// Plan-cache counters since the database was built: SELECT lookups
+    /// through [`execute`](Self::execute) (a stale entry counts as a miss)
+    /// and the cache's capacity evictions.
+    pub fn plan_cache_stats(&self) -> cachekit::StatsSnapshot {
+        let evictions = self.plan_cache.stats().evictions;
+        cachekit::StatsSnapshot { evictions, ..self.plan_lookups.snapshot() }
     }
 
     /// Replaces the cost model mid-session, returning the previous one.
@@ -408,13 +427,17 @@ impl Database {
         self.memory_budget.read().clone()
     }
 
-    /// A governor for one statement starting now: the query-level token if
-    /// given, else the session token (if anyone holds the handle), with the
-    /// deadline derived from [`ExecConfig::query_timeout`]. Unarmed — a
+    /// The scope of one statement starting now: the current executor
+    /// configuration, fresh operator counters, and a governor over the
+    /// query-level token if given, else the session token (if anyone holds
+    /// the handle), with the deadline derived from
+    /// [`ExecConfig::query_timeout`]. The governor is unarmed — a
     /// single-branch no-op per check — when neither is configured.
-    fn statement_governor(&self, token: Option<govern::CancelToken>) -> govern::Governor {
+    fn statement_scope(&self, token: Option<govern::CancelToken>) -> StmtScope {
         let token = token.or_else(|| self.session_token.get().cloned());
-        govern::Governor::new(token, self.exec_config.read().query_timeout)
+        let config = self.exec_config();
+        let governor = govern::Governor::new(token, config.query_timeout);
+        StmtScope { config, governor, ops: OpCounters::default() }
     }
 
     /// The current executor configuration.
@@ -444,22 +467,21 @@ impl Database {
     /// entirely; any catalog change invalidates affected entries wholesale.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
         let started = std::time::Instant::now();
-        let governor = self.statement_governor(None);
-        let root = self.query_root();
-        let pc_before = self.profiler.plan_cache_stats();
-        let out = self.execute_traced(sql, root, &governor);
-        self.finalize_query(root, pc_before, started, out)
+        let scope = self.statement_scope(None);
+        let root = self.query_root(&scope);
+        let out = self.execute_traced(sql, root, &scope);
+        self.finalize_query(root, &scope, started, out)
     }
 
     fn execute_traced(
         &self,
         sql: &str,
         root: obs::SpanId,
-        governor: &govern::Governor,
+        scope: &StmtScope,
     ) -> Result<QueryResult> {
         if self.plan_cache.capacity() == 0 {
             let stmt = self.parse_spanned(sql, root)?;
-            return self.execute_statement_spanned(&stmt, root, governor);
+            return self.execute_statement_spanned(&stmt, root, scope);
         }
         let key = normalize_sql(sql);
         // Read the epoch before planning: a concurrent mutation between
@@ -468,30 +490,32 @@ impl Database {
         let epoch = self.plan_epoch();
         if let Some((cached_epoch, plan)) = self.plan_cache.get(&key) {
             if cached_epoch == epoch {
-                self.profiler.record_plan_cache(true);
+                self.plan_lookups.record_hit();
                 self.tracer.event(root, "plan_cache", "hit");
-                let mut result = self.run_plan_timed_spanned(&plan, root, governor)?;
-                result.plan_cache_hit = true;
+                let mut result = self.run_plan_timed_spanned(&plan, root, scope)?;
+                result.plan_cache.hits = 1;
                 return Ok(result);
             }
             self.plan_cache.remove(&key);
         }
         let stmt = self.parse_spanned(sql, root)?;
         if let Statement::Query(q) = &stmt {
-            self.profiler.record_plan_cache(false);
+            self.plan_lookups.record_miss();
             self.tracer.event(root, "plan_cache", "miss");
             let plan = Arc::new(self.plan_query_spanned(q, root)?);
             self.plan_cache.insert(key, (epoch, Arc::clone(&plan)));
-            return self.run_plan_timed_spanned(&plan, root, governor);
+            let mut result = self.run_plan_timed_spanned(&plan, root, scope)?;
+            result.plan_cache.misses = 1;
+            return Ok(result);
         }
-        self.execute_statement_spanned(&stmt, root, governor)
+        self.execute_statement_spanned(&stmt, root, scope)
     }
 
     /// Root span for one statement: created when the collector is enabled
     /// or an armed slow-query threshold forces capture; `NONE` otherwise,
     /// which collapses the whole tracing path to `is_none` checks.
-    fn query_root(&self) -> obs::SpanId {
-        let forced = self.exec_config.read().slow_query_threshold.is_some();
+    fn query_root(&self, scope: &StmtScope) -> obs::SpanId {
+        let forced = scope.config.slow_query_threshold.is_some();
         if self.tracer.is_enabled() || forced {
             self.tracer.start_root("query")
         } else {
@@ -499,20 +523,21 @@ impl Database {
         }
     }
 
-    /// Closes a statement's root span: extracts the tree, fires the
+    /// Ends a statement: adds its operator counters into the database
+    /// totals, closes its root span and extracts the tree, fires the
     /// slow-query hook when the statement crossed the threshold, attaches
-    /// the trace and per-statement plan-cache delta to the result, and
+    /// the trace and the statement's own scan count to the result, and
     /// feeds the latency histogram. Errored statements feed the histogram
     /// too (with their wall time up to the failure) and bump the failure
-    /// counters by governance cause — previously they silently skipped
-    /// accounting entirely.
+    /// counters by governance cause.
     fn finalize_query(
         &self,
         root: obs::SpanId,
-        pc_before: cachekit::StatsSnapshot,
+        scope: &StmtScope,
         started: std::time::Instant,
         out: Result<QueryResult>,
     ) -> Result<QueryResult> {
+        self.ops.absorb(&scope.ops);
         if let Err(err) = &out {
             self.note_failure(root, err, started);
         }
@@ -523,12 +548,7 @@ impl Database {
             None
         };
         let mut result = out?;
-        let pc_after = self.profiler.plan_cache_stats();
-        result.plan_cache = cachekit::StatsSnapshot {
-            hits: pc_after.hits.saturating_sub(pc_before.hits),
-            misses: pc_after.misses.saturating_sub(pc_before.misses),
-            evictions: pc_after.evictions.saturating_sub(pc_before.evictions),
-        };
+        result.rows_scanned = scope.ops.get(OperatorKind::Scan).rows_out;
         self.query_latency.observe(result.elapsed.as_secs_f64());
         if let Some(tree) = tree {
             let tree = Arc::new(tree);
@@ -583,24 +603,21 @@ impl Database {
     }
 
     /// Executes an optimized plan under an `execute` phase span, stamping
-    /// timing + rows-scanned metadata.
+    /// its timing.
     fn run_plan_timed_spanned(
         &self,
         plan: &LogicalPlan,
         parent: obs::SpanId,
-        governor: &govern::Governor,
+        scope: &StmtScope,
     ) -> Result<QueryResult> {
-        let scanned_before = self.profiler.rows_out(OperatorKind::Scan);
         let start = std::time::Instant::now();
         let span = self.tracer.child(parent, obs::SpanKind::Phase, "execute", "");
-        let table = self.execute_plan_spanned(plan, span, governor);
+        let table = exec::execute(plan, &self.exec_ctx(span, scope));
         self.tracer.finish(span);
         let table = table?;
         let rows = table.num_rows();
         let mut result = QueryResult::of(table, rows);
         result.elapsed = start.elapsed();
-        result.rows_scanned =
-            self.profiler.rows_out(OperatorKind::Scan).saturating_sub(scanned_before);
         Ok(result)
     }
 
@@ -618,25 +635,21 @@ impl Database {
     /// and the number of base-table rows its Scan operators read.
     pub fn execute_statement(&self, stmt: &Statement) -> Result<QueryResult> {
         let started = std::time::Instant::now();
-        let governor = self.statement_governor(None);
-        let root = self.query_root();
-        let pc_before = self.profiler.plan_cache_stats();
-        let out = self.execute_statement_spanned(stmt, root, &governor);
-        self.finalize_query(root, pc_before, started, out)
+        let scope = self.statement_scope(None);
+        let root = self.query_root(&scope);
+        let out = self.execute_statement_spanned(stmt, root, &scope);
+        self.finalize_query(root, &scope, started, out)
     }
 
     fn execute_statement_spanned(
         &self,
         stmt: &Statement,
         span: obs::SpanId,
-        governor: &govern::Governor,
+        scope: &StmtScope,
     ) -> Result<QueryResult> {
-        let scanned_before = self.profiler.rows_out(OperatorKind::Scan);
         let start = std::time::Instant::now();
-        let mut result = self.execute_statement_inner(stmt, span, governor)?;
+        let mut result = self.execute_statement_inner(stmt, span, scope)?;
         result.elapsed = start.elapsed();
-        result.rows_scanned =
-            self.profiler.rows_out(OperatorKind::Scan).saturating_sub(scanned_before);
         Ok(result)
     }
 
@@ -644,11 +657,11 @@ impl Database {
         &self,
         stmt: &Statement,
         span: obs::SpanId,
-        governor: &govern::Governor,
+        scope: &StmtScope,
     ) -> Result<QueryResult> {
         match stmt {
             Statement::Query(q) => {
-                let table = self.run_query_spanned(q, span, governor)?;
+                let table = self.run_query_spanned(q, span, scope)?;
                 let rows = table.num_rows();
                 Ok(QueryResult::of(table, rows))
             }
@@ -659,7 +672,7 @@ impl Database {
                 // The inner query's operators record themselves; the
                 // CreateTable entry covers only the materialization.
                 let table = match as_query {
-                    Some(q) => self.run_query_spanned(q, span, governor)?,
+                    Some(q) => self.run_query_spanned(q, span, scope)?,
                     None => {
                         let schema = Schema::new(
                             columns.iter().map(|(n, t)| Field::new(n.clone(), *t)).collect(),
@@ -672,7 +685,7 @@ impl Database {
                 // `CREATE TEMP TABLE` re-creation is idiomatic in the
                 // DL2SQL-generated scripts: allow replacement.
                 self.catalog.create_table(name, table, true)?;
-                self.profiler.record(OperatorKind::CreateTable, start.elapsed(), rows);
+                self.exec_ctx(span, scope).record_step(OperatorKind::CreateTable, start, rows);
                 Ok(QueryResult::of(Table::empty(Schema::default()), rows))
             }
             Statement::CreateView { name, query } => {
@@ -681,14 +694,14 @@ impl Database {
                 self.catalog.create_view(name, query.clone(), true)?;
                 Ok(QueryResult::of(Table::empty(Schema::default()), 0))
             }
-            Statement::Insert { table, rows } => self.run_insert(table, rows),
+            Statement::Insert { table, rows } => self.run_insert(table, rows, span, scope),
             Statement::InsertSelect { table, query } => {
                 let start = std::time::Instant::now();
                 let current = self
                     .catalog
                     .table(table)
                     .ok_or_else(|| Error::NotFound(format!("table '{table}'")))?;
-                let incoming = self.run_query_spanned(query, span, governor)?;
+                let incoming = self.run_query_spanned(query, span, scope)?;
                 if incoming.num_columns() != current.num_columns() {
                     return Err(Error::Plan(format!(
                         "INSERT SELECT produces {} columns, table '{table}' has {}",
@@ -702,11 +715,11 @@ impl Database {
                 }
                 let affected = incoming.num_rows();
                 self.catalog.replace_table(table, new_table)?;
-                self.profiler.record(OperatorKind::Insert, start.elapsed(), affected);
+                self.exec_ctx(span, scope).record_step(OperatorKind::Insert, start, affected);
                 Ok(QueryResult::of(Table::empty(Schema::default()), affected))
             }
             Statement::Update { table, assignments, predicate } => {
-                self.run_update(table, assignments, predicate.as_ref())
+                self.run_update(table, assignments, predicate.as_ref(), span, scope)
             }
             Statement::CreateIndex { table, column } => {
                 self.catalog.create_index(table, column)?;
@@ -725,7 +738,7 @@ impl Database {
                 let rows = table.num_rows();
                 Ok(QueryResult::of(table, rows))
             }
-            Statement::ExplainAnalyze(inner) => self.explain_analyze(inner, governor),
+            Statement::ExplainAnalyze(inner) => self.explain_analyze(inner, scope),
             Statement::Drop { kind, name, if_exists } => {
                 let dropped = match kind {
                     ObjectKind::Table => self.catalog.drop_table(name, *if_exists)?,
@@ -758,8 +771,9 @@ impl Database {
     /// the entry point the collaborative strategies drive directly.
     pub fn run_query(&self, q: &Query) -> Result<Table> {
         let started = std::time::Instant::now();
-        let governor = self.statement_governor(None);
-        let out = self.run_query_spanned(q, obs::SpanId::NONE, &governor);
+        let scope = self.statement_scope(None);
+        let out = self.run_query_spanned(q, obs::SpanId::NONE, &scope);
+        self.ops.absorb(&scope.ops);
         if let Err(err) = &out {
             self.note_failure(obs::SpanId::NONE, err, started);
         }
@@ -772,11 +786,11 @@ impl Database {
         &self,
         q: &Query,
         parent: obs::SpanId,
-        governor: &govern::Governor,
+        scope: &StmtScope,
     ) -> Result<Table> {
         let plan = self.plan_query_spanned(q, parent)?;
         let span = self.tracer.child(parent, obs::SpanKind::Phase, "execute", "");
-        let out = self.execute_plan_spanned(&plan, span, governor);
+        let out = exec::execute(&plan, &self.exec_ctx(span, scope));
         self.tracer.finish(span);
         out
     }
@@ -837,30 +851,26 @@ impl Database {
 
     /// Executes an already-optimized plan.
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<Table> {
-        let governor = self.statement_governor(None);
-        self.execute_plan_spanned(plan, obs::SpanId::NONE, &governor)
+        let scope = self.statement_scope(None);
+        let out = exec::execute(plan, &self.exec_ctx(obs::SpanId::NONE, &scope));
+        self.ops.absorb(&scope.ops);
+        out
     }
 
-    /// [`execute_plan`](Self::execute_plan) with operator spans nesting
-    /// under `span` (pass [`obs::SpanId::NONE`] to disable tracing).
-    fn execute_plan_spanned(
-        &self,
-        plan: &LogicalPlan,
-        span: obs::SpanId,
-        governor: &govern::Governor,
-    ) -> Result<Table> {
-        let exec_config = self.exec_config.read().clone();
-        let ctx = ExecContext {
+    /// An executor context for one statement, nesting operator spans under
+    /// `span` (pass [`obs::SpanId::NONE`] to disable tracing) and recording
+    /// into the statement's counters.
+    fn exec_ctx<'a>(&'a self, span: obs::SpanId, scope: &'a StmtScope) -> ExecContext<'a> {
+        ExecContext {
             catalog: &self.catalog,
             udfs: &self.udfs,
-            profiler: &self.profiler,
-            config: &exec_config,
+            ops: &scope.ops,
+            config: &scope.config,
             tracer: &self.tracer,
             span,
-            governor: governor.clone(),
+            governor: scope.governor.clone(),
             budget: self.memory_budget.read().clone(),
-        };
-        exec::execute(plan, &ctx)
+        }
     }
 
     /// The optimized plan for a SELECT statement, as EXPLAIN text.
@@ -906,14 +916,10 @@ impl Database {
     /// — phases, operators with actual rows/loops/exclusive time/effective
     /// parallelism/bytes-not-materialized, cache events, morsel workers —
     /// as a one-column `plan` table (the `EXPLAIN ANALYZE` statement).
-    fn explain_analyze(
-        &self,
-        stmt: &Statement,
-        governor: &govern::Governor,
-    ) -> Result<QueryResult> {
+    fn explain_analyze(&self, stmt: &Statement, scope: &StmtScope) -> Result<QueryResult> {
         // Forced root: EXPLAIN ANALYZE traces even with the collector off.
         let root = self.tracer.start_root("query");
-        let out = self.execute_statement_spanned(stmt, root, governor);
+        let out = self.execute_statement_spanned(stmt, root, scope);
         self.tracer.finish(root);
         let tree = self.tracer.take_tree(root);
         let inner = out?;
@@ -949,12 +955,12 @@ impl Database {
         *self.slow_query_hook.write() = hook;
     }
 
-    /// A point-in-time metrics registry: per-operator profiler counters,
+    /// A point-in-time metrics registry: per-operator counters,
     /// plan-cache stats, the query-latency histogram and task-pool
     /// scheduler counters — exportable as Prometheus text or JSON.
     pub fn metrics_snapshot(&self) -> obs::Registry {
         let mut reg = obs::Registry::new();
-        let mut ops = self.profiler.snapshot();
+        let mut ops = self.ops.snapshot();
         ops.sort_by_key(|(kind, _)| kind.label());
         for (kind, s) in ops {
             let labels: &[(&str, &str)] = &[("op", kind.label())];
@@ -962,19 +968,19 @@ impl Database {
                 "minidb_operator_invocations_total",
                 "Operator invocations",
                 labels,
-                s.invocations,
+                s.loops,
             );
             reg.counter(
                 "minidb_operator_time_nanoseconds_total",
                 "Operator wall time, children excluded",
                 labels,
-                s.total.as_nanos() as u64,
+                s.self_ns,
             );
             reg.counter(
                 "minidb_operator_busy_nanoseconds_total",
                 "Summed per-worker busy time",
                 labels,
-                s.busy.as_nanos() as u64,
+                s.busy_ns,
             );
             reg.counter("minidb_operator_rows_out_total", "Rows produced", labels, s.rows_out);
             if s.bytes_not_materialized > 0 {
@@ -986,7 +992,7 @@ impl Database {
                 );
             }
         }
-        let pc = self.profiler.plan_cache_stats();
+        let pc = self.plan_cache_stats();
         reg.counter("minidb_plan_cache_hits_total", "Plan cache hits", &[], pc.hits);
         reg.counter("minidb_plan_cache_misses_total", "Plan cache misses", &[], pc.misses);
         reg.counter("minidb_plan_cache_evictions_total", "Plan cache evictions", &[], pc.evictions);
@@ -1104,6 +1110,8 @@ impl Database {
         &self,
         table_name: &str,
         rows: &[Vec<crate::sql::ast::Expr>],
+        span: obs::SpanId,
+        scope: &StmtScope,
     ) -> Result<QueryResult> {
         let start = std::time::Instant::now();
         let current = self
@@ -1131,7 +1139,7 @@ impl Database {
         }
         let affected = rows.len();
         self.catalog.replace_table(table_name, new_table)?;
-        self.profiler.record(OperatorKind::Insert, start.elapsed(), affected);
+        self.exec_ctx(span, scope).record_step(OperatorKind::Insert, start, affected);
         Ok(QueryResult::of(Table::empty(Schema::default()), affected))
     }
 
@@ -1140,6 +1148,8 @@ impl Database {
         table_name: &str,
         assignments: &[(String, crate::sql::ast::Expr)],
         predicate: Option<&crate::sql::ast::Expr>,
+        span: obs::SpanId,
+        scope: &StmtScope,
     ) -> Result<QueryResult> {
         let start = std::time::Instant::now();
         let current = self
@@ -1175,7 +1185,7 @@ impl Database {
             new_table.set_column(idx, rebuilt)?;
         }
         self.catalog.replace_table(table_name, new_table)?;
-        self.profiler.record(OperatorKind::Update, start.elapsed(), affected);
+        self.exec_ctx(span, scope).record_step(OperatorKind::Update, start, affected);
         Ok(QueryResult::of(Table::empty(Schema::default()), affected))
     }
 }
@@ -1212,11 +1222,10 @@ impl PreparedQuery<'_> {
     /// [`Database::execute_statement`] (without the parse/plan cost).
     pub fn run(&self) -> Result<QueryResult> {
         let started = std::time::Instant::now();
-        let governor = self.db.statement_governor(self.token.get().cloned());
-        let root = self.db.query_root();
-        let pc_before = self.db.profiler.plan_cache_stats();
-        let out = self.db.run_plan_timed_spanned(&self.plan, root, &governor);
-        self.db.finalize_query(root, pc_before, started, out)
+        let scope = self.db.statement_scope(self.token.get().cloned());
+        let root = self.db.query_root(&scope);
+        let out = self.db.run_plan_timed_spanned(&self.plan, root, &scope);
+        self.db.finalize_query(root, &scope, started, out)
     }
 }
 
@@ -1559,7 +1568,7 @@ mod tests {
         // Whitespace variants share the entry.
         let variant = db.execute("SELECT transID\n  FROM fabric   WHERE meter > 3.0").unwrap();
         assert!(variant.plan_cache_hit());
-        let s = db.profiler().plan_cache_stats();
+        let s = db.plan_cache_stats();
         assert_eq!((s.hits, s.misses), (2, 1));
     }
 
@@ -1647,7 +1656,7 @@ mod tests {
         let r = db.execute("SELECT a FROM t").unwrap();
         assert!(!r.plan_cache_hit());
         assert_eq!(db.plan_cache_len(), 0);
-        let s = db.profiler().plan_cache_stats();
+        let s = db.plan_cache_stats();
         assert_eq!((s.hits, s.misses), (0, 0), "disabled cache records nothing");
     }
 

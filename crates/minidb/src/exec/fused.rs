@@ -38,13 +38,13 @@ use crate::value::{DataType, Value};
 
 use super::{composite_keys, join_keys, parallel, Acc, ExecContext, JoinKeys};
 
-/// Counters the executor feeds into the profiler's fused record.
+/// Counters the executor records for the fused operator.
 pub(crate) struct FusedMetrics {
     /// Worker busy time beyond the operator's own wall time (zero when
     /// the probe ran serially).
     pub extra_busy: Duration,
     /// Serial setup time — argument/key evaluation plus hash-table build —
-    /// before the (possibly parallel) probe starts. The profiler records
+    /// before the (possibly parallel) probe starts. The executor records
     /// this as its own invocation so effective parallelism reflects only
     /// the probe.
     pub build: Duration,
@@ -148,7 +148,7 @@ struct LocalGroups<K> {
 }
 
 /// Executes the fused operator. Returns the aggregated table and the
-/// profiler counters; the caller records wall time around this call.
+/// fused counters; the caller records wall time around this call.
 pub(crate) fn join_aggregate(
     lt: &Table,
     rt: &Table,

@@ -1,15 +1,19 @@
 //! The vectorized executor.
 //!
 //! Fully materialized, operator-at-a-time execution over columnar tables.
-//! Every operator records its own wall time (children excluded) into the
-//! session [`Profiler`] — the data behind the paper's Fig. 10 clause
-//! breakdown.
+//! Every operator reports its own wall time (children excluded), busy time
+//! and row counts once, through [`ExecContext::record`]: the same numbers
+//! reach the statement's span (when traced) and its [`OpCounters`] — the
+//! data behind the paper's Fig. 10 clause breakdown.
 
+pub mod counters;
 pub mod fused;
 pub mod parallel;
 pub mod symmetric;
 
 use std::time::{Duration, Instant};
+
+pub use counters::{OpCounters, OperatorKind};
 
 use crate::catalog::Catalog;
 use crate::column::{Column, Key};
@@ -17,7 +21,6 @@ use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, EvalContext};
 use crate::hash::{fx_map_with_capacity, FxHashMap};
 use crate::plan::logical::{AggExpr, AggFunc, JoinAlgorithm, LogicalPlan};
-use crate::profile::{OperatorKind, Profiler};
 use crate::table::{Schema, Table};
 use crate::udf::UdfRegistry;
 use crate::value::{DataType, Value};
@@ -80,7 +83,9 @@ impl Default for ExecConfig {
 pub struct ExecContext<'a> {
     pub catalog: &'a Catalog,
     pub udfs: &'a UdfRegistry,
-    pub profiler: &'a Profiler,
+    /// The statement's operator counters; every [`record`](Self::record)
+    /// adds to them.
+    pub ops: &'a OpCounters,
     pub config: &'a ExecConfig,
     /// Span collector; [`obs::disabled`] when the session is untraced.
     pub tracer: &'a obs::Collector,
@@ -104,7 +109,7 @@ impl<'a> ExecContext<'a> {
         ExecContext {
             catalog: self.catalog,
             udfs: self.udfs,
-            profiler: self.profiler,
+            ops: self.ops,
             config: self.config,
             tracer: self.tracer,
             span,
@@ -130,64 +135,48 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Records a serial operator into the profiler and the current span
-    /// (one elapsed value feeds both, so the views cannot disagree).
-    fn record(&self, kind: OperatorKind, elapsed: Duration, rows_out: usize) {
-        self.profiler.record(kind, elapsed, rows_out);
-        self.note_span(kind, elapsed, elapsed, 0, rows_out, 0);
+    /// Records one operator invocation: notes the live span (a no-op when
+    /// untraced) and adds to the statement's counters. One value feeds
+    /// both, so the views cannot disagree.
+    fn record(&self, kind: OperatorKind, m: obs::OpMetrics) {
+        self.ops.add(kind, &m);
+        self.tracer.note_op(self.span, kind.label(), m);
     }
 
-    /// Records a (possibly) parallel operator: wall time plus summed
-    /// worker busy time.
-    fn record_parallel(
-        &self,
-        kind: OperatorKind,
-        elapsed: Duration,
-        busy: Duration,
-        rows_out: usize,
-    ) {
-        self.profiler.record_parallel(kind, elapsed, busy, rows_out);
-        self.note_span(kind, elapsed, busy, 0, rows_out, 0);
-    }
-
-    /// Records a fused operator invocation with its extra counters.
-    #[allow(clippy::too_many_arguments)]
-    fn record_fused(
-        &self,
-        kind: OperatorKind,
-        elapsed: Duration,
-        busy: Duration,
-        rows_in: usize,
-        rows_out: usize,
-        bytes_not_materialized: u64,
-    ) {
-        self.profiler.record_fused(kind, elapsed, busy, rows_in, rows_out, bytes_not_materialized);
-        self.note_span(kind, elapsed, busy, rows_in, rows_out, bytes_not_materialized);
-    }
-
-    fn note_span(
-        &self,
-        kind: OperatorKind,
-        elapsed: Duration,
-        busy: Duration,
-        rows_in: usize,
-        rows_out: usize,
-        bytes_not_materialized: u64,
-    ) {
-        if self.span.is_none() {
-            return;
-        }
-        self.tracer.note_op(
+    /// Records a step that runs outside a plan (CreateTable, Insert,
+    /// Update) through [`record`](Self::record), as an operator span of
+    /// its own under the current span.
+    pub(crate) fn record_step(&self, kind: OperatorKind, start: Instant, rows_out: usize) {
+        let m = serial(start, rows_out);
+        let end = self.tracer.now_ns();
+        let span = self.tracer.add_complete(
             self.span,
+            obs::SpanKind::Operator,
             kind.label(),
-            obs::OpMetrics {
-                self_ns: elapsed.as_nanos() as u64,
-                busy_ns: busy.as_nanos() as u64,
-                rows_in: rows_in as u64,
-                rows_out: rows_out as u64,
-                bytes_not_materialized,
-            },
+            "",
+            end.saturating_sub(m.self_ns),
+            end,
+            u32::MAX,
+            0,
         );
+        self.with_span(span).record(kind, m);
+    }
+}
+
+/// Metrics of a serial operator invocation that began at `start`.
+fn serial(start: Instant, rows_out: usize) -> obs::OpMetrics {
+    let elapsed = start.elapsed();
+    parallel(elapsed, elapsed, rows_out)
+}
+
+/// Metrics of an operator invocation that may have fanned out over a
+/// worker pool: `elapsed` is the wall time, `busy` the per-worker sum.
+fn parallel(elapsed: Duration, busy: Duration, rows_out: usize) -> obs::OpMetrics {
+    obs::OpMetrics {
+        self_ns: elapsed.as_nanos() as u64,
+        busy_ns: busy.as_nanos() as u64,
+        rows_out: rows_out as u64,
+        ..Default::default()
     }
 }
 
@@ -249,7 +238,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                 .table(table)
                 .ok_or_else(|| Error::NotFound(format!("table '{table}'")))?;
             let out = (*t).clone();
-            ctx.record(OperatorKind::Scan, start.elapsed(), out.num_rows());
+            ctx.record(OperatorKind::Scan, serial(start, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Values { table } => Ok(table.clone()),
@@ -263,13 +252,13 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                 if predicate.contains_udf() { OperatorKind::UdfEval } else { OperatorKind::Filter };
             if parallel::active(ctx.config, t.num_rows()) {
                 let (out, busy) = parallel::filter(&t, predicate, ctx)?;
-                ctx.record_parallel(kind, start.elapsed(), busy, out.num_rows());
+                ctx.record(kind, parallel(start.elapsed(), busy, out.num_rows()));
                 return Ok(out);
             }
             let mask_col = predicate.eval(&t, &ctx.eval_ctx())?;
             let mask = mask_col.as_bool_slice()?;
             let out = t.filter(mask);
-            ctx.record(kind, start.elapsed(), out.num_rows());
+            ctx.record(kind, serial(start, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Project { input, exprs, schema } => {
@@ -277,7 +266,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let start = Instant::now();
             if parallel::active(ctx.config, t.num_rows()) {
                 let (out, busy) = parallel::project(&t, exprs, schema, ctx)?;
-                ctx.record_parallel(OperatorKind::Project, start.elapsed(), busy, out.num_rows());
+                ctx.record(OperatorKind::Project, parallel(start.elapsed(), busy, out.num_rows()));
                 return Ok(out);
             }
             let cols: Vec<Column> = exprs
@@ -286,7 +275,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                 .map(|(e, f)| coerce_column(e.eval(&t, &ctx.eval_ctx())?, f.data_type))
                 .collect::<Result<_>>()?;
             let out = Table::new(schema.clone(), cols)?;
-            ctx.record(OperatorKind::Project, start.elapsed(), out.num_rows());
+            ctx.record(OperatorKind::Project, serial(start, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Join { left, right, keys, residual, algorithm, output, schema } => {
@@ -311,7 +300,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                 ),
             };
             let elapsed = start.elapsed();
-            ctx.record_parallel(OperatorKind::Join, elapsed, elapsed + extra_busy, out.num_rows());
+            ctx.record(OperatorKind::Join, parallel(elapsed, elapsed + extra_busy, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Cross { left, right, schema } => {
@@ -331,7 +320,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                 }
             }
             let out = glue_join(&lt, &l_idx, &rt, &r_idx, None, None, schema, ctx)?;
-            ctx.record(OperatorKind::Join, start.elapsed(), out.num_rows());
+            ctx.record(OperatorKind::Join, serial(start, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::JoinAggregate { left, right, keys, group, aggs, schema } => {
@@ -342,19 +331,19 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let (out, m) = fused::join_aggregate(&lt, &rt, keys, group, aggs, schema, ctx)?;
             let elapsed = start.elapsed();
             // Build (serial argument/key evaluation + hash build) and
-            // probe (morsel-parallel fold + emit) are distinct profiler
+            // probe (morsel-parallel fold + emit) are distinct recorded
             // invocations: lumping them made busy/wall meaningless as an
             // effective-parallelism ratio, since the serial build diluted
             // the parallel probe's busy time.
             let probe = elapsed.saturating_sub(m.build);
-            ctx.record_parallel(OperatorKind::JoinAggregate, m.build, m.build, 0);
-            ctx.record_fused(
+            ctx.record(OperatorKind::JoinAggregate, parallel(m.build, m.build, 0));
+            ctx.record(
                 OperatorKind::JoinAggregate,
-                probe,
-                probe + m.extra_busy,
-                m.rows_in,
-                out.num_rows(),
-                m.bytes_not_materialized,
+                obs::OpMetrics {
+                    rows_in: m.rows_in as u64,
+                    bytes_not_materialized: m.bytes_not_materialized,
+                    ..parallel(probe, probe + m.extra_busy, out.num_rows())
+                },
             );
             if ctx.span.is_some() {
                 let build_end = span_t0 + m.build.as_nanos() as u64;
@@ -386,11 +375,11 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let start = Instant::now();
             if parallel::active(ctx.config, t.num_rows()) {
                 let (out, busy) = parallel::aggregate(&t, group, aggs, schema, ctx)?;
-                ctx.record_parallel(OperatorKind::GroupBy, start.elapsed(), busy, out.num_rows());
+                ctx.record(OperatorKind::GroupBy, parallel(start.elapsed(), busy, out.num_rows()));
                 return Ok(out);
             }
             let out = aggregate(&t, group, aggs, schema, ctx)?;
-            ctx.record(OperatorKind::GroupBy, start.elapsed(), out.num_rows());
+            ctx.record(OperatorKind::GroupBy, serial(start, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Sort { input, keys } => {
@@ -412,7 +401,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                 std::cmp::Ordering::Equal
             });
             let out = t.take(&idx);
-            ctx.record(OperatorKind::Sort, start.elapsed(), out.num_rows());
+            ctx.record(OperatorKind::Sort, serial(start, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Limit { input, n } => {
@@ -421,7 +410,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let keep = (*n as usize).min(t.num_rows());
             let idx: Vec<usize> = (0..keep).collect();
             let out = t.take(&idx);
-            ctx.record(OperatorKind::Limit, start.elapsed(), out.num_rows());
+            ctx.record(OperatorKind::Limit, serial(start, out.num_rows()));
             Ok(out)
         }
     }
@@ -590,7 +579,7 @@ pub(crate) fn group_state_bytes(groups: usize, aggs: usize) -> u64 {
 /// Hash join: serial build on the smaller side, probe either serially or
 /// morsel-parallel. Returns the joined table plus any worker busy time the
 /// parallel probe accrued beyond its own wall time (zero when serial), so
-/// the caller can report wall + extra to the profiler.
+/// the caller can record wall + extra as the join's busy time.
 fn hash_join(
     lt: &Table,
     rt: &Table,
@@ -965,8 +954,8 @@ mod tests {
     use super::*;
     use crate::table::Field;
 
-    fn ctx_parts() -> (Catalog, UdfRegistry, Profiler, ExecConfig) {
-        (Catalog::new(), UdfRegistry::new(), Profiler::new(), ExecConfig::default())
+    fn ctx_parts() -> (Catalog, UdfRegistry, OpCounters, ExecConfig) {
+        (Catalog::new(), UdfRegistry::new(), OpCounters::default(), ExecConfig::default())
     }
 
     fn sample_table() -> Table {
@@ -982,12 +971,12 @@ mod tests {
 
     #[test]
     fn filter_executes_mask() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, ops, config) = ctx_parts();
         catalog.create_table("t", sample_table(), false).unwrap();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1007,19 +996,19 @@ mod tests {
         };
         let out = execute(&plan, &ctx).unwrap();
         assert_eq!(out.num_rows(), 2);
-        // Profiler saw a scan and a filter.
-        let kinds: Vec<_> = profiler.snapshot().iter().map(|(k, _)| *k).collect();
+        // The counters saw a scan and a filter.
+        let kinds: Vec<_> = ops.snapshot().iter().map(|(k, _)| *k).collect();
         assert!(kinds.contains(&OperatorKind::Scan));
         assert!(kinds.contains(&OperatorKind::Filter));
     }
 
     #[test]
     fn hash_join_matches_pairs() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, ops, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1053,11 +1042,11 @@ mod tests {
 
     #[test]
     fn aggregate_group_by() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, ops, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1103,11 +1092,11 @@ mod tests {
 
     #[test]
     fn global_aggregate_over_empty_input() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, ops, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1135,11 +1124,11 @@ mod tests {
 
     #[test]
     fn count_of_boolean_counts_trues() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, ops, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -1182,7 +1171,7 @@ mod tests {
         .unwrap();
 
         let run = |parallelism: usize| -> (Table, Table, Table) {
-            let (catalog, udfs, profiler, mut config) = ctx_parts();
+            let (catalog, udfs, ops, mut config) = ctx_parts();
             config.parallelism = parallelism;
             config.morsel_rows = 64;
             config.min_parallel_rows = 0;
@@ -1190,7 +1179,7 @@ mod tests {
             let ctx = ExecContext {
                 catalog: &catalog,
                 udfs: &udfs,
-                profiler: &profiler,
+                ops: &ops,
                 config: &config,
                 tracer: obs::disabled(),
                 span: obs::SpanId::NONE,
@@ -1333,11 +1322,11 @@ mod tests {
 
     #[test]
     fn stddev_samp_matches_definition() {
-        let (catalog, udfs, profiler, config) = ctx_parts();
+        let (catalog, udfs, ops, config) = ctx_parts();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,

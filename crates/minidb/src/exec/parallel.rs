@@ -14,7 +14,7 @@
 //! untouched serial code, which is the bit-for-bit reference behavior.
 //!
 //! Every function returns the summed per-worker busy time next to its
-//! result so the executor can feed [`Profiler::record_parallel`].
+//! result so the executor can record it as the operator's busy time.
 
 use std::time::{Duration, Instant};
 

@@ -180,8 +180,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::column::Column;
-    use crate::exec::ExecConfig;
-    use crate::profile::Profiler;
+    use crate::exec::{ExecConfig, OpCounters};
     use crate::table::Field;
     use crate::udf::UdfRegistry;
     use crate::value::DataType;
@@ -199,7 +198,7 @@ mod tests {
     fn produces_same_multiset_as_hash_join() {
         let catalog = Catalog::new();
         let udfs = UdfRegistry::new();
-        let profiler = Profiler::new();
+        let ops = OpCounters::default();
         let config = ExecConfig {
             symmetric_batch_rows: 2,
             symmetric_bucket_budget: 4,
@@ -208,7 +207,7 @@ mod tests {
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,
@@ -232,7 +231,7 @@ mod tests {
     fn tiny_budget_forces_evictions_without_losing_rows() {
         let catalog = Catalog::new();
         let udfs = UdfRegistry::new();
-        let profiler = Profiler::new();
+        let ops = OpCounters::default();
         let config = ExecConfig {
             symmetric_batch_rows: 1,
             symmetric_bucket_budget: 1,
@@ -241,7 +240,7 @@ mod tests {
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,

@@ -18,7 +18,7 @@
 //! * a vectorized executor with hash joins, a symmetric hash join with
 //!   bucket-level LRU (paper Sec. IV-B), hash aggregation, and
 //!   per-operator timing used to reproduce the paper's Fig. 10
-//!   ([`exec`], [`profile`]),
+//!   ([`exec`]),
 //! * scalar user-defined functions with optional selectivity and
 //!   per-row-cost metadata ([`udf`]) — the loose-integration strategy's
 //!   `nUDF`s and the hint rules both live on this interface,
@@ -50,7 +50,6 @@ pub mod hash;
 pub mod index;
 pub mod optimizer;
 pub mod plan;
-pub mod profile;
 pub mod sql;
 pub mod stats;
 pub mod table;
@@ -62,8 +61,8 @@ pub use column::Column;
 pub use cost::{parallel_discount, CostContext, CostModel, DefaultCostModel, PlanCost};
 pub use db::{Database, DatabaseBuilder, PreparedQuery, QueryResult};
 pub use error::{Error, Result};
+pub use exec::{OpCounters, OperatorKind};
 pub use govern::{CancelToken, QueryError};
-pub use profile::{OperatorKind, Profiler};
 pub use table::{Field, Schema, Table};
 pub use udf::{ScalarUdf, UdfRegistry};
 pub use value::{DataType, Value};

@@ -477,12 +477,12 @@ mod tests {
         };
         let catalog = crate::catalog::Catalog::new();
         let udfs = crate::udf::UdfRegistry::new();
-        let profiler = crate::profile::Profiler::new();
+        let ops = crate::exec::OpCounters::default();
         let config = ExecConfig::default();
         let ctx = ExecContext {
             catalog: &catalog,
             udfs: &udfs,
-            profiler: &profiler,
+            ops: &ops,
             config: &config,
             tracer: obs::disabled(),
             span: obs::SpanId::NONE,

@@ -8,10 +8,10 @@
 //!   caller forces one, e.g. `EXPLAIN ANALYZE`); every child-span helper
 //!   no-ops on a [`SpanId::NONE`] parent without touching a lock or even
 //!   an atomic. The only per-query cost when disabled is one atomic load.
-//! * **One source of truth.** Executors report the *same* elapsed values
-//!   to the span tree and to the `Profiler`-style aggregate counters, so
-//!   `EXPLAIN ANALYZE`, Fig. 10 buckets, and profiler snapshots can never
-//!   disagree.
+//! * **One source of truth.** An executor reports each operator once, as
+//!   one [`OpMetrics`] value that feeds both the span tree and the
+//!   executor's per-kind counters, so `EXPLAIN ANALYZE`, Fig. 10 buckets,
+//!   and exported operator metrics can never disagree.
 //! * **Explicit clock injection.** The collector reads time through the
 //!   [`Clock`] trait; tests install a [`ManualClock`] to make span math
 //!   deterministic.
@@ -196,8 +196,9 @@ impl SpanRecord {
     }
 }
 
-/// Operator-level metrics reported into a span; mirrors what the
-/// aggregate profiler receives so the two views stay in lockstep.
+/// Operator-level metrics of one invocation. The executor hands the same
+/// value to [`Collector::note_op`] and to its per-kind counters, so the
+/// span view and the aggregate view stay in lockstep.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpMetrics {
     pub self_ns: u64,
@@ -351,8 +352,8 @@ impl Collector {
         self.add_complete(parent, SpanKind::Event, name, detail, now, now, u32::MAX, 0);
     }
 
-    /// Reports operator metrics into a span: the same numbers handed to
-    /// the aggregate profiler. Accumulates, so phased operators (e.g.
+    /// Reports operator metrics into a span: the same numbers the
+    /// executor adds to its per-kind counters. Accumulates, so phased operators (e.g.
     /// fused build + probe) may call it more than once; `loops` counts
     /// the calls. Renames the span when `name` is non-empty (a `Filter`
     /// span may turn out to be a `UdfEval`).
@@ -447,8 +448,8 @@ pub fn disabled() -> &'static Collector {
     DISABLED.get_or_init(Collector::new)
 }
 
-/// Per-operator aggregate folded out of span trees; the span-side
-/// equivalent of a profiler bucket.
+/// Per-operator aggregate: folded out of span trees, or snapshotted from
+/// the executor's per-kind counters (the same fields either way).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OpAgg {
     pub self_ns: u64,

@@ -84,7 +84,7 @@ fn plan_cache_matches_uncached_over_sql_corpus() {
         assert_tables_identical(reference.table(), cold.table(), &format!("cold: {sql}"));
         assert_tables_identical(reference.table(), warm.table(), &format!("warm: {sql}"));
     }
-    let stats = cached.profiler().plan_cache_stats();
+    let stats = cached.plan_cache_stats();
     assert_eq!(stats.hits, PLAN_CORPUS.len() as u64);
     assert_eq!(stats.misses, PLAN_CORPUS.len() as u64);
 }
@@ -251,6 +251,17 @@ fn inference_cache_stays_correct_under_tiny_capacity() {
     let stats = engine.inference_cache().stats();
     assert!(stats.evictions > 0, "tiny capacity must evict: {stats:?}");
     assert!(engine.inference_cache().len() <= 8, "sharded capacity bound");
+    // The plan cache churns the same way: 10 distinct SELECTs through a
+    // 2-entry cache evict 8 entries, and the exported counter says so.
+    let db = engine.db();
+    db.swap_exec_config(minidb::exec::ExecConfig { plan_cache_capacity: 2, ..db.exec_config() });
+    for i in 0..10 {
+        db.execute(&format!("SELECT count(*) AS n FROM fabric WHERE patternID > {i}")).unwrap();
+    }
+    let metrics = engine.metrics_snapshot();
+    let exported = metrics.get("minidb_plan_cache_evictions_total", &[]).map(|m| &m.value);
+    assert_eq!(exported, Some(&obs::MetricValue::Counter(8)));
+    assert_eq!(db.plan_cache_stats().evictions, 8);
     // Eviction only ever costs extra work, never correctness.
     let value_type = reference.table.column(0).value(0);
     assert!(!matches!(value_type, Value::Blob(_)), "sanity: output is scalar");

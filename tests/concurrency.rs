@@ -281,3 +281,34 @@ fn query_result_reports_timing_and_scan_volume() {
     assert_eq!(out.rows_scanned(), 64 * 16);
     assert!(out.summary().contains("rows scanned"), "summary: {}", out.summary());
 }
+
+#[test]
+fn per_statement_numbers_ignore_concurrent_statements() {
+    // Four threads share one database and its warm plan cache; each
+    // result must report only its own statement's scans and lookup.
+    let db = Arc::new(parallel_db(1));
+    let sql = "SELECT B.KernelID AS k, SUM(A.Value * B.Value) AS v \
+               FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID";
+    let cold = db.execute(sql).unwrap();
+    assert!(!cold.plan_cache_hit());
+    let scanned = cold.rows_scanned();
+    assert_eq!(scanned, 64 * 16 + 8 * 16, "single-threaded: both tables scanned once");
+    let start = Arc::new(std::sync::Barrier::new(4));
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            let (db, start) = (Arc::clone(&db), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..200 {
+                    let out = db.execute(sql).unwrap();
+                    assert_eq!(out.rows_scanned(), scanned, "rows_scanned of this statement only");
+                    let pc = out.plan_cache_stats();
+                    assert_eq!((pc.hits, pc.misses), (1, 0), "this statement's own lookup");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+}

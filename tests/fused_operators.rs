@@ -11,12 +11,12 @@
 //! aggregation is exact under any morsel decomposition and "identical"
 //! really means bit-identical, not approximately equal.
 
-use std::sync::Arc;
-use std::time::Instant;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use collab::{CollabEngine, QueryType, StrategyKind};
 use minidb::optimizer::OptimizerConfig;
-use minidb::{Database, OperatorKind};
+use minidb::Database;
 use workload::{build_dataset, build_repo, DatasetConfig, RepoConfig};
 
 /// Exact cell-by-cell comparison — floats included.
@@ -148,11 +148,13 @@ fn explain_names_the_fused_operator_exactly_when_it_fires() {
 #[test]
 fn fused_profiler_counters_report_late_materialization() {
     let db = fixture_db(1, true);
-    db.profiler().reset();
+    db.tracer().enable();
     let sql = FUSABLE_CORPUS[0];
     let out = db.execute(sql).unwrap();
-    let stats = db.profiler().stats(OperatorKind::JoinAggregate).expect("fused operator ran");
-    assert!(stats.invocations >= 1);
+    let mut ops = HashMap::new();
+    out.trace().expect("statement was traced").fold_operators(&mut ops);
+    let stats = *ops.get("JoinAggregate").expect("fused operator ran");
+    assert!(stats.loops >= 1);
     // Both join inputs: 48*9 feature-map rows + 6*9 kernel rows.
     assert_eq!(stats.rows_in, 48 * 9 + 6 * 9);
     // One group per (KernelID, MatrixID) pair.
@@ -163,8 +165,9 @@ fn fused_profiler_counters_report_late_materialization() {
         "pairs folded without materialization: {stats:?}"
     );
     // The plan has no standalone Join or GroupBy left in the hot path.
-    assert_eq!(db.profiler().rows_out(OperatorKind::Join), 0, "join output never materialized");
-    assert_eq!(db.profiler().rows_out(OperatorKind::GroupBy), 0, "group-by folded into the probe");
+    let rows_out = |name: &str| ops.get(name).map_or(0, |agg| agg.rows_out);
+    assert_eq!(rows_out("Join"), 0, "join output never materialized");
+    assert_eq!(rows_out("GroupBy"), 0, "group-by folded into the probe");
 }
 
 #[test]
@@ -173,15 +176,15 @@ fn profiler_attribution_stays_exclusive_with_fusion() {
     // their sum can never exceed the query's wall time — fused plans
     // must not double-book probe time under both Join and GroupBy.
     let db = fixture_db(1, true);
-    db.profiler().reset();
-    let start = Instant::now();
+    db.tracer().enable();
     for sql in FUSABLE_CORPUS {
-        db.execute(sql).unwrap();
+        let out = db.execute(sql).unwrap();
+        let tree = out.trace().expect("statement was traced");
+        let total = tree.operator_exclusive_total_ns();
+        let wall = tree.inclusive_ns(tree.root().expect("tree has a root"));
+        assert!(total > 0, "operators were recorded: {sql}");
+        assert!(total <= wall, "exclusive operator totals exceed wall time: {total} > {wall}");
     }
-    let wall = start.elapsed();
-    let total = db.profiler().total();
-    assert!(total > std::time::Duration::ZERO, "operators were recorded");
-    assert!(total <= wall, "exclusive per-operator totals exceed wall time: {total:?} > {wall:?}");
 }
 
 #[test]
@@ -200,13 +203,16 @@ fn compiled_conv_sql_triggers_the_rewrite() {
         Arc::new(dl2sql::compile_model(&db, &registry, &model).expect("student compiles"));
     let runner = dl2sql::Runner::new(Arc::clone(&db), Arc::clone(&registry), compiled)
         .expect("runner builds");
-    db.profiler().reset();
+    // Every statement of the inference is its own traced root; fold them all.
+    let ops: Arc<Mutex<HashMap<String, obs::OpAgg>>> = Arc::default();
+    let sink = Arc::clone(&ops);
+    db.tracer().set_sink(Some(Arc::new(move |tree: &obs::SpanTree| {
+        tree.fold_operators(&mut sink.lock().unwrap());
+    })));
+    db.tracer().enable();
     runner.infer(&workload::dataset::keyframe(&[1, 8, 8], 5, 0)).expect("inference runs");
-    let stats = db.profiler().stats(OperatorKind::JoinAggregate);
-    assert!(
-        stats.map(|s| s.invocations).unwrap_or(0) >= 1,
-        "compiled conv SQL did not trigger the fused operator"
-    );
+    let loops = ops.lock().unwrap().get("JoinAggregate").map_or(0, |agg| agg.loops);
+    assert!(loops >= 1, "compiled conv SQL did not trigger the fused operator");
 }
 
 // ---------------------------------------------------------------------------
