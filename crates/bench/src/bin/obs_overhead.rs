@@ -21,8 +21,6 @@ use minidb::Database;
 
 use bench::Report;
 
-/// Executor width (the paper's multi-core deployment).
-const PARALLELISM: usize = 8;
 /// Timed repetitions per layer inside one measurement pass (long enough
 /// that timer and scheduler jitter is small relative to a pass).
 const REPS: u32 = 10;
@@ -40,10 +38,10 @@ const LAYERS: &[(&str, i64, i64, i64)] = &[
     ("conv 12x12 k25 c32", 12 * 12, 25, 32),
 ];
 
-fn build_db() -> Database {
+fn build_db(parallelism: usize) -> Database {
     let db = Database::builder()
         .exec_config(ExecConfig {
-            parallelism: PARALLELISM,
+            parallelism,
             min_parallel_rows: 0,
             plan_cache_capacity: 0,
             ..Default::default()
@@ -105,7 +103,8 @@ fn best(xs: &[f64]) -> f64 {
 
 fn main() {
     let out_path = std::env::var("BENCH_JSON_OUT").unwrap_or_else(|_| "BENCH_obs.json".into());
-    let db = build_db();
+    let parallelism = bench::host_parallelism();
+    let db = build_db(parallelism);
 
     // Warm up allocators, indexes and the parallel pool.
     timed_pass(&db, false);
@@ -142,7 +141,7 @@ fn main() {
     let record = serde_json::json!({
         "benchmark": "obs_overhead_conv",
         "workload": "fig13_conv_layers",
-        "parallelism": PARALLELISM,
+        "parallelism": parallelism,
         "reps_per_pass": REPS,
         "rounds": ROUNDS,
         "disabled_ms_a": a * 1e3,

@@ -319,7 +319,6 @@ mod tests {
     use super::*;
     use crate::compiler::compile_model;
     use crate::storage;
-    use minidb::stats::StatsCache;
     use minidb::Database;
     use neuro::{zoo, Tensor};
 
@@ -421,8 +420,6 @@ mod tests {
         db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
         let registry = NeuralRegistry::shared();
         let custom = Dl2SqlCostModel::new(registry);
-        let stats = StatsCache::new();
-        let _ = stats;
         let est = db.estimate_with("SELECT a FROM t", &custom).unwrap();
         assert_eq!(est.rows, 3.0);
     }

@@ -12,7 +12,7 @@
 
 use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
-use crate::plan::logical::{AggFunc, LogicalPlan};
+use crate::plan::logical::LogicalPlan;
 use crate::sql::ast::BinOp;
 use crate::stats::StatsCache;
 use crate::udf::UdfRegistry;
@@ -113,8 +113,7 @@ impl CostModel for DefaultCostModel {
     fn estimate(&self, plan: &LogicalPlan, ctx: &CostContext<'_>) -> PlanCost {
         match plan {
             LogicalPlan::Scan { table, .. } => {
-                let rows =
-                    ctx.stats.stats_for(ctx.catalog, table).map_or(1000.0, |s| s.rows as f64);
+                let rows = ctx.stats.rows(ctx.catalog, table).map_or(1000.0, |n| n as f64);
                 PlanCost { rows, cost: rows }
             }
             LogicalPlan::Values { table } => {
@@ -406,8 +405,7 @@ impl DefaultCostModel {
         }
         match plan {
             LogicalPlan::Scan { table, schema } => {
-                let stats = ctx.stats.stats_for(ctx.catalog, table)?;
-                stats.ndv(&schema.field(idx).name).map(|n| n as f64)
+                ctx.stats.ndv(ctx.catalog, table, &schema.field(idx).name).map(|n| n as f64)
             }
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Sort { input, .. }
@@ -483,11 +481,6 @@ pub fn udf_cost_of_expr(expr: &BoundExpr, ctx: &CostContext<'_>) -> f64 {
     }
 }
 
-/// Convenience used by tests and the aggregate estimator.
-pub fn is_count_star(agg: &AggFunc, arg: &Option<BoundExpr>) -> bool {
-    *agg == AggFunc::Count && arg.is_none()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,7 +499,7 @@ mod tests {
         )
         .unwrap();
         catalog.create_table("t", t, false).unwrap();
-        (catalog, UdfRegistry::new(), StatsCache::new())
+        (catalog, UdfRegistry::new(), StatsCache::default())
     }
 
     fn scan(catalog: &Catalog, name: &str) -> LogicalPlan {

@@ -266,7 +266,7 @@ impl DatabaseBuilder {
             udfs: UdfRegistry::new(),
             ops: OpCounters::default(),
             plan_lookups: cachekit::CacheStats::default(),
-            stats: StatsCache::new(),
+            stats: StatsCache::default(),
             exec_config: RwLock::new(self.exec_config),
             optimizer_config: RwLock::new(self.optimizer_config),
             cost_model: RwLock::new(self.cost_model),
@@ -957,7 +957,8 @@ impl Database {
 
     /// A point-in-time metrics registry: per-operator counters,
     /// plan-cache stats, the query-latency histogram and task-pool
-    /// scheduler counters — exportable as Prometheus text or JSON.
+    /// scheduler counters and the stats-cache NDV counter — exportable as
+    /// Prometheus text or JSON.
     pub fn metrics_snapshot(&self) -> obs::Registry {
         let mut reg = obs::Registry::new();
         let mut ops = self.ops.snapshot();
@@ -1001,6 +1002,12 @@ impl Database {
             "Live plan cache entries",
             &[],
             self.plan_cache.len() as f64,
+        );
+        reg.counter(
+            "minidb_stats_ndv_computed_total",
+            "Column distinct counts the cost model computed (stats cache misses)",
+            &[],
+            self.stats.ndv_computed(),
         );
         reg.histogram(
             "minidb_query_latency_seconds",

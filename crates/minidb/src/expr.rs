@@ -307,10 +307,6 @@ impl BoundExpr {
         if !self.referenced_columns().is_empty() {
             return Err(Error::Plan("expression is not constant".into()));
         }
-        let one =
-            Table::new(Schema::default(), vec![]).expect("empty schema/columns are consistent");
-        // An empty table has zero rows; evaluate via a scalar path instead.
-        let _ = one;
         self.eval_scalar(ctx)
     }
 

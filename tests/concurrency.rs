@@ -2,7 +2,8 @@
 //! shared behind `Arc` by the strategies; concurrent readers and writers
 //! must not deadlock, panic, or observe torn tables.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use minidb::{DataType, Database, ScalarUdf, Value};
 
@@ -82,6 +83,47 @@ fn concurrent_udf_queries() {
     }
     for h in handles {
         h.join().expect("no thread panicked");
+    }
+}
+
+#[test]
+fn planner_stats_never_cache_a_stale_ndv_under_a_newer_epoch() {
+    // A writer replaces `t` with a new distinct count over and over while
+    // a planner estimates a GROUP BY over it. Distinct counts are cached
+    // per table epoch, read before the snapshot, so a count taken from an
+    // older snapshot can only land under an older epoch: once both threads
+    // join, the estimate (= NDV, which never exceeds the row count) must
+    // be the final table's exact count.
+    const ROWS: i64 = 2000;
+    let table = |distinct: i64| {
+        minidb::Table::new(
+            minidb::Schema::new(vec![minidb::Field::new("k", DataType::Int64)]),
+            vec![minidb::Column::Int64((0..ROWS).map(|i| i % distinct).collect())],
+        )
+        .unwrap()
+    };
+    let group = "SELECT k, count(*) AS n FROM t GROUP BY k";
+    let db = Database::new();
+    db.catalog().create_table("t", table(1), false).unwrap();
+    for round in 0..40i64 {
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(2);
+        let mut last = 0;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::Relaxed) {
+                    db.estimate(group).unwrap();
+                }
+            });
+            start.wait();
+            for i in 0..20 {
+                last = 1 + (round * 31 + i * 7) % 997;
+                db.catalog().replace_table("t", table(last)).unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(db.estimate(group).unwrap().rows, last as f64, "round {round}");
     }
 }
 

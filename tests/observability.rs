@@ -8,7 +8,7 @@ use std::time::Duration;
 use collab::{CollabEngine, StrategyKind};
 use dl2sql::{compile_model, NeuralRegistry};
 use minidb::exec::ExecConfig;
-use minidb::{Database, Value};
+use minidb::{Database, DefaultCostModel, Value};
 use obs::{Registry, SpanKind};
 use workload::{build_dataset, build_repo, DatasetConfig, RepoConfig};
 
@@ -362,4 +362,61 @@ fn slow_query_hook_fires_without_enabling_the_collector() {
     db.swap_exec_config(cfg);
     db.execute(CORPUS[1]).unwrap();
     assert_eq!(captured.lock().unwrap().len(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Planner statistics are computed on demand, one column at a time
+// ---------------------------------------------------------------------------
+
+fn ndv_computed(db: &Database) -> u64 {
+    match db.metrics_snapshot().get("minidb_stats_ndv_computed_total", &[]).map(|m| &m.value) {
+        Some(obs::MetricValue::Counter(n)) => *n,
+        other => panic!("minidb_stats_ndv_computed_total: {other:?}"),
+    }
+}
+
+fn stats_db(model: DefaultCostModel) -> Database {
+    let db = Database::builder().cost_model(Arc::new(model)).build();
+    db.execute_script(
+        "CREATE TABLE a (k Int64, v Float64, s Utf8); CREATE TABLE b (k Int64, w Int64); \
+         INSERT INTO a VALUES (1, 0.5, 'x'), (2, 1.5, 'y'), (2, 2.5, 'z'); \
+         INSERT INTO b VALUES (1, 10), (1, 11), (3, 12);",
+    )
+    .unwrap();
+    db
+}
+
+#[test]
+fn planner_statistics_hash_only_the_columns_estimates_read() {
+    let join = "SELECT count(*) FROM a, b WHERE a.k = b.k";
+    let group = "SELECT k, count(*) FROM a GROUP BY k";
+
+    // Row counts come from the catalog: scans hash no column.
+    let db = stats_db(DefaultCostModel::default());
+    assert_eq!(ndv_computed(&db), 0);
+    db.estimate("SELECT k, v, s FROM a WHERE v > 1.0").unwrap();
+    db.execute("SELECT k, v, s FROM a WHERE v > 1.0").unwrap();
+    assert_eq!(ndv_computed(&db), 0, "scan-only plans");
+
+    // A 2-way equi-join reads exactly its two key columns.
+    db.estimate(join).unwrap();
+    assert_eq!(ndv_computed(&db), 2, "a.k and b.k");
+    // Re-planning with no intervening write is served from the cache,
+    // and GROUP BY a.k reuses a.k's entry.
+    db.estimate(join).unwrap();
+    db.execute(join).unwrap();
+    db.estimate(group).unwrap();
+    assert_eq!(ndv_computed(&db), 2, "no write, no recompute");
+    // A write to `b` recomputes only b.k.
+    db.execute("INSERT INTO b VALUES (2, 13)").unwrap();
+    db.estimate(join).unwrap();
+    assert_eq!(ndv_computed(&db), 3, "only the written table's key");
+
+    // Without column statistics nothing is ever hashed.
+    let db = stats_db(DefaultCostModel::clickhouse_like());
+    for sql in [join, group] {
+        db.estimate(sql).unwrap();
+        db.execute(sql).unwrap();
+    }
+    assert_eq!(ndv_computed(&db), 0, "clickhouse_like computes no NDV");
 }
