@@ -149,6 +149,8 @@ pub struct LruCache<K, V> {
     inner: Mutex<LruInner<K, V>>,
     capacity: AtomicU64,
     stats: CacheStats,
+    /// Reports keys whose referent is gone (see [`LruCache::with_reclaim`]).
+    dead: Option<fn(&K) -> bool>,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
@@ -158,7 +160,18 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
             inner: Mutex::new(LruInner { map: HashMap::new(), recency: BTreeMap::new(), tick: 0 }),
             capacity: AtomicU64::new(capacity as u64),
             stats: CacheStats::default(),
+            dead: None,
         }
+    }
+
+    /// As [`LruCache::new`], for keys that refer to their data weakly:
+    /// before the map would reallocate to fit a new key, every entry whose
+    /// key `dead` reports as gone is dropped (not counted as an eviction).
+    /// When a scan frees less than half the map, the map grows anyway, so
+    /// the next scan waits at least as many inserts as this one visited
+    /// entries — amortized O(1) per insert.
+    pub fn with_reclaim(capacity: usize, dead: fn(&K) -> bool) -> Self {
+        LruCache { dead: Some(dead), ..LruCache::new(capacity) }
     }
 
     /// The configured capacity.
@@ -217,6 +230,11 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
             return;
         }
         let mut inner = self.inner.lock();
+        if let Some(dead) = self.dead {
+            if inner.map.len() == inner.map.capacity() && !inner.map.contains_key(&key) {
+                reclaim(&mut inner, dead);
+            }
+        }
         inner.tick += 1;
         let tick = inner.tick;
         if let Some((_, old)) = inner.map.insert(key.clone(), (value, tick)) {
@@ -293,6 +311,23 @@ fn evict_coldest<K: Hash + Eq, V>(inner: &mut LruInner<K, V>, stats: &CacheStats
     }
 }
 
+/// Drops every entry whose key is dead; grows the map when fewer than
+/// half its entries went, so scans stay amortized O(1) per insert.
+fn reclaim<K: Hash + Eq, V>(inner: &mut LruInner<K, V>, dead: fn(&K) -> bool) {
+    let LruInner { map, recency, .. } = inner;
+    let before = map.len();
+    map.retain(|key, (_, tick)| {
+        let keep = !dead(key);
+        if !keep {
+            recency.remove(tick);
+        }
+        keep
+    });
+    if map.len() * 2 > before {
+        map.reserve(map.len());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // sharding
 // ---------------------------------------------------------------------------
@@ -313,6 +348,16 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         let shards = shards.max(1);
         let per_shard = total_capacity.div_ceil(shards);
         ShardedLru { shards: (0..shards).map(|_| LruCache::new(per_shard)).collect() }
+    }
+
+    /// As [`ShardedLru::new`], with every shard built by
+    /// [`LruCache::with_reclaim`].
+    pub fn with_reclaim(total_capacity: usize, shards: usize, dead: fn(&K) -> bool) -> Self {
+        let shards = shards.max(1);
+        let per_shard = total_capacity.div_ceil(shards);
+        ShardedLru {
+            shards: (0..shards).map(|_| LruCache::with_reclaim(per_shard, dead)).collect(),
+        }
     }
 
     fn shard<Q>(&self, key: &Q) -> &LruCache<K, V>
@@ -535,6 +580,44 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn reclaim_drops_dead_keys_before_the_map_grows() {
+        // Keys at or above 1000 are "dead".
+        let c: LruCache<i64, i64> = LruCache::with_reclaim(1 << 20, |k| *k >= 1000);
+        for i in 0..10_000 {
+            c.insert(1000 + i, i);
+        }
+        c.insert(1, 1);
+        c.insert(2, 2);
+        let inner = c.inner.lock();
+        // Every growth step scanned first, so the dead keys never pile up
+        // past one map's worth, and the live keys all survived.
+        assert!(inner.map.len() < 10_000, "dead keys were never reclaimed: {}", inner.map.len());
+        assert!(inner.map.contains_key(&1) && inner.map.contains_key(&2));
+        assert_eq!(inner.map.len(), inner.recency.len(), "recency tracks the map");
+        drop(inner);
+        assert_eq!(c.stats().evictions, 0, "reclaiming is not evicting");
+        assert_eq!(c.get(&2), Some(2));
+    }
+
+    #[test]
+    fn reclaim_keeps_live_keys_and_stays_amortized() {
+        // Nothing is ever dead: each scan frees nothing, so the map must
+        // grow anyway and scans happen only at doublings.
+        static SCANNED: AtomicU64 = AtomicU64::new(0);
+        let c: LruCache<i64, i64> = LruCache::with_reclaim(1 << 20, |_| {
+            SCANNED.fetch_add(1, Ordering::Relaxed);
+            false
+        });
+        let n = 50_000;
+        for i in 0..n {
+            c.insert(i, i);
+        }
+        assert_eq!(c.len(), n as usize);
+        // Visits stay linear in the inserts (doublings sum to < 4n).
+        assert!(SCANNED.load(Ordering::Relaxed) < 4 * n as u64, "{:?}", SCANNED);
     }
 
     #[test]

@@ -16,13 +16,18 @@
 //!   return the wrong row's prediction — cached results stay bit-identical
 //!   to uncached ones).
 //!
+//! A key hashes its keyframe once, when it is built, and holds the blob
+//! weakly: a memoized result never keeps a deleted keyframe alive, and
+//! before a shard's map would grow, entries whose keyframe is gone are
+//! dropped.
+//!
 //! The cache is disabled (capacity 0) by default: the Fig. 8 harnesses
 //! compare strategies on cold inference costs, and memoization would
 //! flatten exactly the differences they measure. Engines opt in via
 //! [`crate::CollabEngine::set_inference_cache_capacity`].
 
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use cachekit::{ShardedLru, StatsSnapshot};
 use minidb::Value;
@@ -30,18 +35,48 @@ use minidb::Value;
 use crate::nudf::ModelRepo;
 
 /// A keyframe blob as a cache key: hashes and compares the *contents*.
+/// The content hash is computed once, at construction. The blob is held
+/// weakly, so the key does not keep a deleted keyframe in memory; a key
+/// whose blob is gone equals only itself. Comparing allocations is sound
+/// because a `Weak` keeps its allocation reserved (no new blob can reuse
+/// the address), and `Arc::get_mut` refuses while weak references exist,
+/// so a live blob's bytes cannot change under a key.
 #[derive(Debug, Clone)]
-pub struct BlobKey(pub Arc<Vec<u8>>);
+pub struct BlobKey {
+    blob: Weak<Vec<u8>>,
+    hash: u64,
+}
+
+impl BlobKey {
+    /// A key over `blob`'s contents.
+    pub fn new(blob: &Arc<Vec<u8>>) -> Self {
+        BlobKey { blob: Arc::downgrade(blob), hash: cachekit::fnv1a(blob) }
+    }
+
+    /// Whether the keyframe has been dropped everywhere else.
+    pub fn is_dead(&self) -> bool {
+        self.blob.strong_count() == 0
+    }
+}
 
 impl PartialEq for BlobKey {
     fn eq(&self, other: &Self) -> bool {
-        self.0.as_slice() == other.0.as_slice()
+        if Weak::ptr_eq(&self.blob, &other.blob) {
+            return true;
+        }
+        if self.hash != other.hash {
+            return false;
+        }
+        match (self.blob.upgrade(), other.blob.upgrade()) {
+            (Some(a), Some(b)) => a.as_slice() == b.as_slice(),
+            _ => false,
+        }
     }
 }
 impl Eq for BlobKey {}
 impl Hash for BlobKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(cachekit::fnv1a(&self.0));
+        state.write_u64(self.hash);
     }
 }
 
@@ -72,7 +107,7 @@ impl InferenceKey {
         Ok(InferenceKey {
             generation,
             condition_bits: condition.map(f64::to_bits),
-            blob: BlobKey(Arc::clone(bytes)),
+            blob: BlobKey::new(bytes),
         })
     }
 }
@@ -89,7 +124,9 @@ impl InferenceCache {
     /// `0` disables it ([`InferenceCache::enabled`] is false and every
     /// strategy skips the lookup entirely).
     pub fn new(capacity: usize) -> Self {
-        InferenceCache { lru: ShardedLru::new(capacity, SHARDS) }
+        InferenceCache {
+            lru: ShardedLru::with_reclaim(capacity, SHARDS, |k: &InferenceKey| k.blob.is_dead()),
+        }
     }
 
     /// Whether memoization is active.
@@ -164,15 +201,51 @@ mod tests {
 
     #[test]
     fn keys_compare_contents_not_pointers() {
-        let a = InferenceKey::new(1, None, &blob(b"kf")).unwrap();
-        let b = InferenceKey::new(1, None, &blob(b"kf")).unwrap();
+        // Keys hold their blobs weakly: bind the blobs so they outlive
+        // the keys. Two allocations with equal bytes still make equal keys.
+        let (kf, kf2, other) = (blob(b"kf"), blob(b"kf"), blob(b"other"));
+        let a = InferenceKey::new(1, None, &kf).unwrap();
+        let b = InferenceKey::new(1, None, &kf2).unwrap();
         assert_eq!(a, b);
-        let c = InferenceKey::new(1, None, &blob(b"other")).unwrap();
+        let c = InferenceKey::new(1, None, &other).unwrap();
         assert_ne!(a, c);
         // Generation and condition discriminate.
-        assert_ne!(a, InferenceKey::new(2, None, &blob(b"kf")).unwrap());
-        assert_ne!(a, InferenceKey::new(1, Some(0.5), &blob(b"kf")).unwrap());
+        assert_ne!(a, InferenceKey::new(2, None, &kf).unwrap());
+        assert_ne!(a, InferenceKey::new(1, Some(0.5), &kf).unwrap());
         assert!(InferenceKey::new(1, None, &Value::Int64(3)).is_err());
+    }
+
+    #[test]
+    fn a_dead_key_matches_only_itself() {
+        let kf = blob(b"kf");
+        let live = InferenceKey::new(1, None, &kf).unwrap();
+        let dead = InferenceKey::new(1, None, &blob(b"kf")).unwrap();
+        assert!(dead.blob.is_dead() && !live.blob.is_dead());
+        assert_eq!(dead, dead.clone(), "a dead key still equals itself");
+        assert_ne!(dead, live, "same bytes, but the dead blob cannot be compared");
+        assert_ne!(live, dead);
+        let other_dead = InferenceKey::new(1, None, &blob(b"kf")).unwrap();
+        assert_ne!(dead, other_dead);
+    }
+
+    #[test]
+    fn reclaim_frees_dead_entries_and_keeps_live_ones() {
+        let cache = InferenceCache::new(1 << 16);
+        let kept: Vec<Value> = (0..64u32).map(|i| blob(&i.to_le_bytes())).collect();
+        for v in &kept {
+            cache.insert(InferenceKey::new(1, None, v).unwrap(), Value::Bool(true));
+        }
+        // Keyframes scored once and then deleted.
+        for i in 0..20_000u32 {
+            let gone = blob(&(1_000_000 + i).to_le_bytes());
+            cache.insert(InferenceKey::new(1, None, &gone).unwrap(), Value::Bool(false));
+        }
+        assert!(cache.len() < 10_000, "dead entries were not reclaimed: {}", cache.len());
+        for v in &kept {
+            let key = InferenceKey::new(1, None, v).unwrap();
+            assert_eq!(cache.get(&key), Some(Value::Bool(true)));
+        }
+        assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]

@@ -582,7 +582,7 @@ impl Strategy for Independent {
             let cache_key = |blob: &std::sync::Arc<Vec<u8>>, cond: Option<f64>| InferenceKey {
                 generation: generation.unwrap_or(0),
                 condition_bits: cond.map(f64::to_bits),
-                blob: BlobKey(std::sync::Arc::clone(blob)),
+                blob: BlobKey::new(blob),
             };
             let mut by_item: std::collections::HashMap<Vec<u8>, minidb::Value> =
                 std::collections::HashMap::with_capacity(work_items.len());

@@ -7,7 +7,7 @@
 //! the paper's example queries).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use minidb::{DataType, Value};
 use neuro::serialize::{tensor_from_bytes, tensor_to_bytes};
@@ -189,11 +189,20 @@ impl NudfSpec {
 /// of 20 neural networks for various tasks").
 #[derive(Debug, Default)]
 pub struct ModelRepo {
-    map: RwLock<HashMap<String, (u64, Arc<NudfSpec>)>>,
+    map: RwLock<HashMap<String, Registered>>,
     /// Source of generation ids: every `register` call claims a fresh one,
     /// so a re-registered (swapped) nUDF can never be confused with its
     /// predecessor by a generation-keyed cache.
     generations: cachekit::Epoch,
+}
+
+/// One registration: its generation, the spec, and the default model's
+/// flops per inference once someone asked for them.
+#[derive(Debug)]
+struct Registered {
+    generation: u64,
+    spec: Arc<NudfSpec>,
+    flops: Arc<OnceLock<u64>>,
 }
 
 impl ModelRepo {
@@ -207,19 +216,40 @@ impl ModelRepo {
     /// the old one silently stop matching.
     pub fn register(&self, spec: NudfSpec) -> u64 {
         let generation = self.generations.bump();
-        self.map.write().insert(spec.name.to_ascii_lowercase(), (generation, Arc::new(spec)));
+        let entry = Registered { generation, spec: Arc::new(spec), flops: Default::default() };
+        self.map.write().insert(entry.spec.name.to_ascii_lowercase(), entry);
         generation
     }
 
     /// Looks up a spec by case-insensitive name.
     pub fn get(&self, name: &str) -> Option<Arc<NudfSpec>> {
-        self.map.read().get(&name.to_ascii_lowercase()).map(|(_, s)| Arc::clone(s))
+        self.map.read().get(&name.to_ascii_lowercase()).map(|r| Arc::clone(&r.spec))
     }
 
     /// The generation id of a registered nUDF (0 for unknown names; real
     /// generations start at 1).
     pub fn generation(&self, name: &str) -> u64 {
-        self.map.read().get(&name.to_ascii_lowercase()).map_or(0, |(g, _)| *g)
+        self.map.read().get(&name.to_ascii_lowercase()).map_or(0, |r| r.generation)
+    }
+
+    /// The deterministic flop count of one forward pass of the nUDF's
+    /// default model — what a device projection charges per inference.
+    /// Counted once per registration, by running the model on zeros.
+    pub fn flops_per_inference(&self, name: &str) -> Result<u64> {
+        let (spec, flops) = {
+            let map = self.map.read();
+            let r = map
+                .get(&name.to_ascii_lowercase())
+                .ok_or_else(|| Error::UnknownNudf(name.to_string()))?;
+            if let Some(&f) = r.flops.get() {
+                return Ok(f);
+            }
+            (Arc::clone(&r.spec), Arc::clone(&r.flops))
+        };
+        let clock = neuro::SimClock::new();
+        spec.model
+            .forward_with_clock(&Tensor::zeros(spec.model.input_shape.clone()), Some(&clock))?;
+        Ok(*flops.get_or_init(|| clock.flops()))
     }
 
     /// Looks up or errors.
@@ -234,7 +264,7 @@ impl ModelRepo {
 
     /// All registered names.
     pub fn names(&self) -> Vec<String> {
-        self.map.read().values().map(|(_, s)| s.name.clone()).collect()
+        self.map.read().values().map(|r| r.spec.name.clone()).collect()
     }
 }
 
@@ -323,6 +353,24 @@ mod tests {
         let b = spec.invoke_with_condition(&blob, Some(85.0), None).unwrap();
         // (Not asserting inequality — weights are random — but both run.)
         let _ = (a, b);
+    }
+
+    #[test]
+    fn flops_are_counted_once_per_registration() {
+        let repo = ModelRepo::new();
+        assert!(matches!(repo.flops_per_inference("nudf_detect"), Err(Error::UnknownNudf(_))));
+        repo.register(detect_spec());
+        let flops = repo.flops_per_inference("NUDF_DETECT").unwrap();
+        let clock = neuro::SimClock::new();
+        let spec = repo.require("nudf_detect").unwrap();
+        spec.model.forward_with_clock(&Tensor::zeros(vec![1, 8, 8]), Some(&clock)).unwrap();
+        assert_eq!(flops, clock.flops());
+        assert_eq!(repo.flops_per_inference("nudf_detect").unwrap(), flops, "cached");
+        // A swapped model is counted afresh.
+        let mut bigger = detect_spec();
+        bigger.model = Arc::new(neuro::zoo::student(vec![1, 12, 12], 2, 3));
+        repo.register(bigger);
+        assert!(repo.flops_per_inference("nudf_detect").unwrap() > flops);
     }
 
     #[test]

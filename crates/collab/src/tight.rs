@@ -103,10 +103,7 @@ impl Strategy for Tight {
             loading += t0.elapsed();
 
             // Deterministic per-inference flop count for device projection.
-            let probe_clock = neuro::SimClock::new();
-            let probe = neuro::Tensor::zeros(spec.model.input_shape.clone());
-            spec.model.forward_with_clock(&probe, Some(&probe_clock))?;
-            let flops_per_inference = probe_clock.flops();
+            let flops_per_inference = self.repo.flops_per_inference(&spec.name)?;
 
             let meter = Arc::clone(&self.meter);
             let output = spec.output.clone();

@@ -993,6 +993,15 @@ impl Database {
                 );
             }
         }
+        let (dense, hash) = self.ops.key_paths();
+        for (path, n) in [("dense", dense), ("hash", hash)] {
+            reg.counter(
+                "minidb_key_path_total",
+                "Join builds and group-id tables, by key structure",
+                &[("path", path)],
+                n,
+            );
+        }
         let pc = self.plan_cache_stats();
         reg.counter("minidb_plan_cache_hits_total", "Plan cache hits", &[], pc.hits);
         reg.counter("minidb_plan_cache_misses_total", "Plan cache misses", &[], pc.misses);

@@ -5,6 +5,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+use super::dense::KeyPath;
+
 /// The operator categories reported by paper Fig. 10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OperatorKind {
@@ -96,14 +98,19 @@ impl Cells {
 /// Lock-free operator counters: one row of atomics per [`OperatorKind`].
 /// `loops` counts invocations; `self_ns` is wall time with children
 /// excluded; `busy_ns` sums per-worker time (equal to `self_ns` for serial
-/// invocations).
+/// invocations). Next to them, how many join builds and group-id tables
+/// took each [`KeyPath`].
 #[derive(Default)]
-pub struct OpCounters([Cells; OperatorKind::ALL.len()]);
+pub struct OpCounters {
+    kinds: [Cells; OperatorKind::ALL.len()],
+    /// Key structures built, indexed by `KeyPath as usize`.
+    key_paths: [AtomicU64; 2],
+}
 
 impl OpCounters {
     /// Adds one operator invocation.
     pub(crate) fn add(&self, kind: OperatorKind, m: &obs::OpMetrics) {
-        self.0[kind as usize].add(&obs::OpAgg {
+        self.kinds[kind as usize].add(&obs::OpAgg {
             self_ns: m.self_ns,
             busy_ns: m.busy_ns,
             loops: 1,
@@ -115,7 +122,20 @@ impl OpCounters {
 
     /// Accumulated counters of one kind (all zero when it never ran).
     pub(crate) fn get(&self, kind: OperatorKind) -> obs::OpAgg {
-        self.0[kind as usize].load()
+        self.kinds[kind as usize].load()
+    }
+
+    /// Counts one key structure built on `path`.
+    pub(crate) fn add_key_path(&self, path: KeyPath) {
+        self.key_paths[path as usize].fetch_add(1, Relaxed);
+    }
+
+    /// Key structures built on each path: `(dense, hash)`.
+    pub(crate) fn key_paths(&self) -> (u64, u64) {
+        (
+            self.key_paths[KeyPath::Dense as usize].load(Relaxed),
+            self.key_paths[KeyPath::Hash as usize].load(Relaxed),
+        )
     }
 
     /// The kinds that ran, with their counters, in declaration order.
@@ -130,7 +150,10 @@ impl OpCounters {
     /// Adds `other` into `self`, touching only the kinds that ran there.
     pub(crate) fn absorb(&self, other: &OpCounters) {
         for (kind, agg) in other.snapshot() {
-            self.0[kind as usize].add(&agg);
+            self.kinds[kind as usize].add(&agg);
+        }
+        for (mine, theirs) in self.key_paths.iter().zip(&other.key_paths) {
+            mine.fetch_add(theirs.load(Relaxed), Relaxed);
         }
     }
 }
@@ -183,6 +206,11 @@ mod tests {
         assert_eq!(total.get(OperatorKind::Scan).rows_out, 128);
         assert_eq!(total.get(OperatorKind::Sort).loops, 1);
         assert_eq!(stmt.get(OperatorKind::Scan).loops, 1, "the statement's own table is unchanged");
+        stmt.add_key_path(KeyPath::Dense);
+        stmt.add_key_path(KeyPath::Hash);
+        stmt.add_key_path(KeyPath::Dense);
+        total.absorb(&stmt);
+        assert_eq!(total.key_paths(), (2, 1));
     }
 
     #[test]

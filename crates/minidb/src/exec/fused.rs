@@ -19,12 +19,13 @@
 //!   result depends only on the morsel decomposition, never on worker
 //!   scheduling — the same discipline as [`parallel::aggregate`].
 //!
-//! Typed fast paths avoid per-pair heap traffic: join keys pack into
-//! `i128`s, group keys of up to two `Int64` columns pack the same way,
-//! and aggregate arguments read `&[i64]`/`&[f64]` slices. All key maps
-//! use the crate's fast non-SipHash hasher ([`crate::hash`]).
+//! Typed fast paths avoid per-pair heap traffic: small dense integer keys
+//! are addressed by offset ([`super::dense`]), sparse ones of up to two
+//! `Int64` columns pack into `i128`s for the crate's fast non-SipHash
+//! hasher ([`crate::hash`]), aggregate arguments read `&[i64]`/`&[f64]`
+//! slices, and `SUM(f64 × f64)` folds into plain `f64`s.
 
-use std::hash::Hash;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::column::{Column, Key};
@@ -32,11 +33,12 @@ use crate::error::Result;
 use crate::expr::BoundExpr;
 use crate::hash::{fx_map_with_capacity, FxHashMap};
 use crate::optimizer::fuse::{decompose_arg, side_of, ArgShape, Side};
-use crate::plan::logical::AggExpr;
+use crate::plan::logical::{AggExpr, AggFunc};
 use crate::table::{Schema, Table};
 use crate::value::{DataType, Value};
 
-use super::{composite_keys, join_keys, parallel, Acc, ExecContext, JoinKeys};
+use super::dense::{DenseGroupIds, DenseLayout, GroupIds, KeyPath};
+use super::{parallel, Acc, ExecContext, JoinIndex};
 
 /// Counters the executor records for the fused operator.
 pub(crate) struct FusedMetrics {
@@ -53,6 +55,10 @@ pub(crate) struct FusedMetrics {
     /// Estimated bytes of join output the fusion avoided building
     /// (matched pairs × bytes per unfused join row).
     pub bytes_not_materialized: u64,
+    /// Key structure of the join build.
+    pub build_path: KeyPath,
+    /// Key structure of the group-id table.
+    pub group_path: KeyPath,
 }
 
 /// A numeric column unwrapped for slice access.
@@ -131,20 +137,126 @@ impl FusedArg {
     }
 }
 
-/// Merged group state after the fold, with group keys erased.
-#[derive(Default)]
-struct FoldedGroups {
-    /// First matched (left row, right row) per group, in first-occurrence
-    /// order — the rows group-key output values are read from.
+/// Group state after a fold: per group, its first matched (left row,
+/// right row) pair in first-occurrence order — the rows group-key output
+/// values are read from — and `width` flat accumulators at
+/// `accs[g * width..(g + 1) * width]`.
+struct Folded<A> {
     firsts: Vec<(usize, usize)>,
-    accs: Vec<Vec<Acc>>,
+    accs: Vec<A>,
     pairs: u64,
 }
 
-/// Per-morsel (or whole-input) partial state.
-struct LocalGroups<K> {
-    keys: Vec<K>,
-    folded: FoldedGroups,
+impl<A> Default for Folded<A> {
+    fn default() -> Self {
+        Folded { firsts: Vec::new(), accs: Vec::new(), pairs: 0 }
+    }
+}
+
+/// How matched pairs fold into a group's flat accumulators.
+trait Fold: Sync {
+    type Acc: Send;
+    /// Accumulators per group (one per aggregate).
+    fn width(&self) -> usize;
+    /// Appends one group's fresh accumulators.
+    fn open(&self, accs: &mut Vec<Self::Acc>);
+    /// Folds the pair (`li`, `ri`) into one group's accumulators.
+    fn update(&self, group: &mut [Self::Acc], li: usize, ri: usize) -> Result<()>;
+    /// Folds a later morsel's partial into an accumulator.
+    fn merge(&self, acc: &mut Self::Acc, partial: Self::Acc) -> Result<()>;
+    /// The output value of a finished accumulator.
+    fn finish(&self, acc: &Self::Acc, output_type: DataType) -> Value;
+}
+
+/// The conv shape: every aggregate is a `SUM` over an `F64 × F64`
+/// product. One `f64` per aggregate and no `Value` per pair; the multiply
+/// and add are exactly `Acc::SumF`'s over the evaluated product, so the
+/// sums are bit-identical.
+struct SumProducts<'a>(Vec<(Side, &'a [f64], Side, &'a [f64])>);
+
+impl<'a> SumProducts<'a> {
+    fn new(args: &'a [FusedArg], aggs: &[AggExpr]) -> Option<SumProducts<'a>> {
+        args.iter()
+            .zip(aggs)
+            .map(|(arg, agg)| match (agg.func, arg) {
+                (
+                    AggFunc::Sum,
+                    FusedArg::Product {
+                        a_side,
+                        a: NumCol::F64(a),
+                        b_side,
+                        b: NumCol::F64(b),
+                        int: false,
+                    },
+                ) => Some((*a_side, a.as_slice(), *b_side, b.as_slice())),
+                _ => None,
+            })
+            .collect::<Option<_>>()
+            .map(SumProducts)
+    }
+}
+
+impl Fold for SumProducts<'_> {
+    type Acc = f64;
+
+    fn width(&self) -> usize {
+        self.0.len()
+    }
+
+    fn open(&self, accs: &mut Vec<f64>) {
+        accs.extend(std::iter::repeat_n(0.0, self.0.len()));
+    }
+
+    #[inline]
+    fn update(&self, group: &mut [f64], li: usize, ri: usize) -> Result<()> {
+        for (sum, &(a_side, a, b_side, b)) in group.iter_mut().zip(&self.0) {
+            *sum += a[pick(a_side, li, ri)] * b[pick(b_side, li, ri)];
+        }
+        Ok(())
+    }
+
+    fn merge(&self, acc: &mut f64, partial: f64) -> Result<()> {
+        *acc += partial;
+        Ok(())
+    }
+
+    fn finish(&self, acc: &f64, _: DataType) -> Value {
+        Value::Float64(*acc)
+    }
+}
+
+/// Any aggregate mix, through the executor's [`Acc`] accumulators.
+struct General<'a> {
+    args: &'a [FusedArg],
+    aggs: &'a [AggExpr],
+}
+
+impl Fold for General<'_> {
+    type Acc = Acc;
+
+    fn width(&self) -> usize {
+        self.aggs.len()
+    }
+
+    fn open(&self, accs: &mut Vec<Acc>) {
+        accs.extend(self.args.iter().zip(self.aggs).map(|(arg, a)| Acc::new(a, arg.data_type())));
+    }
+
+    #[inline]
+    fn update(&self, group: &mut [Acc], li: usize, ri: usize) -> Result<()> {
+        for (acc, arg) in group.iter_mut().zip(self.args) {
+            acc.update(arg.value(li, ri).as_ref())?;
+        }
+        Ok(())
+    }
+
+    fn merge(&self, acc: &mut Acc, partial: Acc) -> Result<()> {
+        acc.merge(partial)
+    }
+
+    fn finish(&self, acc: &Acc, output_type: DataType) -> Value {
+        acc.finish(output_type)
+    }
 }
 
 /// Executes the fused operator. Returns the aggregated table and the
@@ -177,97 +289,84 @@ pub(crate) fn join_aggregate(
         })
         .collect::<Result<_>>()?;
 
-    // Join keys per side; build on the smaller input (the unfused rule).
-    let l_exprs: Vec<BoundExpr> = keys.iter().map(|(l, _)| l.clone()).collect();
-    let r_exprs: Vec<BoundExpr> = keys.iter().map(|(_, r)| r.clone()).collect();
-    let lk = join_keys(lt, &l_exprs, ctx)?;
-    let rk = join_keys(rt, &r_exprs, ctx)?;
+    // Build on the smaller input (the unfused rule).
     let build_left = lt.num_rows() <= rt.num_rows();
+    let index = JoinIndex::build(lt, rt, keys, build_left, "fused.build", ctx)?;
+    let build_path = index.path();
+    let build = setup_start.elapsed();
 
-    let (mut folded, extra_busy, build_time) = match (&lk, &rk) {
-        (JoinKeys::Packed(l), JoinKeys::Packed(r)) => {
-            let (build, probe) = if build_left { (l, r) } else { (r, l) };
-            let _build_mem = ctx.reserve("fused.build", super::build_bytes(build.len(), 16))?;
-            let mut table: FxHashMap<i128, Vec<usize>> = fx_map_with_capacity(build.len());
-            for (row, &k) in build.iter().enumerate() {
-                if row % super::CHECK_STRIDE == 0 {
-                    ctx.check()?;
-                }
-                table.entry(k).or_default().push(row);
-            }
-            let build_time = setup_start.elapsed();
-            let (folded, extra_busy) = fold_grouped(
-                probe.len(),
-                |row| table.get(&probe[row]),
-                build_left,
-                &group_cols,
-                &args,
-                aggs,
-                ctx,
-            )?;
-            (folded, extra_busy, build_time)
-        }
-        _ => {
-            let lg = composite_keys(lt, &l_exprs, ctx)?;
-            let rg = composite_keys(rt, &r_exprs, ctx)?;
-            let (build, probe) = if build_left { (&lg, &rg) } else { (&rg, &lg) };
-            let _build_mem = ctx.reserve("fused.build", super::build_bytes(build.len(), 32))?;
-            let mut table: FxHashMap<&[Key], Vec<usize>> = fx_map_with_capacity(build.len());
-            for (row, k) in build.iter().enumerate() {
-                if row % super::CHECK_STRIDE == 0 {
-                    ctx.check()?;
-                }
-                table.entry(k.as_slice()).or_default().push(row);
-            }
-            let build_time = setup_start.elapsed();
-            let (folded, extra_busy) = fold_grouped(
-                probe.len(),
-                |row| table.get(probe[row].as_slice()),
-                build_left,
-                &group_cols,
-                &args,
-                aggs,
-                ctx,
-            )?;
-            (folded, extra_busy, build_time)
+    let emitted = match SumProducts::new(&args, aggs) {
+        Some(sums) => fold_and_emit(index, build_left, &group_cols, &sums, group, schema, ctx)?,
+        None => {
+            let fold = General { args: &args, aggs };
+            fold_and_emit(index, build_left, &group_cols, &fold, group, schema, ctx)?
         }
     };
+
+    let metrics = FusedMetrics {
+        extra_busy: emitted.extra_busy,
+        build,
+        rows_in: lt.num_rows() + rt.num_rows(),
+        bytes_not_materialized: emitted.pairs * per_pair_bytes(group, aggs, lt, rt, l_width),
+        build_path,
+        group_path: emitted.group_path,
+    };
+    Ok((emitted.table, metrics))
+}
+
+/// The fused operator's output plus what the fold observed.
+struct Emitted {
+    table: Table,
+    extra_busy: Duration,
+    pairs: u64,
+    group_path: KeyPath,
+}
+
+/// Folds every matched pair, releases the build, then emits group-key
+/// values from each group's first pair followed by the finished
+/// accumulators — the same order and coercions as the unfused path.
+fn fold_and_emit<F: Fold>(
+    index: JoinIndex,
+    build_left: bool,
+    group_cols: &[(Side, Column)],
+    fold: &F,
+    group: &[BoundExpr],
+    schema: &Schema,
+    ctx: &ExecContext<'_>,
+) -> Result<Emitted> {
+    let (mut folded, extra_busy, group_path) =
+        fold_grouped(&index, build_left, group_cols, fold, ctx)?;
+    drop(index);
 
     // The merged accumulator table is the fused operator's second big
     // allocation; charge it once its size is known.
     let _acc_mem =
-        ctx.reserve("fused.accs", super::group_state_bytes(folded.accs.len(), aggs.len()))?;
+        ctx.reserve("fused.accs", super::group_state_bytes(folded.firsts.len(), fold.width()))?;
 
     // Global aggregate over zero pairs still emits one group.
-    if group.is_empty() && folded.accs.is_empty() {
+    if group.is_empty() && folded.firsts.is_empty() {
         folded.firsts.push((usize::MAX, usize::MAX));
-        folded
-            .accs
-            .push(args.iter().zip(aggs).map(|(arg, a)| Acc::new(a, arg.data_type())).collect());
+        fold.open(&mut folded.accs);
     }
 
-    // Emit: group-key values from each group's first pair, then finished
-    // accumulators — the same order and coercions as the unfused path.
+    let width = fold.width();
     let mut cols: Vec<Column> =
         schema.fields().iter().map(|f| Column::empty(f.data_type)).collect();
     for (g, &(li, ri)) in folded.firsts.iter().enumerate() {
         for (ki, (side, col)) in group_cols.iter().enumerate() {
             cols[ki].push(col.value(pick(*side, li, ri)))?;
         }
-        for (ai, acc) in folded.accs[g].iter().enumerate() {
+        for (ai, acc) in folded.accs[g * width..(g + 1) * width].iter().enumerate() {
             let field = schema.field(group.len() + ai);
-            cols[group.len() + ai].push(acc.finish(field.data_type))?;
+            cols[group.len() + ai].push(fold.finish(acc, field.data_type))?;
         }
     }
-    let out = Table::new(schema.clone(), cols)?;
-
-    let metrics = FusedMetrics {
+    Ok(Emitted {
+        table: Table::new(schema.clone(), cols)?,
         extra_busy,
-        build: build_time,
-        rows_in: lt.num_rows() + rt.num_rows(),
-        bytes_not_materialized: folded.pairs * per_pair_bytes(group, aggs, lt, rt, l_width),
-    };
-    Ok((out, metrics))
+        pairs: folded.pairs,
+        group_path,
+    })
 }
 
 /// Evaluates a single-sided expression on its side's table.
@@ -343,125 +442,159 @@ fn build_arg(
     }
 }
 
-/// Dispatches on the group-key representation: up to two `Int64` key
-/// columns pack into an `i128` (the conv shape — no per-pair allocation);
-/// anything else uses general composite keys.
-fn fold_grouped<'a, LF>(
-    probe_len: usize,
-    lookup: LF,
+/// Dispatches on the group-key representation and folds every matched
+/// pair. Up to two `Int64` key columns with a small span — next to the
+/// probe side's rows — are addressed by offset ([`DenseGroupIds`]);
+/// sparse ones pack into an `i128` hash key (the conv shape needs no
+/// per-pair allocation either way); anything else uses general composite
+/// keys. The serial fold, every morsel and the morsel merge use the same
+/// choice.
+fn fold_grouped<F: Fold>(
+    index: &JoinIndex,
     build_left: bool,
     group_cols: &[(Side, Column)],
-    args: &[FusedArg],
-    aggs: &[AggExpr],
+    fold: &F,
     ctx: &ExecContext<'_>,
-) -> Result<(FoldedGroups, Duration)>
-where
-    LF: Fn(usize) -> Option<&'a Vec<usize>> + Sync,
-{
-    let packed: Option<Vec<(Side, &[i64])>> = if group_cols.len() <= 2 {
+) -> Result<(Folded<F::Acc>, Duration, KeyPath)> {
+    let probe_len = index.probe_len();
+    let ints: Option<Vec<(Side, &[i64])>> = if group_cols.len() <= 2 {
         group_cols.iter().map(|(s, c)| c.as_i64_slice().map(|v| (*s, v))).collect()
     } else {
         None
     };
-    match packed.as_deref() {
-        Some([]) => fold_all(probe_len, lookup, build_left, |_, _| 0i128, args, aggs, ctx),
-        Some([(s0, c0)]) => {
-            let (s0, c0) = (*s0, *c0);
-            fold_all(
-                probe_len,
-                lookup,
+    let Some(ints) = ints else {
+        let keyer = |li, ri| -> Vec<Key> {
+            group_cols.iter().map(|(s, c)| c.key_at(pick(*s, li, ri))).collect()
+        };
+        let (folded, busy) = fold_all(index, build_left, keyer, hash_ids, fold, ctx)?;
+        return Ok((folded, busy, KeyPath::Hash));
+    };
+    let cols: Vec<&[i64]> = ints.iter().map(|(_, c)| *c).collect();
+    if let Some(layout) = DenseLayout::choose(&cols, probe_len) {
+        // One table per concurrently folding worker.
+        let parallel = parallel::active(ctx.config, probe_len);
+        let tables = if parallel { ctx.config.parallelism } else { 1 } as u64;
+        let _mem = ctx.reserve("fused.build", tables * DenseGroupIds::bytes(layout.span()))?;
+        let ids = || DenseGroupIds::new(layout.span());
+        let (folded, busy) = match *ints.as_slice() {
+            [] => fold_all(index, build_left, |_, _| 0, ids, fold, ctx)?,
+            [(s0, c0)] => fold_all(
+                index,
                 build_left,
-                move |li, ri| c0[pick(s0, li, ri)] as i128,
-                args,
-                aggs,
+                move |li, ri| layout.slot(c0[pick(s0, li, ri)], 0),
+                ids,
+                fold,
                 ctx,
-            )
-        }
-        Some([(s0, c0), (s1, c1)]) => {
-            let (s0, c0, s1, c1) = (*s0, *c0, *s1, *c1);
-            fold_all(
-                probe_len,
-                lookup,
+            )?,
+            [(s0, c0), (s1, c1)] => fold_all(
+                index,
                 build_left,
-                move |li, ri| {
-                    let a = c0[pick(s0, li, ri)];
-                    let b = c1[pick(s1, li, ri)];
-                    ((a as i128) << 64) | (b as u64 as i128)
-                },
-                args,
-                aggs,
+                move |li, ri| layout.slot(c0[pick(s0, li, ri)], c1[pick(s1, li, ri)]),
+                ids,
+                fold,
                 ctx,
-            )
-        }
-        _ => fold_all(
-            probe_len,
-            lookup,
-            build_left,
-            |li, ri| -> Vec<Key> {
-                group_cols.iter().map(|(s, c)| c.key_at(pick(*s, li, ri))).collect()
-            },
-            args,
-            aggs,
-            ctx,
-        ),
+            )?,
+            _ => unreachable!("at most two key columns"),
+        };
+        return Ok((folded, busy, KeyPath::Dense));
     }
+    let (folded, busy) = match *ints.as_slice() {
+        [(s0, c0)] => fold_all(
+            index,
+            build_left,
+            move |li, ri| c0[pick(s0, li, ri)] as i128,
+            hash_ids,
+            fold,
+            ctx,
+        )?,
+        [(s0, c0), (s1, c1)] => fold_all(
+            index,
+            build_left,
+            move |li, ri| {
+                let a = c0[pick(s0, li, ri)];
+                let b = c1[pick(s1, li, ri)];
+                ((a as i128) << 64) | (b as u64 as i128)
+            },
+            hash_ids,
+            fold,
+            ctx,
+        )?,
+        _ => unreachable!("no key columns always fit the dense layout"),
+    };
+    Ok((folded, busy, KeyPath::Hash))
+}
+
+/// A fresh hash group-id table.
+fn hash_ids<K>() -> FxHashMap<K, usize> {
+    fx_map_with_capacity(64)
 }
 
 /// Probes serially or morsel-parallel and returns merged group state plus
 /// worker busy time beyond wall time.
-fn fold_all<'a, K, KF, LF>(
-    probe_len: usize,
-    lookup: LF,
+fn fold_all<K, KF, M, F>(
+    index: &JoinIndex,
     build_left: bool,
     keyer: KF,
-    args: &[FusedArg],
-    aggs: &[AggExpr],
+    new_ids: impl Fn() -> M + Sync,
+    fold: &F,
     ctx: &ExecContext<'_>,
-) -> Result<(FoldedGroups, Duration)>
+) -> Result<(Folded<F::Acc>, Duration)>
 where
-    K: Eq + Hash + Clone + Send,
     KF: Fn(usize, usize) -> K + Sync,
-    LF: Fn(usize) -> Option<&'a Vec<usize>> + Sync,
+    M: GroupIds<K> + Send,
+    F: Fold,
 {
+    let probe_len = index.probe_len();
     if !parallel::active(ctx.config, probe_len) {
-        let local = fold_range(0..probe_len, &lookup, build_left, &keyer, args, aggs, ctx)?;
-        return Ok((local.folded, Duration::ZERO));
+        let folded =
+            fold_range(0..probe_len, index, build_left, &keyer, &mut new_ids(), fold, ctx)?;
+        return Ok((folded, Duration::ZERO));
     }
 
+    // Group-id tables are reused across morsels: each morsel forgets the
+    // groups it opened, so a dense table is filled once per worker, not
+    // once per morsel.
+    let tables: Mutex<Vec<M>> = Mutex::new(Vec::new());
+    let take = || tables.lock().unwrap_or_else(PoisonError::into_inner).pop();
     let probe_start = Instant::now();
     let ranges = taskpool::split_ranges(probe_len, ctx.config.morsel_rows);
     let parts = taskpool::try_run_ranges(ctx.config.parallelism, &ranges, |range| {
         parallel::morsel_checkpoint(ctx)?;
         let t0 = parallel::morsel_t0(ctx);
         let start = Instant::now();
-        let local = fold_range(range.clone(), &lookup, build_left, &keyer, args, aggs, ctx)?;
+        let mut ids = take().unwrap_or_else(&new_ids);
+        let local = fold_range(range.clone(), index, build_left, &keyer, &mut ids, fold, ctx)?;
+        for &(li, ri) in &local.firsts {
+            ids.forget(keyer(li, ri));
+        }
+        tables.lock().unwrap_or_else(PoisonError::into_inner).push(ids);
         let elapsed = start.elapsed();
-        parallel::note_morsel(ctx, &range, t0, local.keys.len() as u64);
+        parallel::note_morsel(ctx, &range, t0, local.firsts.len() as u64);
         Ok::<_, crate::error::Error>((local, elapsed))
     })?;
 
     // Merge partials in morsel order: group ids follow first occurrence
-    // across morsels, matching the serial probe's group order.
+    // across morsels, matching the serial probe's group order. A local
+    // group's key is recomputed from its first pair.
+    let width = fold.width();
     let mut busy = Duration::ZERO;
-    let mut ids: FxHashMap<K, usize> = FxHashMap::default();
-    let mut folded = FoldedGroups::default();
+    let mut ids = take().unwrap_or_else(new_ids);
+    let mut folded = Folded::default();
     for part in parts {
         let (local, elapsed) = part?;
         busy += elapsed;
-        folded.pairs += local.folded.pairs;
-        for ((key, first), partials) in
-            local.keys.into_iter().zip(local.folded.firsts).zip(local.folded.accs)
-        {
-            match ids.get(&key) {
-                Some(&gid) => {
-                    for (acc, partial) in folded.accs[gid].iter_mut().zip(partials) {
-                        acc.merge(partial)?;
-                    }
-                }
-                None => {
-                    ids.insert(key, folded.firsts.len());
-                    folded.firsts.push(first);
-                    folded.accs.push(partials);
+        folded.pairs += local.pairs;
+        let mut partials = local.accs.into_iter();
+        for (li, ri) in local.firsts {
+            let next = folded.firsts.len();
+            let gid = ids.id(keyer(li, ri), next);
+            let group = partials.by_ref().take(width);
+            if gid == next {
+                folded.firsts.push((li, ri));
+                folded.accs.extend(group);
+            } else {
+                for (acc, partial) in folded.accs[gid * width..].iter_mut().zip(group) {
+                    fold.merge(acc, partial)?;
                 }
             }
         }
@@ -470,52 +603,31 @@ where
 }
 
 /// The probe-and-fold inner loop over one probe-row range.
-#[allow(clippy::too_many_arguments)] // the fold's full evaluation state
-fn fold_range<'a, K, KF, LF>(
+fn fold_range<K, F: Fold>(
     range: std::ops::Range<usize>,
-    lookup: &LF,
+    index: &JoinIndex,
     build_left: bool,
-    keyer: &KF,
-    args: &[FusedArg],
-    aggs: &[AggExpr],
+    keyer: &impl Fn(usize, usize) -> K,
+    ids: &mut impl GroupIds<K>,
+    fold: &F,
     ctx: &ExecContext<'_>,
-) -> Result<LocalGroups<K>>
-where
-    K: Eq + Hash + Clone,
-    KF: Fn(usize, usize) -> K,
-    LF: Fn(usize) -> Option<&'a Vec<usize>>,
-{
-    let mut ids: FxHashMap<K, usize> = fx_map_with_capacity(64);
-    let mut local = LocalGroups { keys: Vec::new(), folded: FoldedGroups::default() };
+) -> Result<Folded<F::Acc>> {
+    let width = fold.width();
+    let mut local = Folded::default();
     for probe_row in range {
         if probe_row % super::CHECK_STRIDE == 0 {
             ctx.check()?;
         }
-        let Some(matches) = lookup(probe_row) else { continue };
-        for &build_row in matches {
+        for &build_row in index.matches(probe_row) {
             let (li, ri) = if build_left { (build_row, probe_row) } else { (probe_row, build_row) };
-            let key = keyer(li, ri);
-            let id = match ids.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = local.keys.len();
-                    ids.insert(key.clone(), id);
-                    local.keys.push(key);
-                    local.folded.firsts.push((li, ri));
-                    local.folded.accs.push(
-                        args.iter()
-                            .zip(aggs)
-                            .map(|(arg, a)| Acc::new(a, arg.data_type()))
-                            .collect(),
-                    );
-                    id
-                }
-            };
-            for (ai, arg) in args.iter().enumerate() {
-                let v = arg.value(li, ri);
-                local.folded.accs[id][ai].update(v.as_ref())?;
+            let next = local.firsts.len();
+            let id = ids.id(keyer(li, ri), next);
+            if id == next {
+                local.firsts.push((li, ri));
+                fold.open(&mut local.accs);
             }
-            local.folded.pairs += 1;
+            fold.update(&mut local.accs[id * width..(id + 1) * width], li, ri)?;
+            local.pairs += 1;
         }
     }
     Ok(local)

@@ -7,6 +7,7 @@
 //! data behind the paper's Fig. 10 clause breakdown.
 
 pub mod counters;
+mod dense;
 pub mod fused;
 pub mod parallel;
 pub mod symmetric;
@@ -14,6 +15,8 @@ pub mod symmetric;
 use std::time::{Duration, Instant};
 
 pub use counters::{OpCounters, OperatorKind};
+
+use dense::{DenseGroupIds, DenseIndex, DenseLayout, GroupIds, KeyPath};
 
 use crate::catalog::Catalog;
 use crate::column::{Column, Key};
@@ -141,6 +144,21 @@ impl<'a> ExecContext<'a> {
     fn record(&self, kind: OperatorKind, m: obs::OpMetrics) {
         self.ops.add(kind, &m);
         self.tracer.note_op(self.span, kind.label(), m);
+    }
+
+    /// Counts the key structures an operator built and, when traced, names
+    /// them in its span's detail after the plan node's header.
+    fn note_keys(&self, plan: &LogicalPlan, paths: &[(&str, KeyPath)]) {
+        for (_, path) in paths {
+            self.ops.add_key_path(*path);
+        }
+        if self.span.is_some() {
+            let mut detail = plan.node_header();
+            for (what, path) in paths {
+                detail.push_str(&format!("; {what}={}", path.label()));
+            }
+            self.tracer.set_detail(self.span, &detail);
+        }
     }
 
     /// Records a step that runs outside a plan (CreateTable, Insert,
@@ -282,7 +300,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let lt = execute(left, ctx)?;
             let rt = execute(right, ctx)?;
             let start = Instant::now();
-            let (out, extra_busy) = match algorithm {
+            let (out, extra_busy, path) = match algorithm {
                 JoinAlgorithm::Hash => {
                     hash_join(&lt, &rt, keys, residual.as_ref(), output.as_deref(), schema, ctx)?
                 }
@@ -296,10 +314,12 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                         schema,
                         ctx,
                     )?,
-                    std::time::Duration::ZERO,
+                    Duration::ZERO,
+                    KeyPath::Hash,
                 ),
             };
             let elapsed = start.elapsed();
+            ctx.note_keys(plan, &[("keys", path)]);
             ctx.record(OperatorKind::Join, parallel(elapsed, elapsed + extra_busy, out.num_rows()));
             Ok(out)
         }
@@ -336,6 +356,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             // effective-parallelism ratio, since the serial build diluted
             // the parallel probe's busy time.
             let probe = elapsed.saturating_sub(m.build);
+            ctx.note_keys(plan, &[("build", m.build_path), ("groups", m.group_path)]);
             ctx.record(OperatorKind::JoinAggregate, parallel(m.build, m.build, 0));
             ctx.record(
                 OperatorKind::JoinAggregate,
@@ -351,7 +372,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                     ctx.span,
                     obs::SpanKind::Phase,
                     "build",
-                    "serial: eval keys/args, hash build",
+                    "serial: eval keys/args, join build",
                     span_t0,
                     build_end,
                     u32::MAX,
@@ -374,12 +395,14 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let t = execute(input, ctx)?;
             let start = Instant::now();
             if parallel::active(ctx.config, t.num_rows()) {
-                let (out, busy) = parallel::aggregate(&t, group, aggs, schema, ctx)?;
+                let (out, busy, path) = parallel::aggregate(&t, group, aggs, schema, ctx)?;
                 ctx.record(OperatorKind::GroupBy, parallel(start.elapsed(), busy, out.num_rows()));
+                ctx.note_keys(plan, &[("keys", path)]);
                 return Ok(out);
             }
-            let out = aggregate(&t, group, aggs, schema, ctx)?;
+            let (out, path) = aggregate(&t, group, aggs, schema, ctx)?;
             ctx.record(OperatorKind::GroupBy, serial(start, out.num_rows()));
+            ctx.note_keys(plan, &[("keys", path)]);
             Ok(out)
         }
         LogicalPlan::Sort { input, keys } => {
@@ -503,14 +526,17 @@ pub(crate) fn composite_keys(
     exprs: &[BoundExpr],
     ctx: &ExecContext<'_>,
 ) -> Result<Vec<Vec<Key>>> {
-    let cols: Vec<Column> =
-        exprs.iter().map(|e| e.eval(table, &ctx.eval_ctx())).collect::<Result<_>>()?;
-    let n = table.num_rows();
-    let mut out = Vec::with_capacity(n);
-    for row in 0..n {
-        out.push(cols.iter().map(|c| c.key_at(row)).collect());
-    }
-    Ok(out)
+    Ok(keys_of(&eval_all(table, exprs, ctx)?, table.num_rows()))
+}
+
+/// Evaluates each expression over `table`.
+fn eval_all(table: &Table, exprs: &[BoundExpr], ctx: &ExecContext<'_>) -> Result<Vec<Column>> {
+    exprs.iter().map(|e| e.eval(table, &ctx.eval_ctx())).collect()
+}
+
+/// Per-row composite keys of evaluated key columns.
+fn keys_of(cols: &[Column], n: usize) -> Vec<Vec<Key>> {
+    (0..n).map(|row| cols.iter().map(|c| c.key_at(row)).collect()).collect()
 }
 
 pub(crate) fn apply_residual(
@@ -528,40 +554,139 @@ pub(crate) fn apply_residual(
     }
 }
 
-/// Evaluated join-key columns with an allocation-free fast path: up to two
-/// integer key columns pack into one `i128`.
-enum JoinKeys {
-    /// Packed integer keys (covers the DL2SQL workload's joins).
-    Packed(Vec<i128>),
-    /// At least one non-integer key column: the join recomputes general
-    /// composite keys for both sides.
-    General,
+/// One or two `Int64` key columns, moved out of their [`Column`]s; any
+/// other key comes back unchanged.
+fn into_ints(cols: Vec<Column>) -> std::result::Result<Vec<Vec<i64>>, Vec<Column>> {
+    if !(1..=2).contains(&cols.len()) || cols.iter().any(|c| c.as_i64_slice().is_none()) {
+        return Err(cols);
+    }
+    Ok(cols
+        .into_iter()
+        .map(|c| match c {
+            Column::Int64(v) => v,
+            _ => unreachable!("checked above"),
+        })
+        .collect())
 }
 
-fn join_keys(table: &Table, exprs: &[BoundExpr], ctx: &ExecContext<'_>) -> Result<JoinKeys> {
-    let cols: Vec<Column> =
-        exprs.iter().map(|e| e.eval(table, &ctx.eval_ctx())).collect::<Result<_>>()?;
-    let ints: Option<Vec<&Vec<i64>>> = cols
-        .iter()
-        .map(|c| match c {
-            Column::Int64(v) => Some(v),
-            _ => None,
-        })
-        .collect();
-    if let Some(ints) = ints {
-        if ints.len() == 1 {
-            return Ok(JoinKeys::Packed(ints[0].iter().map(|&a| a as i128).collect()));
-        }
-        if ints.len() == 2 {
-            let packed = ints[0]
-                .iter()
-                .zip(ints[1].iter())
-                .map(|(&a, &b)| ((a as i128) << 64) | (b as u64 as i128))
-                .collect();
-            return Ok(JoinKeys::Packed(packed));
+/// One or two integer key values packed into an `i128` hash key.
+#[inline]
+fn pack(cols: &[Vec<i64>], row: usize) -> i128 {
+    match cols {
+        [a] => a[row] as i128,
+        _ => ((cols[0][row] as i128) << 64) | (cols[1][row] as u64 as i128),
+    }
+}
+
+/// An equi-join's build side, probed by row of the other input. Shared
+/// by [`hash_join`] and the fused operator's build. Rows matching one key
+/// come back in build insertion order on every path.
+pub(crate) struct JoinIndex {
+    kind: IndexKind,
+    probe_len: usize,
+    _mem: Option<govern::Reservation>,
+}
+
+enum IndexKind {
+    /// Both sides' keys are one or two `Int64` columns with a small
+    /// build-side span: offset addressing.
+    Dense { index: DenseIndex, probe: Vec<Vec<i64>> },
+    /// Integer keys too sparse for offsets: packed into `i128`s and hashed.
+    Packed { map: FxHashMap<i128, Vec<usize>>, probe: Vec<i128> },
+    /// At least one non-integer key column: general composite keys for
+    /// both sides (so Int64↔Float64 equality unifies through
+    /// `Value::to_key`).
+    General { map: FxHashMap<Vec<Key>, Vec<usize>>, probe: Vec<Vec<Key>> },
+}
+
+impl JoinIndex {
+    /// Builds on the left input when `build_left`, else on the right,
+    /// charging the structure to the memory budget under `site`.
+    pub(crate) fn build(
+        lt: &Table,
+        rt: &Table,
+        keys: &[(BoundExpr, BoundExpr)],
+        build_left: bool,
+        site: &str,
+        ctx: &ExecContext<'_>,
+    ) -> Result<JoinIndex> {
+        let l_exprs: Vec<BoundExpr> = keys.iter().map(|(l, _)| l.clone()).collect();
+        let r_exprs: Vec<BoundExpr> = keys.iter().map(|(_, r)| r.clone()).collect();
+        let (bt, b_exprs, pt, p_exprs) =
+            if build_left { (lt, &l_exprs, rt, &r_exprs) } else { (rt, &r_exprs, lt, &l_exprs) };
+        let (n, probe_len) = (bt.num_rows(), pt.num_rows());
+        let build = into_ints(eval_all(bt, b_exprs, ctx)?);
+        let probe = into_ints(eval_all(pt, p_exprs, ctx)?);
+        let (kind, mem) = match (build, probe) {
+            (Ok(build), Ok(probe)) => {
+                let cols: Vec<&[i64]> = build.iter().map(Vec::as_slice).collect();
+                match DenseLayout::choose(&cols, n) {
+                    Some(layout) => {
+                        // Charged at least what the hash build would be,
+                        // so budgets hold whichever path runs.
+                        let bytes = build_bytes(n, 16).max(DenseIndex::bytes(&layout, n));
+                        let mem = ctx.reserve(site, bytes)?;
+                        let index = DenseIndex::build(layout, &cols, n, ctx)?;
+                        (IndexKind::Dense { index, probe }, mem)
+                    }
+                    None => {
+                        let mem = ctx.reserve(site, build_bytes(n, 16))?;
+                        let mut map: FxHashMap<i128, Vec<usize>> = fx_map_with_capacity(n);
+                        for row in 0..n {
+                            if row % CHECK_STRIDE == 0 {
+                                ctx.check()?;
+                            }
+                            map.entry(pack(&build, row)).or_default().push(row);
+                        }
+                        let probe = (0..probe_len).map(|row| pack(&probe, row)).collect();
+                        (IndexKind::Packed { map, probe }, mem)
+                    }
+                }
+            }
+            (build, probe) => {
+                let cols = |r: std::result::Result<Vec<Vec<i64>>, Vec<Column>>| match r {
+                    Ok(ints) => ints.into_iter().map(Column::Int64).collect(),
+                    Err(cols) => cols,
+                };
+                let mem = ctx.reserve(site, build_bytes(n, 32))?;
+                let mut map: FxHashMap<Vec<Key>, Vec<usize>> = fx_map_with_capacity(n);
+                for (row, k) in keys_of(&cols(build), n).into_iter().enumerate() {
+                    if row % CHECK_STRIDE == 0 {
+                        ctx.check()?;
+                    }
+                    map.entry(k).or_default().push(row);
+                }
+                (IndexKind::General { map, probe: keys_of(&cols(probe), probe_len) }, mem)
+            }
+        };
+        Ok(JoinIndex { kind, probe_len, _mem: mem })
+    }
+
+    /// Rows on the probe side.
+    pub(crate) fn probe_len(&self) -> usize {
+        self.probe_len
+    }
+
+    /// Which structure the build used.
+    pub(crate) fn path(&self) -> KeyPath {
+        match self.kind {
+            IndexKind::Dense { .. } => KeyPath::Dense,
+            _ => KeyPath::Hash,
         }
     }
-    Ok(JoinKeys::General)
+
+    /// The build rows matching probe row `row`, in build insertion order.
+    #[inline]
+    pub(crate) fn matches(&self, row: usize) -> &[usize] {
+        match &self.kind {
+            IndexKind::Dense { index, probe } => {
+                let (a, b) = dense::key_at(probe, row);
+                index.get(a, b)
+            }
+            IndexKind::Packed { map, probe } => map.get(&probe[row]).map_or(&[], Vec::as_slice),
+            IndexKind::General { map, probe } => map.get(&probe[row]).map_or(&[], Vec::as_slice),
+        }
+    }
 }
 
 /// Rough per-entry footprint of a hash build table charged against the
@@ -576,10 +701,11 @@ pub(crate) fn group_state_bytes(groups: usize, aggs: usize) -> u64 {
     (groups as u64) * (48 + 48 * aggs as u64)
 }
 
-/// Hash join: serial build on the smaller side, probe either serially or
-/// morsel-parallel. Returns the joined table plus any worker busy time the
-/// parallel probe accrued beyond its own wall time (zero when serial), so
-/// the caller can record wall + extra as the join's busy time.
+/// Equi-join: serial build on the smaller side ([`JoinIndex`]), probe
+/// either serially or morsel-parallel. Returns the joined table, any
+/// worker busy time the parallel probe accrued beyond its own wall time
+/// (zero when serial), so the caller can record wall + extra as the
+/// join's busy time, and the key path the build took.
 fn hash_join(
     lt: &Table,
     rt: &Table,
@@ -588,91 +714,35 @@ fn hash_join(
     output: Option<&[usize]>,
     schema: &Schema,
     ctx: &ExecContext<'_>,
-) -> Result<(Table, std::time::Duration)> {
-    let l_keys: Vec<BoundExpr> = keys.iter().map(|(l, _)| l.clone()).collect();
-    let r_keys: Vec<BoundExpr> = keys.iter().map(|(_, r)| r.clone()).collect();
-    let lk = join_keys(lt, &l_keys, ctx)?;
-    let rk = join_keys(rt, &r_keys, ctx)?;
-
-    // Build on the smaller side.
+) -> Result<(Table, Duration, KeyPath)> {
     let build_left = lt.num_rows() <= rt.num_rows();
-    let mut extra_busy = std::time::Duration::ZERO;
-    let (build_rows, probe_rows) = match (&lk, &rk) {
-        (JoinKeys::Packed(l), JoinKeys::Packed(r)) => {
-            let (build, probe) = if build_left { (l, r) } else { (r, l) };
-            let _build_mem = ctx.reserve("join.build", build_bytes(build.len(), 16))?;
-            let mut table: FxHashMap<i128, Vec<usize>> = fx_map_with_capacity(build.len());
-            for (row, &k) in build.iter().enumerate() {
-                if row % CHECK_STRIDE == 0 {
-                    ctx.check()?;
-                }
-                table.entry(k).or_default().push(row);
+    let index = JoinIndex::build(lt, rt, keys, build_left, "join.build", ctx)?;
+    let path = index.path();
+    let mut extra_busy = Duration::ZERO;
+    let (build_rows, probe_rows) = if parallel::active(ctx.config, index.probe_len()) {
+        let probe_start = Instant::now();
+        let (b, p, busy) = parallel::probe(index.probe_len(), |row| index.matches(row), ctx)?;
+        extra_busy = busy.saturating_sub(probe_start.elapsed());
+        (b, p)
+    } else {
+        let mut b = Vec::new();
+        let mut p = Vec::new();
+        for probe_row in 0..index.probe_len() {
+            if probe_row % CHECK_STRIDE == 0 {
+                ctx.check()?;
             }
-            if parallel::active(ctx.config, probe.len()) {
-                let probe_start = Instant::now();
-                let (b, p, busy) = parallel::probe(probe.len(), |row| table.get(&probe[row]), ctx)?;
-                extra_busy = busy.saturating_sub(probe_start.elapsed());
-                (b, p)
-            } else {
-                let mut b = Vec::new();
-                let mut p = Vec::new();
-                for (probe_row, k) in probe.iter().enumerate() {
-                    if probe_row % CHECK_STRIDE == 0 {
-                        ctx.check()?;
-                    }
-                    if let Some(matches) = table.get(k) {
-                        for &build_row in matches {
-                            b.push(build_row);
-                            p.push(probe_row);
-                        }
-                    }
-                }
-                (b, p)
+            for &build_row in index.matches(probe_row) {
+                b.push(build_row);
+                p.push(probe_row);
             }
         }
-        _ => {
-            // At least one side has non-integer keys: use general keys for
-            // both (recomputed, so Int64↔Float64 equality unifies through
-            // `Value::to_key`).
-            let lg = composite_keys(lt, &l_keys, ctx)?;
-            let rg = composite_keys(rt, &r_keys, ctx)?;
-            let (build, probe) = if build_left { (&lg, &rg) } else { (&rg, &lg) };
-            let _build_mem = ctx.reserve("join.build", build_bytes(build.len(), 32))?;
-            let mut table: FxHashMap<&[Key], Vec<usize>> = fx_map_with_capacity(build.len());
-            for (row, k) in build.iter().enumerate() {
-                if row % CHECK_STRIDE == 0 {
-                    ctx.check()?;
-                }
-                table.entry(k.as_slice()).or_default().push(row);
-            }
-            if parallel::active(ctx.config, probe.len()) {
-                let probe_start = Instant::now();
-                let (b, p, busy) =
-                    parallel::probe(probe.len(), |row| table.get(probe[row].as_slice()), ctx)?;
-                extra_busy = busy.saturating_sub(probe_start.elapsed());
-                (b, p)
-            } else {
-                let mut b = Vec::new();
-                let mut p = Vec::new();
-                for (probe_row, k) in probe.iter().enumerate() {
-                    if probe_row % CHECK_STRIDE == 0 {
-                        ctx.check()?;
-                    }
-                    if let Some(matches) = table.get(k.as_slice()) {
-                        for &build_row in matches {
-                            b.push(build_row);
-                            p.push(probe_row);
-                        }
-                    }
-                }
-                (b, p)
-            }
-        }
+        (b, p)
     };
+    drop(index);
     let (l_idx, r_idx) =
         if build_left { (build_rows, probe_rows) } else { (probe_rows, build_rows) };
     let out = glue_join(lt, &l_idx, rt, &r_idx, residual, output, schema, ctx)?;
-    Ok((out, extra_busy))
+    Ok((out, extra_busy, path))
 }
 
 // ---------------------------------------------------------------------------
@@ -842,47 +912,62 @@ fn zero_of(dt: DataType) -> Value {
 }
 
 /// Assigns a group id to every row from the evaluated key columns,
-/// returning each group's first row (in first-occurrence order) and the
-/// per-row group ids. Up to two `Int64` key columns take an
-/// allocation-free packed path (the DL2SQL group-by shape); the general
-/// path gathers composite keys columnar-wise via [`Column::key_at`].
-pub(crate) fn group_rows(key_cols: &[Column], n: usize) -> (Vec<usize>, Vec<usize>) {
-    let mut group_first_row: Vec<usize> = Vec::new();
-    let mut row_group: Vec<usize> = Vec::with_capacity(n);
+/// returning each group's first row (in first-occurrence order), the
+/// per-row group ids and the key path taken. Up to two `Int64` key
+/// columns with a small span are addressed by offset ([`DenseGroupIds`],
+/// charged to the budget as `agg.groups`); sparse ones pack into an
+/// `i128` hash key; anything else gathers composite keys columnar-wise
+/// via [`Column::key_at`].
+pub(crate) fn group_rows(
+    key_cols: &[Column],
+    n: usize,
+    ctx: &ExecContext<'_>,
+) -> Result<(Vec<usize>, Vec<usize>, KeyPath)> {
     let cap = (n / 4 + 16).min(1 << 16);
-
-    let ints: Option<Vec<&[i64]>> = if key_cols.is_empty() || key_cols.len() > 2 {
-        None
-    } else {
-        key_cols.iter().map(Column::as_i64_slice).collect()
-    };
-    if let Some(ints) = ints {
-        let mut ids: FxHashMap<i128, usize> = fx_map_with_capacity(cap);
-        for row in 0..n {
-            let key = match ints.as_slice() {
+    let ints: Option<Vec<&[i64]>> =
+        if key_cols.len() > 2 { None } else { key_cols.iter().map(Column::as_i64_slice).collect() };
+    if let Some(ints) = &ints {
+        if let Some(layout) = DenseLayout::choose(ints, n) {
+            let _mem = ctx.reserve("agg.groups", DenseGroupIds::bytes(layout.span()))?;
+            let ids = DenseGroupIds::new(layout.span());
+            let (first, rows) = assign(n, ids, |row| {
+                let (a, b) = dense::key_at(ints, row);
+                layout.slot(a, b)
+            });
+            return Ok((first, rows, KeyPath::Dense));
+        }
+        if !ints.is_empty() {
+            let ids: FxHashMap<i128, usize> = fx_map_with_capacity(cap);
+            let (first, rows) = assign(n, ids, |row| match ints.as_slice() {
                 [c] => c[row] as i128,
                 [a, b] => ((a[row] as i128) << 64) | (b[row] as u64 as i128),
                 _ => unreachable!(),
-            };
-            let next = group_first_row.len();
-            let id = *ids.entry(key).or_insert_with(|| {
-                group_first_row.push(row);
-                next
             });
-            row_group.push(id);
+            return Ok((first, rows, KeyPath::Hash));
         }
-        return (group_first_row, row_group);
     }
-
     let key_vecs: Vec<Vec<Key>> = key_cols.iter().map(Column::keys).collect();
-    let mut ids: FxHashMap<Vec<Key>, usize> = fx_map_with_capacity(cap);
+    let ids: FxHashMap<Vec<Key>, usize> = fx_map_with_capacity(cap);
+    let (first, rows) =
+        assign(n, ids, |row| key_vecs.iter().map(|kv| kv[row].clone()).collect::<Vec<Key>>());
+    Ok((first, rows, KeyPath::Hash))
+}
+
+/// Runs rows `0..n` through a group-id table: each group's first row, in
+/// first-occurrence order, and every row's group id.
+fn assign<K>(
+    n: usize,
+    mut ids: impl GroupIds<K>,
+    key: impl Fn(usize) -> K,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut group_first_row: Vec<usize> = Vec::new();
+    let mut row_group: Vec<usize> = Vec::with_capacity(n);
     for row in 0..n {
-        let key: Vec<Key> = key_vecs.iter().map(|kv| kv[row].clone()).collect();
         let next = group_first_row.len();
-        let id = *ids.entry(key).or_insert_with(|| {
+        let id = ids.id(key(row), next);
+        if id == next {
             group_first_row.push(row);
-            next
-        });
+        }
         row_group.push(id);
     }
     (group_first_row, row_group)
@@ -894,7 +979,7 @@ fn aggregate(
     aggs: &[AggExpr],
     schema: &Schema,
     ctx: &ExecContext<'_>,
-) -> Result<Table> {
+) -> Result<(Table, KeyPath)> {
     let n = t.num_rows();
     let key_cols: Vec<Column> =
         group.iter().map(|e| e.eval(t, &ctx.eval_ctx())).collect::<Result<_>>()?;
@@ -904,7 +989,7 @@ fn aggregate(
         .collect::<Result<_>>()?;
 
     // Group id per row.
-    let (group_first_row, row_group) = group_rows(&key_cols, n);
+    let (group_first_row, row_group, path) = group_rows(&key_cols, n, ctx)?;
     // Global aggregate: exactly one group even with zero input rows.
     let n_groups =
         if group.is_empty() { 1.max(group_first_row.len()) } else { group_first_row.len() };
@@ -946,7 +1031,7 @@ fn aggregate(
             cols[group.len() + ai].push(acc.finish(field.data_type))?;
         }
     }
-    Table::new(schema.clone(), cols)
+    Ok((Table::new(schema.clone(), cols)?, path))
 }
 
 #[cfg(test)]
@@ -1026,7 +1111,7 @@ mod tests {
         .unwrap();
         let schema =
             Schema::new(lt.schema().fields().iter().chain(rt.schema().fields()).cloned().collect());
-        let (out, _) = hash_join(
+        let (out, _, _) = hash_join(
             &lt,
             &rt,
             &[(BoundExpr::Column(0), BoundExpr::Column(0))],
@@ -1079,7 +1164,8 @@ mod tests {
             &schema,
             &ctx,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.num_rows(), 3);
         // Group 1 -> 40.0 over 2 rows.
         let k = out.column(0);
@@ -1117,7 +1203,8 @@ mod tests {
             &schema,
             &ctx,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.column(0).i64_at(0), 0);
     }
@@ -1153,7 +1240,8 @@ mod tests {
             &schema,
             &ctx,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(out.column(0).i64_at(0), 3);
     }
 
@@ -1199,7 +1287,7 @@ mod tests {
                 &ctx,
             )
             .unwrap();
-            let (joined, _) = hash_join(
+            let (joined, _, _) = hash_join(
                 &big,
                 &big,
                 &[(BoundExpr::Column(0), BoundExpr::Column(0))],
@@ -1261,6 +1349,7 @@ mod tests {
                     &ctx,
                 )
                 .unwrap()
+                .0
             };
             (filtered, joined, grouped)
         };
@@ -1351,7 +1440,8 @@ mod tests {
             &schema,
             &ctx,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!((out.column(0).f64_at(0) - 1.0).abs() < 1e-9);
     }
 }

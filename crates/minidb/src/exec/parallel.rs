@@ -16,6 +16,7 @@
 //! Every function returns the summed per-worker busy time next to its
 //! result so the executor can record it as the operator's busy time.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::column::{Column, Key};
@@ -23,8 +24,8 @@ use crate::error::Result;
 use crate::expr::BoundExpr;
 use crate::plan::logical::AggExpr;
 use crate::table::{Schema, Table};
-use crate::value::Value;
 
+use super::dense::{self, DenseGroupIds, DenseLayout, GroupIds, KeyPath};
 use super::{coerce_column, Acc, ExecConfig, ExecContext};
 
 /// Records one morsel batch as a worker span under the operator's span
@@ -155,7 +156,7 @@ pub(crate) fn probe<'a, F>(
     ctx: &ExecContext<'_>,
 ) -> Result<(Vec<usize>, Vec<usize>, Duration)>
 where
-    F: Fn(usize) -> Option<&'a Vec<usize>> + Sync,
+    F: Fn(usize) -> &'a [usize] + Sync,
 {
     let ranges = morsels(ctx.config, n_probe);
     let parts = taskpool::try_run_ranges(ctx.config.parallelism, &ranges, |range| {
@@ -165,11 +166,9 @@ where
         let mut build_rows = Vec::new();
         let mut probe_rows = Vec::new();
         for probe_row in range.clone() {
-            if let Some(matches) = lookup(probe_row) {
-                for &build_row in matches {
-                    build_rows.push(build_row);
-                    probe_rows.push(probe_row);
-                }
+            for &build_row in lookup(probe_row) {
+                build_rows.push(build_row);
+                probe_rows.push(probe_row);
             }
         }
         let elapsed = start.elapsed();
@@ -188,26 +187,64 @@ where
     Ok((build_rows, probe_rows, busy))
 }
 
-/// Per-morsel partial aggregation state: local groups in first-occurrence
-/// order, each with its key, the key columns' values at its first row, and
-/// one accumulator per aggregate.
-struct MorselAgg {
-    keys: Vec<Vec<Key>>,
-    firsts: Vec<Vec<Value>>,
-    accs: Vec<Vec<Acc>>,
-}
-
 /// Parallel `GroupBy`: partial aggregates per morsel, merged in morsel
 /// order (so global group ids follow first occurrence across morsels,
-/// matching the serial path's group order).
+/// matching the serial path's group order). Group keys are evaluated once
+/// over the whole input; at most two `Int64` key columns with a small
+/// span are addressed by offset, anything else is hashed. Returns the key
+/// path taken.
 pub(crate) fn aggregate(
     t: &Table,
     group: &[BoundExpr],
     aggs: &[AggExpr],
     schema: &Schema,
     ctx: &ExecContext<'_>,
-) -> Result<(Table, Duration)> {
+) -> Result<(Table, Duration, KeyPath)> {
     use crate::hash::{fx_map_with_capacity, FxHashMap};
+
+    let n = t.num_rows();
+    let key_cols: Vec<Column> =
+        group.iter().map(|e| e.eval(t, &ctx.eval_ctx())).collect::<Result<_>>()?;
+    let ints: Option<Vec<&[i64]>> =
+        if group.len() > 2 { None } else { key_cols.iter().map(Column::as_i64_slice).collect() };
+    let dense = ints.and_then(|ints| Some((DenseLayout::choose(&ints, n)?, ints)));
+    if let Some((layout, ints)) = dense {
+        let span = layout.span();
+        let workers = ctx.config.parallelism as u64;
+        let _ids_mem = ctx.reserve("agg.groups", workers * DenseGroupIds::bytes(span))?;
+        let slot = |row| {
+            let (a, b) = dense::key_at(&ints, row);
+            layout.slot(a, b)
+        };
+        let new_ids = || DenseGroupIds::new(span);
+        let (out, busy) = fold_groups(t, &key_cols, slot, new_ids, aggs, schema, ctx)?;
+        return Ok((out, busy, KeyPath::Dense));
+    }
+    let key = |row| key_cols.iter().map(|c| c.key_at(row)).collect::<Vec<Key>>();
+    let new_ids =
+        || -> FxHashMap<Vec<Key>, usize> { fx_map_with_capacity(ctx.config.morsel_rows / 4 + 16) };
+    let (out, busy) = fold_groups(t, &key_cols, key, new_ids, aggs, schema, ctx)?;
+    Ok((out, busy, KeyPath::Hash))
+}
+
+/// The morsel fold behind [`aggregate`]: each morsel assigns local group
+/// ids through a group-id table (reused across morsels, forgetting the
+/// groups it opened) and records each local group's first row; the merge
+/// re-keys those rows in morsel order.
+fn fold_groups<K, M: GroupIds<K> + Send>(
+    t: &Table,
+    key_cols: &[Column],
+    key: impl Fn(usize) -> K + Sync,
+    new_ids: impl Fn() -> M + Sync,
+    aggs: &[AggExpr],
+    schema: &Schema,
+    ctx: &ExecContext<'_>,
+) -> Result<(Table, Duration)> {
+    let tables: Mutex<Vec<M>> = Mutex::new(Vec::new());
+    let take = || {
+        let pooled = tables.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        pooled.unwrap_or_else(&new_ids)
+    };
 
     let ranges = morsels(ctx.config, t.num_rows());
     let parts = taskpool::try_run_ranges(ctx.config.parallelism, &ranges, |range| {
@@ -215,92 +252,81 @@ pub(crate) fn aggregate(
         let t0 = morsel_t0(ctx);
         let start = Instant::now();
         let morsel = t.slice(range.clone());
-        let n = morsel.num_rows();
-        let key_cols: Vec<Column> =
-            group.iter().map(|e| e.eval(&morsel, &ctx.eval_ctx())).collect::<Result<_>>()?;
         let arg_cols: Vec<Option<Column>> = aggs
             .iter()
             .map(|a| a.arg.as_ref().map(|e| e.eval(&morsel, &ctx.eval_ctx())).transpose())
             .collect::<Result<_>>()?;
-
-        let mut ids: FxHashMap<Vec<Key>, usize> = fx_map_with_capacity(n / 4 + 16);
-        let mut local = MorselAgg { keys: Vec::new(), firsts: Vec::new(), accs: Vec::new() };
-        for row in 0..n {
-            let key: Vec<Key> = key_cols.iter().map(|c| c.key_at(row)).collect();
-            let next = local.keys.len();
-            let id = *ids.entry(key.clone()).or_insert_with(|| {
-                local.keys.push(key);
-                local.firsts.push(key_cols.iter().map(|c| c.value(row)).collect());
-                local.accs.push(
+        let mut ids = take();
+        let (mut firsts, mut accs): (Vec<usize>, Vec<Vec<Acc>>) = (Vec::new(), Vec::new());
+        for (i, row) in range.clone().enumerate() {
+            let id = ids.id(key(row), firsts.len());
+            if id == firsts.len() {
+                firsts.push(row);
+                accs.push(
                     aggs.iter()
                         .zip(&arg_cols)
                         .map(|(a, c)| Acc::new(a, c.as_ref().map(Column::data_type)))
                         .collect(),
                 );
-                next
-            });
-            for (ai, col) in arg_cols.iter().enumerate() {
-                let v = col.as_ref().map(|c| c.value(row));
-                local.accs[id][ai].update(v.as_ref())?;
+            }
+            for (acc, col) in accs[id].iter_mut().zip(&arg_cols) {
+                acc.update(col.as_ref().map(|c| c.value(i)).as_ref())?;
             }
         }
+        for &row in &firsts {
+            ids.forget(key(row));
+        }
+        tables.lock().unwrap_or_else(PoisonError::into_inner).push(ids);
         let elapsed = start.elapsed();
-        note_morsel(ctx, &range, t0, local.keys.len() as u64);
-        Ok::<_, crate::error::Error>((local, elapsed))
+        note_morsel(ctx, &range, t0, firsts.len() as u64);
+        Ok::<_, crate::error::Error>((firsts, accs, elapsed))
     })?;
 
     // Merge partials in morsel order.
     let _group_mem = ctx.reserve(
         "agg.groups",
         super::group_state_bytes(
-            parts.iter().map(|p| p.as_ref().map_or(0, |(local, _)| local.keys.len())).sum(),
+            parts.iter().map(|p| p.as_ref().map_or(0, |(firsts, _, _)| firsts.len())).sum(),
             aggs.len(),
         ),
     )?;
     let mut busy = Duration::ZERO;
-    let mut ids: FxHashMap<Vec<Key>, usize> = FxHashMap::default();
-    let mut firsts: Vec<Vec<Value>> = Vec::new();
-    let mut accs: Vec<Vec<Acc>> = Vec::new();
+    let mut ids = take();
+    let (mut firsts, mut accs): (Vec<usize>, Vec<Vec<Acc>>) = (Vec::new(), Vec::new());
     for part in parts {
-        let (local, elapsed) = part?;
+        let (local_firsts, local_accs, elapsed) = part?;
         busy += elapsed;
-        for ((key, first), local_accs) in local.keys.into_iter().zip(local.firsts).zip(local.accs) {
-            match ids.get(&key) {
-                Some(&gid) => {
-                    for (acc, partial) in accs[gid].iter_mut().zip(local_accs) {
-                        acc.merge(partial)?;
-                    }
-                }
-                None => {
-                    ids.insert(key, firsts.len());
-                    firsts.push(first);
-                    accs.push(local_accs);
+        for (row, partials) in local_firsts.into_iter().zip(local_accs) {
+            let gid = ids.id(key(row), firsts.len());
+            if gid == firsts.len() {
+                firsts.push(row);
+                accs.push(partials);
+            } else {
+                for (acc, partial) in accs[gid].iter_mut().zip(partials) {
+                    acc.merge(partial)?;
                 }
             }
         }
     }
     // Global aggregate over empty input: one group of empty accumulators
     // (argument types default from the aggregate's output field).
-    if group.is_empty() && accs.is_empty() {
-        firsts.push(Vec::new());
+    if key_cols.is_empty() && accs.is_empty() {
+        firsts.push(usize::MAX);
         accs.push(
-            aggs.iter()
-                .zip(schema.fields().iter().skip(group.len()))
-                .map(|(a, f)| Acc::new(a, Some(f.data_type)))
-                .collect(),
+            aggs.iter().zip(schema.fields()).map(|(a, f)| Acc::new(a, Some(f.data_type))).collect(),
         );
     }
 
     // Emit, mirroring the serial path.
     let mut cols: Vec<Column> =
         schema.fields().iter().map(|f| Column::empty(f.data_type)).collect();
-    for (g, first) in firsts.iter().enumerate() {
-        for (ki, v) in first.iter().enumerate() {
-            cols[ki].push(v.clone())?;
+    for (&row, group_accs) in firsts.iter().zip(&accs) {
+        for (ki, key_col) in key_cols.iter().enumerate() {
+            cols[ki].push(key_col.value(row))?;
         }
-        for (ai, acc) in accs[g].iter().enumerate() {
-            let field = schema.field(group.len() + ai);
-            cols[group.len() + ai].push(acc.finish(field.data_type))?;
+        for (ai, acc) in group_accs.iter().enumerate() {
+            let field = schema.field(key_cols.len() + ai);
+            cols[key_cols.len() + ai].push(acc.finish(field.data_type))?;
         }
     }
     Ok((Table::new(schema.clone(), cols)?, busy))

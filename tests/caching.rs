@@ -266,3 +266,56 @@ fn inference_cache_stays_correct_under_tiny_capacity() {
     let value_type = reference.table.column(0).value(0);
     assert!(!matches!(value_type, Value::Blob(_)), "sanity: output is scalar");
 }
+
+#[test]
+fn memo_keeps_warm_hits_while_rows_exist_and_never_pins_deleted_keyframes() {
+    let repo = build_repo(&repo_config());
+    let sql = workload::queries::template(QueryType::Type1, 0.2, "").sql;
+    let db = collab_db(1);
+    let engine = CollabEngine::new(Arc::clone(&db), Arc::clone(&repo));
+    engine.set_inference_cache_capacity(4096);
+    let blob_at = |row: usize| match db.catalog().table("video").unwrap().column_by_name("keyframe")
+    {
+        Ok(col) => match col.value(row) {
+            Value::Blob(b) => b,
+            other => panic!("keyframe is {other:?}"),
+        },
+        Err(e) => panic!("{e}"),
+    };
+    for kind in StrategyKind::all() {
+        let cold = engine.execute(&sql, kind).unwrap();
+        let hits = engine.inference_cache().stats().hits;
+        let warm = engine.execute(&sql, kind).unwrap();
+        assert_tables_identical(&cold.table, &warm.table, kind.label());
+        assert!(engine.inference_cache().stats().hits > hits, "{}: warm run missed", kind.label());
+    }
+    assert!(!engine.inference_cache().is_empty());
+
+    // Delete the keyframes: replace the video table with copies of the same
+    // bytes in fresh allocations. The memo must not keep the old ones alive.
+    let old: Vec<std::sync::Weak<Vec<u8>>> = {
+        let n = db.catalog().table("video").unwrap().num_rows();
+        (0..n).map(|row| Arc::downgrade(&blob_at(row))).collect()
+    };
+    let video = db.catalog().table("video").unwrap();
+    let cols: Vec<minidb::Column> = (0..video.num_columns())
+        .map(|c| match video.column(c) {
+            minidb::Column::Blob(v) => {
+                minidb::Column::Blob(v.iter().map(|b| Arc::new(b.as_ref().clone())).collect())
+            }
+            other => other.clone(),
+        })
+        .collect();
+    let fresh = minidb::Table::new(video.schema().clone(), cols).unwrap();
+    drop(video);
+    db.catalog().create_table("video", fresh, true).unwrap();
+    assert!(old.iter().all(|w| w.strong_count() == 0), "memoized keys pinned deleted keyframes");
+
+    // The same bytes in new rows are scored afresh, with the same answers.
+    let reference = CollabEngine::new(collab_db(1), Arc::clone(&repo));
+    for kind in StrategyKind::all() {
+        let got = engine.execute(&sql, kind).unwrap();
+        let want = reference.execute(&sql, kind).unwrap();
+        assert_tables_identical(&want.table, &got.table, kind.label());
+    }
+}

@@ -215,6 +215,57 @@ fn compiled_conv_sql_triggers_the_rewrite() {
     assert!(loops >= 1, "compiled conv SQL did not trigger the fused operator");
 }
 
+#[test]
+fn compiled_student_and_resnet_are_bit_identical_fused_and_unfused_at_every_parallelism() {
+    // The real DL2SQL programs — conv joins on OrderID, group-bys on
+    // (KernelID, MatrixID), BN and pooling group-bys — with and without
+    // fusion, serially and over 64-row morsels. Float sums depend on the
+    // morsel decomposition, never on the worker count or on fusion: the
+    // serial runs agree to the bit, so do p = 2 and p = 8 under either
+    // plan, and every run matches neuro's forward pass.
+    let shape = [1usize, 8, 8];
+    let input = workload::dataset::keyframe(&shape, 5, 0);
+    let models =
+        [neuro::zoo::student(shape.to_vec(), 3, 5), neuro::zoo::resnet(4, shape.to_vec(), 3, 7)];
+    for model in &models {
+        let native = model.forward(&input).expect("native forward");
+        let mut bits: HashMap<(usize, bool), Vec<u64>> = HashMap::new();
+        for parallelism in [1usize, 2, 8] {
+            for fuse in [true, false] {
+                let ctx = format!("{} p={parallelism} fuse={fuse}", model.name);
+                let db = Arc::new(
+                    Database::builder()
+                        .exec_config(minidb::exec::ExecConfig {
+                            parallelism,
+                            morsel_rows: 64,
+                            min_parallel_rows: 0,
+                            ..Default::default()
+                        })
+                        .optimizer_config(OptimizerConfig {
+                            fuse_join_aggregates: fuse,
+                            ..Default::default()
+                        })
+                        .build(),
+                );
+                let registry = dl2sql::NeuralRegistry::shared();
+                let compiled = Arc::new(dl2sql::compile_model(&db, &registry, model).unwrap());
+                let runner = dl2sql::Runner::new(Arc::clone(&db), registry, compiled).unwrap();
+                let probs =
+                    runner.infer(&input).unwrap_or_else(|e| panic!("{ctx}: {e}")).probabilities;
+                for (p, n) in probs.iter().zip(native.data()) {
+                    assert!((p - *n as f64).abs() <= 1e-3, "{ctx}: {p} vs native {n}");
+                }
+                bits.insert((parallelism, fuse), probs.iter().map(|p| p.to_bits()).collect());
+            }
+        }
+        let name = &model.name;
+        assert_eq!(bits[&(1, true)], bits[&(1, false)], "{name}: serial fused vs unfused");
+        for fuse in [true, false] {
+            assert_eq!(bits[&(2, fuse)], bits[&(8, fuse)], "{name} fuse={fuse}: p=2 vs p=8");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // All four collaboration strategies, fused vs. forced-unfused
 // ---------------------------------------------------------------------------
