@@ -10,9 +10,8 @@
 
 use std::sync::Arc;
 
-use collab::independent::DlServer;
 use collab::loose::LooseUdf;
-use collab::metrics::{project_to_device_with, InferenceMeter};
+use collab::metrics::project_to_device_with;
 use collab::Strategy;
 use neuro::DeviceProfile;
 use workload::queries::template;
@@ -31,8 +30,6 @@ fn main() {
         patterns: config.patterns,
         ..Default::default()
     });
-    let meter = InferenceMeter::shared();
-    let _server = DlServer::start(Arc::clone(&repo), Arc::clone(&meter));
 
     // A Type-3 query whose UDF filter runs over every video row under the
     // stock (hint-free) optimizer — the worst case for per-row calls.
@@ -43,8 +40,8 @@ fn main() {
         &["Variant", "host ms", "server CPU", "server GPU", "round trips"],
     );
     for (label, strategy) in [
-        ("row-at-a-time", LooseUdf::new(Arc::clone(&db), Arc::clone(&repo), Arc::clone(&meter))),
-        ("batched", LooseUdf::new_batched(Arc::clone(&db), Arc::clone(&repo), Arc::clone(&meter))),
+        ("row-at-a-time", LooseUdf::new(Arc::clone(&db), Arc::clone(&repo))),
+        ("batched", LooseUdf::new_batched(Arc::clone(&db), Arc::clone(&repo))),
     ] {
         let out = strategy.execute(&spec.sql).expect("strategy runs");
         let cpu = project_to_device_with(

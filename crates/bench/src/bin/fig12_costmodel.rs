@@ -44,7 +44,7 @@ fn measure(db: &Arc<Database>, registry: &Arc<NeuralRegistry>, model: &Model) ->
     let compiled = compile_model(db, registry, model).expect("conv model compiles");
     // Stage the input and materialize the feature map (the Reshape step).
     let input = Tensor::full(model.input_shape.clone(), 0.5);
-    dl2sql::storage::load_state_table(db, registry, &compiled.input_table, &input)
+    dl2sql::storage::load_state_table(db, db.catalog(), registry, &compiled.input_table, &input)
         .expect("input stages");
     for stmt in &compiled.steps[0].statements {
         db.execute(stmt).expect("staging runs");

@@ -24,7 +24,7 @@ fn main() {
 
     // Materialize the whole pipeline once so every step's inputs exist.
     let input = Tensor::full(vec![1, 16, 16], 0.5);
-    dl2sql::storage::load_state_table(&db, &registry, &compiled.input_table, &input)
+    dl2sql::storage::load_state_table(&db, db.catalog(), &registry, &compiled.input_table, &input)
         .expect("input stages");
     for step in &compiled.steps {
         for stmt in &step.statements {

@@ -14,7 +14,7 @@ use crate::cache::InferenceCache;
 use crate::error::Result;
 use crate::independent::{DlServer, Independent};
 use crate::loose::LooseUdf;
-use crate::metrics::{CacheActivity, InferenceMeter, StrategyOutcome};
+use crate::metrics::{CacheActivity, StrategyOutcome};
 use crate::nudf::{ModelRepo, NudfSpec};
 use crate::tight::Tight;
 use crate::Strategy;
@@ -57,13 +57,14 @@ impl StrategyKind {
 
 /// Shared execution environment for collaborative queries.
 ///
-/// Strategy executions are sequential: each one (re)binds the nUDF names
-/// in the shared database to its own implementation before running.
+/// Any number of queries, under any mix of strategies, may run at once:
+/// each query binds its nUDFs, plans under its strategy's settings and
+/// meters its inference in a session and meter of its own, and never
+/// writes database-wide state.
 pub struct CollabEngine {
     db: Arc<Database>,
     repo: Arc<ModelRepo>,
     registry: Arc<NeuralRegistry>,
-    meter: Arc<InferenceMeter>,
     server: Arc<DlServer>,
     /// nUDF result memoization, shared by all four strategies. Disabled
     /// (capacity 0) by default so the Fig. 8 harnesses keep measuring
@@ -112,13 +113,11 @@ impl CollabEngine {
     /// paths — on the same number of workers as the SQL executor.
     pub fn new(db: Arc<Database>, repo: Arc<ModelRepo>) -> Self {
         taskpool::set_default_parallelism(db.exec_config().parallelism);
-        let meter = InferenceMeter::shared();
-        let server = Arc::new(DlServer::start(Arc::clone(&repo), Arc::clone(&meter)));
+        let server = Arc::new(DlServer::start(Arc::clone(&repo)));
         CollabEngine {
             db,
             repo,
             registry: NeuralRegistry::shared(),
-            meter,
             server,
             inference_cache: Arc::new(InferenceCache::new(0)),
             artifact_cache: Arc::new(ArtifactCache::new(0)),
@@ -223,25 +222,19 @@ impl CollabEngine {
                     Arc::clone(&self.db),
                     Arc::clone(&self.repo),
                     Arc::clone(&self.server),
-                    Arc::clone(&self.meter),
                 )
                 .with_inference_cache(Arc::clone(&self.inference_cache))
                 .with_retry_policy(self.retry_policy()),
             ),
             StrategyKind::LooseUdf => Box::new(
-                LooseUdf::new(
-                    Arc::clone(&self.db),
-                    Arc::clone(&self.repo),
-                    Arc::clone(&self.meter),
-                )
-                .with_inference_cache(Arc::clone(&self.inference_cache)),
+                LooseUdf::new(Arc::clone(&self.db), Arc::clone(&self.repo))
+                    .with_inference_cache(Arc::clone(&self.inference_cache)),
             ),
             StrategyKind::Tight => Box::new(
                 Tight::new(
                     Arc::clone(&self.db),
                     Arc::clone(&self.repo),
                     Arc::clone(&self.registry),
-                    Arc::clone(&self.meter),
                     false,
                 )
                 .with_caches(Arc::clone(&self.inference_cache), Arc::clone(&self.artifact_cache)),
@@ -251,7 +244,6 @@ impl CollabEngine {
                     Arc::clone(&self.db),
                     Arc::clone(&self.repo),
                     Arc::clone(&self.registry),
-                    Arc::clone(&self.meter),
                     true,
                 )
                 .with_caches(Arc::clone(&self.inference_cache), Arc::clone(&self.artifact_cache)),

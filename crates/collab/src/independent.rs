@@ -14,16 +14,16 @@
 //!    database, also projecting every nUDF argument,
 //! 2. ship argument blobs to the DL server, get predictions back,
 //! 3. materialize an intermediate table (base columns + one `__nudf_i`
-//!    column per call) back into the database,
+//!    column per call) back into the database, as a `TEMP` table of the
+//!    query's own session,
 //! 4. run the original query, rewritten over the intermediate table with
 //!    nUDF calls replaced by their prediction columns.
 
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{bounded, Sender};
 use minidb::sql::ast::{Expr, FromItem, Query, SelectItem, TableFactor};
 use minidb::{Column, Database, Field, Schema, Table};
 use neuro::serialize::tensor_from_bytes;
@@ -41,29 +41,27 @@ use crate::Strategy;
 
 struct InferRequest {
     nudf: String,
-    payload: Bytes,
-    reply: Sender<Result<InferResponse>>,
-}
-
-struct InferResponse {
-    /// One `u32` class id per input tensor.
-    payload: Bytes,
+    payload: Arc<[u8]>,
+    /// The requesting query's meter: the server charges its work there.
+    meter: Arc<InferenceMeter>,
+    /// Receives the serialized predictions: one `u32` class id per input.
+    reply: SyncSender<Result<Vec<u8>>>,
 }
 
 /// The model-serving process: a thread that owns the model repository's
 /// inference side and communicates only via serialized messages.
 pub struct DlServer {
-    tx: Sender<InferRequest>,
+    tx: SyncSender<InferRequest>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl DlServer {
     /// Spawns the serving thread.
-    pub fn start(repo: Arc<ModelRepo>, meter: Arc<InferenceMeter>) -> Self {
-        let (tx, rx) = bounded::<InferRequest>(16);
+    pub fn start(repo: Arc<ModelRepo>) -> Self {
+        let (tx, rx) = sync_channel::<InferRequest>(16);
         let handle = std::thread::spawn(move || {
             while let Ok(req) = rx.recv() {
-                let result = serve(&repo, &meter, &req.nudf, &req.payload);
+                let result = serve(&repo, &req.meter, &req.nudf, &req.payload);
                 // A dropped reply receiver just means the client gave up.
                 let _ = req.reply.send(result);
             }
@@ -78,21 +76,23 @@ impl DlServer {
     fn infer(
         &self,
         nudf: &str,
-        payload: Bytes,
+        payload: Arc<[u8]>,
+        meter: &Arc<InferenceMeter>,
         timeout: Option<Duration>,
-    ) -> Result<InferResponse> {
+    ) -> Result<Vec<u8>> {
         govern::failpoints::fire("independent.transfer")
             .map_err(|f| Error::Channel(format!("injected transfer fault: {f:?}")))?;
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
+        let meter = Arc::clone(meter);
         self.tx
-            .send(InferRequest { nudf: nudf.to_string(), payload, reply: reply_tx })
+            .send(InferRequest { nudf: nudf.to_string(), payload, meter, reply: reply_tx })
             .map_err(|_| Error::Channel("DL server is down".into()))?;
         match timeout {
             Some(limit) => reply_rx.recv_timeout(limit).map_err(|e| match e {
-                crossbeam::channel::RecvTimeoutError::Timeout => {
+                RecvTimeoutError::Timeout => {
                     Error::Channel(format!("transfer timed out after {limit:?}"))
                 }
-                crossbeam::channel::RecvTimeoutError::Disconnected => {
+                RecvTimeoutError::Disconnected => {
                     Error::Channel("DL server dropped the request".into())
                 }
             })?,
@@ -106,7 +106,7 @@ impl DlServer {
 impl Drop for DlServer {
     fn drop(&mut self) {
         // Closing the channel stops the loop.
-        let (tx, _) = bounded(1);
+        let (tx, _) = sync_channel(1);
         let _ = std::mem::replace(&mut self.tx, tx);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
@@ -114,12 +114,7 @@ impl Drop for DlServer {
     }
 }
 
-fn serve(
-    repo: &ModelRepo,
-    meter: &InferenceMeter,
-    nudf: &str,
-    payload: &[u8],
-) -> Result<InferResponse> {
+fn serve(repo: &ModelRepo, meter: &InferenceMeter, nudf: &str, payload: &[u8]) -> Result<Vec<u8>> {
     let spec = repo.require(nudf)?;
     // Deserialize the batch. A leading flag byte says whether each item
     // carries a model-selection condition (paper Type 3).
@@ -171,12 +166,12 @@ fn serve(
     .collect::<std::result::Result<Vec<usize>, _>>()?;
     meter.add(t0.elapsed());
     // Serialize predictions.
-    let mut out = BytesMut::with_capacity(4 + 4 * classes.len());
-    out.put_u32_le(classes.len() as u32);
+    let mut out = Vec::with_capacity(4 + 4 * classes.len());
+    out.extend_from_slice(&(classes.len() as u32).to_le_bytes());
     for c in classes {
-        out.put_u32_le(c as u32);
+        out.extend_from_slice(&(c as u32).to_le_bytes());
     }
-    Ok(InferResponse { payload: out.freeze() })
+    Ok(out)
 }
 
 fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
@@ -199,25 +194,18 @@ pub struct Independent {
     db: Arc<Database>,
     repo: Arc<ModelRepo>,
     server: Arc<DlServer>,
-    meter: Arc<InferenceMeter>,
     inference: Arc<InferenceCache>,
     retry: govern::RetryPolicy,
 }
 
 impl Independent {
     /// Builds the strategy over a shared database, repository and serving
-    /// thread. `meter` must be the one the server was started with.
-    pub fn new(
-        db: Arc<Database>,
-        repo: Arc<ModelRepo>,
-        server: Arc<DlServer>,
-        meter: Arc<InferenceMeter>,
-    ) -> Self {
+    /// thread.
+    pub fn new(db: Arc<Database>, repo: Arc<ModelRepo>, server: Arc<DlServer>) -> Self {
         Independent {
             db,
             repo,
             server,
-            meter,
             inference: Arc::new(InferenceCache::new(0)),
             retry: govern::RetryPolicy::default(),
         }
@@ -241,14 +229,19 @@ impl Independent {
     /// retried with exponential backoff under the policy's per-call
     /// timeout; anything else propagates immediately. Returns the reply
     /// and how many retries it took.
-    fn transfer(&self, nudf: &str, payload: &Bytes) -> Result<(InferResponse, u32)> {
+    fn transfer(
+        &self,
+        nudf: &str,
+        payload: &Arc<[u8]>,
+        meter: &Arc<InferenceMeter>,
+    ) -> Result<(Vec<u8>, u32)> {
         let attempts = self.retry.max_attempts.max(1);
         let mut last: Option<Error> = None;
         for attempt in 0..attempts {
             if attempt > 0 {
                 std::thread::sleep(self.retry.delay(attempt - 1));
             }
-            match self.server.infer(nudf, payload.clone(), self.retry.call_timeout) {
+            match self.server.infer(nudf, Arc::clone(payload), meter, self.retry.call_timeout) {
                 Ok(resp) => return Ok((resp, attempt)),
                 // Channel-level failures (server hiccup, per-call timeout,
                 // injected fault) are the transient class worth retrying.
@@ -260,21 +253,6 @@ impl Independent {
             attempts,
             last: last.map(|e| e.to_string()).unwrap_or_default(),
         }))
-    }
-}
-
-/// Drops the intermediate table when the coordinator unwinds early, so an
-/// errored or canceled query never leaks `__indep_base` into the catalog.
-struct IntermediateGuard<'a> {
-    db: &'a Database,
-    armed: bool,
-}
-
-impl Drop for IntermediateGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let _ = self.db.catalog().drop_table(INTERMEDIATE_TABLE, true);
-        }
     }
 }
 
@@ -391,7 +369,10 @@ impl Strategy for Independent {
     }
 
     fn execute_query(&self, q: &Query) -> Result<StrategyOutcome> {
-        self.meter.reset();
+        let meter = InferenceMeter::shared();
+        // The intermediate table is a TEMP table of this session: private
+        // to the query and dropped with it, however the query ends.
+        let session = self.db.session();
         let mut loading = Duration::ZERO;
         let mut relational = Duration::ZERO;
         let mut transfer_retries = 0u32;
@@ -416,8 +397,7 @@ impl Strategy for Independent {
                     "the coordinator supports plain table references only".into(),
                 ));
             };
-            let table = self
-                .db
+            let table = session
                 .catalog()
                 .table(name)
                 .ok_or_else(|| Error::Db(minidb::Error::NotFound(format!("table '{name}'"))))?;
@@ -475,7 +455,7 @@ impl Strategy for Independent {
             limit: None,
         };
         let t0 = Instant::now();
-        let base = self.db.run_query(&base_query)?;
+        let base = session.run_query(&base_query)?;
         relational += t0.elapsed();
 
         // ---- phase 2: Q_learning (cross-system) ------------------------
@@ -568,7 +548,7 @@ impl Strategy for Independent {
                     order_by: vec![],
                     limit: None,
                 };
-                let work = self.db.run_query(&learning_query)?;
+                let work = session.run_query(&learning_query)?;
                 let work_col = work.column_by_name("__arg")?;
                 for row in 0..work.num_rows() {
                     push_item(work_col.value(row), None)?;
@@ -607,36 +587,35 @@ impl Strategy for Independent {
                 let t_model = Instant::now();
                 let script = neuro::serialize::save_model(&spec.model);
                 let _loaded = neuro::serialize::load_model(&script)?;
-                self.meter.add_cross_bytes(script.len() as u64);
+                meter.add_cross_bytes(script.len() as u64);
                 loading += t_model.elapsed();
 
                 // Serialize the work list (loading: data transformation +
                 // cross-system I/O). Keyframe blobs already hold the tensor
                 // wire format; conditions travel as raw f64 bits.
                 let t_ser = Instant::now();
-                let mut payload = BytesMut::new();
-                payload.put_u8(conditional as u8);
-                payload.put_u32_le(misses.len() as u32);
+                let mut payload = vec![conditional as u8];
+                payload.extend_from_slice(&(misses.len() as u32).to_le_bytes());
                 for (blob, cond) in &misses {
-                    payload.put_u32_le(blob.len() as u32);
+                    payload.extend_from_slice(&(blob.len() as u32).to_le_bytes());
                     payload.extend_from_slice(blob);
                     if let Some(c) = cond {
-                        payload.put_u64_le(c.to_bits());
+                        payload.extend_from_slice(&c.to_bits().to_le_bytes());
                     }
                 }
-                let payload = payload.freeze();
+                let payload: Arc<[u8]> = payload.into();
                 let request_bytes = payload.len();
                 loading += t_ser.elapsed();
 
-                let (response, retries) = self.transfer(name, &payload)?;
+                let (response, retries) = self.transfer(name, &payload, &meter)?;
                 transfer_retries += retries;
-                self.meter.add_cross_bytes((request_bytes + response.payload.len()) as u64);
+                meter.add_cross_bytes((request_bytes + response.len()) as u64);
 
                 // Decode predictions and key them by their (keyframe,
                 // condition) item (loading).
                 let t_de = Instant::now();
                 let mut pos = 0usize;
-                let count = read_u32(&response.payload, &mut pos)? as usize;
+                let count = read_u32(&response, &mut pos)? as usize;
                 if count != misses.len() {
                     return Err(Error::Channel(format!(
                         "server returned {count} predictions for {} items",
@@ -644,7 +623,7 @@ impl Strategy for Independent {
                     )));
                 }
                 for (blob, cond) in &misses {
-                    let class = read_u32(&response.payload, &mut pos)? as usize;
+                    let class = read_u32(&response, &mut pos)? as usize;
                     let value = spec.output.to_value(class);
                     if generation.is_some() {
                         self.inference.insert(cache_key(blob, *cond), value.clone());
@@ -686,8 +665,7 @@ impl Strategy for Independent {
             columns.push(col);
         }
         let intermediate = Table::new(Schema::new(fields), columns)?;
-        self.db.catalog().create_table(INTERMEDIATE_TABLE, intermediate, true)?;
-        let mut guard = IntermediateGuard { db: &self.db, armed: true };
+        session.catalog().create_table(INTERMEDIATE_TABLE, intermediate, true)?;
         loading += t_mat.elapsed();
 
         // ---- phase 4: the rewritten final query --------------------------
@@ -740,21 +718,15 @@ impl Strategy for Independent {
             limit: q.limit,
         };
         let t_final = Instant::now();
-        let table = self.db.run_query(&final_query)?;
+        let table = session.run_query(&final_query)?;
         relational += t_final.elapsed();
-
-        // Cleanup of the intermediate (coordination overhead).
-        let t_drop = Instant::now();
-        guard.armed = false;
-        self.db.catalog().drop_table(INTERMEDIATE_TABLE, true)?;
-        loading += t_drop.elapsed();
 
         Ok(StrategyOutcome {
             cache: crate::metrics::CacheActivity::default(),
             trace: None,
             table,
-            breakdown: CostBreakdown { loading, inference: self.meter.total(), relational },
-            sim: self.meter.summary(),
+            breakdown: CostBreakdown { loading, inference: meter.total(), relational },
+            sim: meter.summary(),
             governance: crate::metrics::GovernanceActivity {
                 retries: transfer_retries,
                 fell_back_from: None,

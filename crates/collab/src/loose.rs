@@ -6,7 +6,9 @@
 //! UDF. The whole collaborative query then runs inside the database — no
 //! cross-system I/O — but the UDF is a *black box*: it carries no
 //! selectivity or cost metadata, so the optimizer can neither reorder it
-//! intelligently nor estimate it (paper Table III).
+//! intelligently nor estimate it (paper Table III). Each query binds its
+//! UDFs in a session of its own and plans under the database's settings
+//! (by default the stock optimizer: no UDF hints, no customized model).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,7 +27,6 @@ use crate::Strategy;
 pub struct LooseUdf {
     db: Arc<Database>,
     repo: Arc<ModelRepo>,
-    meter: Arc<InferenceMeter>,
     batched: bool,
     inference: Arc<InferenceCache>,
 }
@@ -33,20 +34,16 @@ pub struct LooseUdf {
 impl LooseUdf {
     /// Builds the strategy over the shared database and repository
     /// (row-at-a-time UDFs, like a stock ClickHouse scalar UDF).
-    pub fn new(db: Arc<Database>, repo: Arc<ModelRepo>, meter: Arc<InferenceMeter>) -> Self {
-        LooseUdf { db, repo, meter, batched: false, inference: Arc::new(InferenceCache::new(0)) }
+    pub fn new(db: Arc<Database>, repo: Arc<ModelRepo>) -> Self {
+        LooseUdf { db, repo, batched: false, inference: Arc::new(InferenceCache::new(0)) }
     }
 
     /// A variant registering *vectorized* UDFs: the whole keyframe column
     /// is fed to the model in one call ("nUDF is performed in a batch
     /// manner"), amortizing per-call overhead and the host↔device round
     /// trip. Used by the batched-UDF ablation harness.
-    pub fn new_batched(
-        db: Arc<Database>,
-        repo: Arc<ModelRepo>,
-        meter: Arc<InferenceMeter>,
-    ) -> Self {
-        LooseUdf { db, repo, meter, batched: true, inference: Arc::new(InferenceCache::new(0)) }
+    pub fn new_batched(db: Arc<Database>, repo: Arc<ModelRepo>) -> Self {
+        LooseUdf { db, repo, batched: true, inference: Arc::new(InferenceCache::new(0)) }
     }
 
     /// Attaches a shared result-memoization cache. A memoized row skips
@@ -63,7 +60,8 @@ impl Strategy for LooseUdf {
     }
 
     fn execute_query(&self, q: &Query) -> Result<StrategyOutcome> {
-        self.meter.reset();
+        let meter = InferenceMeter::shared();
+        let session = self.db.session();
         let calls = nudf_calls_in_query(q, &self.repo);
 
         // ---- loading: compile → binary → load → register ---------------
@@ -79,7 +77,7 @@ impl Strategy for LooseUdf {
                 let binary = neuro::serialize::compile_udf_binary(m);
                 // Linking the binary moves the weights onto the inference
                 // device once per query.
-                self.meter.clock.charge_transfer(binary.len() as u64);
+                meter.clock.charge_transfer(binary.len() as u64);
                 Ok(Arc::new(neuro::serialize::load_udf_binary(&binary)?))
             };
             // Rebuild the spec around the compiled binaries, so model
@@ -98,7 +96,7 @@ impl Strategy for LooseUdf {
             }
             let compiled = Arc::new(compiled);
 
-            let meter = Arc::clone(&self.meter);
+            let row_meter = Arc::clone(&meter);
             let row_spec = Arc::clone(&compiled);
             let memo = Arc::clone(&self.inference);
             let generation = self.repo.generation(&spec.name);
@@ -121,12 +119,12 @@ impl Strategy for LooseUdf {
                     };
                     // Row-at-a-time UDF inference: every call is a
                     // synchronous round trip to the inference device.
-                    meter.clock.charge_round_trip();
+                    row_meter.clock.charge_round_trip();
                     let t = Instant::now();
                     let out = row_spec
-                        .invoke_with_condition(&args[0], condition, Some(&meter.clock))
+                        .invoke_with_condition(&args[0], condition, Some(&row_meter.clock))
                         .map_err(|e| minidb::Error::Exec(e.to_string()))?;
-                    meter.add(t.elapsed());
+                    row_meter.add(t.elapsed());
                     if let Some(key) = key {
                         memo.insert(key, out.clone());
                     }
@@ -134,7 +132,7 @@ impl Strategy for LooseUdf {
                 },
             );
             if self.batched {
-                let meter = Arc::clone(&self.meter);
+                let meter = Arc::clone(&meter);
                 let batch_spec = Arc::clone(&compiled);
                 let memo = Arc::clone(&self.inference);
                 let output = spec.output.clone();
@@ -188,24 +186,15 @@ impl Strategy for LooseUdf {
                     Ok(out)
                 });
             }
-            self.db.register_udf(udf);
+            session.bind_udf(udf);
             loading += t0.elapsed();
         }
 
-        // The stock optimizer: no UDF hints, no customized cost model. The
-        // fusion knob is sticky per database (harnesses toggle it to force
-        // the unfused join+group-by pair).
-        self.db.swap_cost_model(Arc::new(minidb::DefaultCostModel::default()));
-        self.db.swap_optimizer_config(minidb::optimizer::OptimizerConfig {
-            fuse_join_aggregates: self.db.optimizer_config().fuse_join_aggregates,
-            ..Default::default()
-        });
-
         // ---- run entirely inside the database ---------------------------
         let t_run = Instant::now();
-        let table = self.db.run_query(q)?;
+        let table = session.run_query(q)?;
         let total_run = t_run.elapsed();
-        let inference = self.meter.total();
+        let inference = meter.total();
 
         Ok(StrategyOutcome {
             cache: crate::metrics::CacheActivity::default(),
@@ -216,7 +205,7 @@ impl Strategy for LooseUdf {
                 inference,
                 relational: total_run.saturating_sub(inference),
             },
-            sim: self.meter.summary(),
+            sim: meter.summary(),
             governance: crate::metrics::GovernanceActivity::default(),
         })
     }

@@ -194,8 +194,9 @@ fn scale(d: Duration, factor: f64) -> Duration {
     Duration::from_secs_f64((d.as_secs_f64() * factor).max(0.0))
 }
 
-/// Shared accumulator the strategies thread through their nUDF closures:
-/// wall time spent inside inference, plus the simulated-work clock.
+/// One query's accumulator, which its strategy threads through the nUDF
+/// closures (and the DL server): wall time spent inside inference, plus
+/// the simulated-work clock.
 #[derive(Debug, Default)]
 pub struct InferenceMeter {
     nanos: AtomicU64,
@@ -234,13 +235,6 @@ impl InferenceMeter {
     pub fn summary(&self) -> SimSummary {
         SimSummary::from_clock(&self.clock, self.cross_bytes())
     }
-
-    /// Resets time and simulated work.
-    pub fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
-        self.cross_bytes.store(0, Ordering::Relaxed);
-        self.clock.reset();
-    }
 }
 
 #[cfg(test)]
@@ -259,15 +253,13 @@ mod tests {
     }
 
     #[test]
-    fn meter_accumulates_and_resets() {
+    fn meter_accumulates() {
         let m = InferenceMeter::shared();
         m.add(Duration::from_micros(5));
         m.add(Duration::from_micros(7));
         m.clock.charge_flops(100);
         assert_eq!(m.total(), Duration::from_micros(12));
-        m.reset();
-        assert_eq!(m.total(), Duration::ZERO);
-        assert_eq!(m.clock.flops(), 0);
+        assert_eq!(m.clock.flops(), 100);
     }
 
     #[test]

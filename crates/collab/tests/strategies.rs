@@ -274,18 +274,13 @@ fn conditional_nudf_agrees_across_strategies_and_oracle() {
 #[test]
 fn batched_loose_udf_matches_row_at_a_time() {
     use collab::loose::LooseUdf;
-    use collab::metrics::InferenceMeter;
     use collab::Strategy;
     let db = build_db();
     let repo = build_repo();
-    let meter = InferenceMeter::shared();
     let sql = "SELECT F.transID FROM fabric F, video V \
                WHERE F.transID = V.transID and nUDF_detect(V.keyframe) = TRUE ORDER BY F.transID";
-    let row_wise =
-        LooseUdf::new(Arc::clone(&db), Arc::clone(&repo), Arc::clone(&meter)).execute(sql).unwrap();
-    let batched = LooseUdf::new_batched(Arc::clone(&db), Arc::clone(&repo), Arc::clone(&meter))
-        .execute(sql)
-        .unwrap();
+    let row_wise = LooseUdf::new(Arc::clone(&db), Arc::clone(&repo)).execute(sql).unwrap();
+    let batched = LooseUdf::new_batched(Arc::clone(&db), Arc::clone(&repo)).execute(sql).unwrap();
     assert_eq!(canonical(&row_wise.table), canonical(&batched.table));
     // Batching collapses the per-row round trips.
     assert_eq!(batched.sim.round_trips, 1);

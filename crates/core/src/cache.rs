@@ -108,8 +108,9 @@ impl ArtifactCache {
     }
 
     /// Explicitly invalidates every cached compilation of `model` (all
-    /// strategies): entries are removed, their persistent tables dropped
+    /// strategies): entries are removed, their parameter tables dropped
     /// from the database, and their roles unregistered from the registry.
+    /// The geometry-only mapping tables stay: other models may read them.
     /// Call this when the repository swaps the model behind an nUDF.
     pub fn invalidate_model(
         &self,
@@ -127,12 +128,10 @@ impl ArtifactCache {
             }
         }
         for entry in &doomed {
-            for table in &entry.compiled.persistent_tables {
+            for table in entry.compiled.parameter_tables() {
                 let _ = db.catalog().drop_table(table, true);
                 registry.unregister(table);
             }
-            let _ = db.catalog().drop_table(&entry.compiled.input_table, true);
-            let _ = db.catalog().drop_table(&entry.compiled.output_table, true);
         }
         doomed.len()
     }
@@ -213,13 +212,16 @@ mod tests {
         let (db, reg, model) = env();
         let cache = ArtifactCache::new(4);
         let r = cache.runner_for(&db, &reg, &model, PreJoinStrategy::None).unwrap();
-        let tables = r.compiled().persistent_tables.clone();
-        assert!(!tables.is_empty());
+        let tables: Vec<String> = r.compiled().parameter_tables().cloned().collect();
+        let mappings = r.compiled().mapping_tables.clone();
+        assert!(!tables.is_empty() && !mappings.is_empty());
         assert!(tables.iter().all(|t| db.catalog().table(t).is_some()));
         assert_eq!(cache.invalidate_model(&db, &reg, &model), 1);
         assert!(cache.is_empty());
         assert!(tables.iter().all(|t| db.catalog().table(t).is_none()));
         assert!(tables.iter().all(|t| reg.role(t).is_none()));
+        // Geometry-only mapping tables are shared with other models.
+        assert!(mappings.iter().all(|t| db.catalog().table(t).is_some()));
         // A later lookup recompiles cleanly.
         let r2 = cache.runner_for(&db, &reg, &model, PreJoinStrategy::None).unwrap();
         let input = neuro::Tensor::full(vec![1, 8, 8], 0.4);

@@ -12,7 +12,8 @@
 //!    and the softmax head.
 //!
 //! The program is re-runnable: each inference loads a fresh input state
-//! table and executes the same statements (temp tables are replaced).
+//! table and executes the same statements in a session of its own, whose
+//! `TEMP` tables are private to it.
 
 use std::collections::HashSet;
 
@@ -108,7 +109,9 @@ pub enum PreJoinStrategy {
 pub struct CompiledModel {
     /// The source model's name.
     pub model_name: String,
-    /// Table-name prefix for everything this compilation created.
+    /// Table-name prefix for everything this compilation created except
+    /// the mapping tables: the model's name plus a hash of its structure
+    /// and weights, so models that share a name never share tables.
     pub prefix: String,
     /// Expected input shape (`[C,H,W]`).
     pub input_shape: Vec<usize>,
@@ -128,8 +131,10 @@ pub struct CompiledModel {
     /// pooling-mapping tables. These depend only on layer *geometry*
     /// (paper: "the kernel mapping table only depends on k, W_i and s ...
     /// we generate the involved mapping tables in an offline way"), so
-    /// they are shared infrastructure rather than per-model storage; paper
-    /// Table IV's "DL2SQL" column measures the parameter tables only.
+    /// they are shared infrastructure rather than per-model storage: they
+    /// are named by their geometry, and every model with that geometry
+    /// reads the same table. Paper Table IV's "DL2SQL" column measures the
+    /// parameter tables only.
     pub mapping_tables: Vec<String>,
 }
 
@@ -181,8 +186,9 @@ pub fn compile_model(
 }
 
 /// As [`compile_model`], with an explicit pre-join strategy (paper
-/// Fig. 11). The strategy is folded into the table-name prefix so several
-/// variants of one model can coexist.
+/// Fig. 11). The model's identity (see [`CompiledModel::prefix`]) and the
+/// strategy are folded into the table-name prefix, so different models
+/// and several variants of one model can coexist in one database.
 pub fn compile_model_with_strategy(
     db: &Database,
     registry: &NeuralRegistry,
@@ -194,7 +200,8 @@ pub fn compile_model_with_strategy(
         PreJoinStrategy::FuseMapping => "_fuse",
         PreJoinStrategy::PreJoinKernel => "_prejoin",
     };
-    let prefix = format!("m_{}{suffix}", sanitize(&model.name));
+    let identity = cachekit::fnv1a(&neuro::serialize::compile_udf_binary(model));
+    let prefix = format!("m_{}_{identity:016x}{suffix}", sanitize(&model.name));
     let mut c = Compiler {
         db,
         registry,
@@ -247,6 +254,12 @@ pub fn compile_model_with_strategy(
         persistent_tables: c.persistent,
         mapping_tables: c.mappings,
     })
+}
+
+/// The name of a geometry-only mapping table (`kind` tells the row
+/// generator apart). Every model with this layer geometry shares it.
+fn geometry_table(kind: &str, g: &ConvGeom) -> String {
+    format!("m_{kind}_c{}_{}x{}_k{}_s{}_p{}", g.in_c, g.in_h, g.in_w, g.k, g.stride, g.padding)
 }
 
 fn sanitize(name: &str) -> String {
@@ -364,7 +377,7 @@ impl<'a> Compiler<'a> {
         self.counts.conv += 1;
         let n = self.counts.conv;
         let (kid, oid, val) = kernel_rows(weight)?;
-        let map = mapping_rows(&geom);
+        let map = (geometry_table("map", &geom), mapping_rows(&geom));
         self.finish_conv_like(cur, geom, map, kid, oid, val, bias, n)
     }
 
@@ -392,18 +405,19 @@ impl<'a> Compiler<'a> {
         self.counts.conv += 1;
         let n = self.counts.conv;
         let (kid, oid, val) = deconv_kernel_rows(weight)?;
-        let map = deconv_mapping_rows(&geom);
+        let map = (geometry_table("dmap", &geom), deconv_mapping_rows(&geom));
         self.finish_conv_like(cur, geom, map, kid, oid, val, bias, n)
     }
 
     /// Shared tail of conv/deconv: loads the model tables according to the
-    /// pre-join strategy and emits the staging + Q1 statements.
+    /// pre-join strategy and emits the staging + Q1 statements. `map` is
+    /// the mapping table's name and rows.
     #[allow(clippy::too_many_arguments)]
     fn finish_conv_like(
         &mut self,
         cur: String,
         geom: ConvGeom,
-        map: storage::MappingRows,
+        (map_table, map): (String, storage::MappingRows),
         kid: Vec<i64>,
         oid: Vec<i64>,
         val: Vec<f64>,
@@ -428,7 +442,6 @@ impl<'a> Compiler<'a> {
                     geom.out_c as u64,
                 )?;
                 self.persistent.push(kernel_table.clone());
-                let map_table = format!("{}_l{n}_map", self.prefix);
                 storage::load_mapping_table(self.db, self.registry, &map_table, map)?;
                 self.persistent.push(map_table.clone());
                 self.mappings.push(map_table.clone());
@@ -471,7 +484,6 @@ impl<'a> Compiler<'a> {
                     geom.out_c as u64,
                 )?;
                 self.persistent.push(kernel_table.clone());
-                let map_table = format!("{}_l{n}_map", self.prefix);
                 storage::load_mapping_table(self.db, self.registry, &map_table, map)?;
                 self.persistent.push(map_table.clone());
                 self.mappings.push(map_table.clone());
@@ -671,7 +683,7 @@ impl<'a> Compiler<'a> {
         self.counts.pool += 1;
         let n = self.counts.pool;
 
-        let map_table = format!("{}_p{n}_map", self.prefix);
+        let map_table = format!("m_pmap_{h}x{w}_k{kernel}_s{stride}");
         let (mid, tid) = pool_mapping_rows(h, w, kernel, stride)?;
         storage::load_pool_mapping_table(self.db, self.registry, &map_table, mid, tid)?;
         self.persistent.push(map_table.clone());

@@ -323,14 +323,15 @@ mod tests {
     use neuro::{zoo, Tensor};
 
     /// Builds a DB with one compiled student model and a staged input so
-    /// the conv-join SQL can be planned.
-    fn setup() -> (Database, Arc<NeuralRegistry>, String) {
+    /// the conv-join SQL can be planned; also returns the compilation.
+    fn setup() -> (Database, Arc<NeuralRegistry>, String, crate::CompiledModel) {
         let db = Database::new();
         let registry = NeuralRegistry::shared();
         let model = zoo::student(vec![1, 12, 12], 3, 77);
         let compiled = compile_model(&db, &registry, &model).unwrap();
         let input = Tensor::full(vec![1, 12, 12], 0.5);
-        storage::load_state_table(&db, &registry, &compiled.input_table, &input).unwrap();
+        storage::load_state_table(&db, db.catalog(), &registry, &compiled.input_table, &input)
+            .unwrap();
         // Materialize the first staged feature map so both join sides exist.
         for stmt in &compiled.steps[0].statements {
             db.execute(stmt).unwrap();
@@ -343,12 +344,12 @@ mod tests {
              FROM {fm} A INNER JOIN {kernel} B ON A.OrderID = B.OrderID \
              GROUP BY B.KernelID, A.MatrixID"
         );
-        (db, registry, sql)
+        (db, registry, sql, compiled)
     }
 
     #[test]
     fn customized_model_is_exact_on_the_conv_join() {
-        let (db, registry, sql) = setup();
+        let (db, registry, sql, _) = setup();
         let custom = Dl2SqlCostModel::new(registry);
         let est = db.estimate_with(&sql, &custom).unwrap();
         let actual = db.execute(&sql).unwrap().table().num_rows() as f64;
@@ -363,7 +364,7 @@ mod tests {
 
     #[test]
     fn default_model_misestimates_the_conv_join() {
-        let (db, registry, sql) = setup();
+        let (db, registry, sql, _) = setup();
         let custom = Dl2SqlCostModel::new(registry);
         // ClickHouse (the paper's deployment) has no per-column statistics.
         let default = DefaultCostModel::clickhouse_like();
@@ -383,26 +384,32 @@ mod tests {
         // Chain two conv layers through views (the paper's Q2 creates
         // views): the default model's fixed join selectivities compound,
         // the customized model stays exact.
-        let (db, registry, _) = setup();
+        let (db, registry, _, compiled) = setup();
         // Layer tables from the compiled student model.
-        let fm1 = "SELECT B.MatrixID AS MatrixID, B.OrderID AS OrderID, A.Value AS Value \
-                   FROM m_student_input A, m_student_l1_map B \
-                   WHERE A.TupleID = B.TupleID AND A.KernelID = B.KernelID";
+        let m = &compiled.prefix;
+        let [map1, map2] = [&compiled.mapping_tables[0], &compiled.mapping_tables[1]];
+        let fm1 = format!(
+            "SELECT B.MatrixID AS MatrixID, B.OrderID AS OrderID, A.Value AS Value \
+             FROM {m}_input A, {map1} B \
+             WHERE A.TupleID = B.TupleID AND A.KernelID = B.KernelID"
+        );
         db.execute(&format!("CREATE VIEW v_fm1 AS {fm1}")).unwrap();
-        db.execute(
+        db.execute(&format!(
             "CREATE VIEW v_conv1 AS SELECT B.KernelID AS KernelID, A.MatrixID AS TupleID, \
-             SUM(A.Value * B.Value) AS Value FROM v_fm1 A INNER JOIN m_student_l1_kernel B \
-             ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID",
-        )
+             SUM(A.Value * B.Value) AS Value FROM v_fm1 A INNER JOIN {m}_l1_kernel B \
+             ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID"
+        ))
         .unwrap();
-        let two_layer = "SELECT K.KernelID AS KernelID, B.MatrixID AS TupleID, \
-             SUM(A.Value * K.Value) AS Value FROM v_conv1 A, m_student_l2_map B, m_student_l2_kernel K \
+        let two_layer = format!(
+            "SELECT K.KernelID AS KernelID, B.MatrixID AS TupleID, \
+             SUM(A.Value * K.Value) AS Value FROM v_conv1 A, {map2} B, {m}_l2_kernel K \
              WHERE A.TupleID = B.TupleID AND A.KernelID = B.KernelID AND B.OrderID = K.OrderID \
-             GROUP BY K.KernelID, B.MatrixID";
-        let actual = db.execute(two_layer).unwrap().table().num_rows() as f64;
+             GROUP BY K.KernelID, B.MatrixID"
+        );
+        let actual = db.execute(&two_layer).unwrap().table().num_rows() as f64;
         let default_est =
-            db.estimate_with(two_layer, &DefaultCostModel::clickhouse_like()).unwrap();
-        let custom_est = db.estimate_with(two_layer, &Dl2SqlCostModel::new(registry)).unwrap();
+            db.estimate_with(&two_layer, &DefaultCostModel::clickhouse_like()).unwrap();
+        let custom_est = db.estimate_with(&two_layer, &Dl2SqlCostModel::new(registry)).unwrap();
         assert!(
             default_est.rows > actual * 3.0,
             "default should over-estimate the chained layers: {} vs {actual}",

@@ -4,11 +4,16 @@
 //! staging into the state table) and *inference* (the SQL program). Model
 //! loading proper happens at [`crate::compiler::compile_model`] time and
 //! is measured by callers around that call.
+//!
+//! Each inference runs in a session of its own: the input, every
+//! intermediate `TEMP` table and the output are private to that call and
+//! dropped when it returns, so any number of threads can share one
+//! runner.
 
 use std::time::{Duration, Instant};
 
 use minidb::sql::{parse_statement, Statement};
-use minidb::Database;
+use minidb::{Database, PlanSettings, Session};
 use neuro::Tensor;
 
 use crate::compiler::{CompiledModel, StepKind};
@@ -43,8 +48,9 @@ pub struct InferenceOutcome {
 }
 
 /// A prepared executor for one compiled model: statements are parsed once
-/// and replayed per inference. Owns shared handles so it can live inside
-/// long-lived closures (the tight strategy registers inference as a UDF).
+/// and replayed per inference, each in its own session. Owns shared
+/// handles so it can live inside long-lived closures (the tight strategy
+/// binds inference as a UDF).
 pub struct Runner {
     db: std::sync::Arc<Database>,
     registry: std::sync::Arc<NeuralRegistry>,
@@ -76,13 +82,24 @@ impl Runner {
         &self.compiled
     }
 
-    /// Runs one inference. When the database's tracer is enabled, the run
-    /// is wrapped in an `infer` root span with one phase per layer
-    /// boundary, and the tree is attached to the outcome.
+    /// Runs one inference, planning its statements under the database's
+    /// own settings. When the database's tracer is enabled, the run is
+    /// wrapped in an `infer` root span with one phase per layer boundary,
+    /// and the tree is attached to the outcome.
     pub fn infer(&self, input: &Tensor) -> Result<InferenceOutcome> {
+        self.infer_in(&self.db.session(), input)
+    }
+
+    /// [`infer`](Self::infer) with the statements planned under `settings`
+    /// (the calling strategy's).
+    pub fn infer_with(&self, settings: &PlanSettings, input: &Tensor) -> Result<InferenceOutcome> {
+        self.infer_in(&self.db.session_with(settings.clone()), input)
+    }
+
+    fn infer_in(&self, session: &Session<'_>, input: &Tensor) -> Result<InferenceOutcome> {
         let tracer = self.db.tracer();
         let root = if tracer.is_enabled() { tracer.start_root("infer") } else { obs::SpanId::NONE };
-        let out = self.infer_spanned(input, root);
+        let out = self.infer_spanned(session, input, root);
         if root.is_none() {
             return out;
         }
@@ -94,7 +111,12 @@ impl Runner {
         })
     }
 
-    fn infer_spanned(&self, input: &Tensor, root: obs::SpanId) -> Result<InferenceOutcome> {
+    fn infer_spanned(
+        &self,
+        session: &Session<'_>,
+        input: &Tensor,
+        root: obs::SpanId,
+    ) -> Result<InferenceOutcome> {
         let tracer = self.db.tracer();
         if input.shape() != self.compiled.input_shape.as_slice() {
             return Err(Error::Geometry(format!(
@@ -106,7 +128,13 @@ impl Runner {
 
         let load_span = tracer.child(root, obs::SpanKind::Phase, "load_input", "");
         let load_start = Instant::now();
-        storage::load_state_table(&self.db, &self.registry, &self.compiled.input_table, input)?;
+        storage::load_state_table(
+            &self.db,
+            session.catalog(),
+            &self.registry,
+            &self.compiled.input_table,
+            input,
+        )?;
         let input_load_time = load_start.elapsed();
         tracer.finish(load_span);
 
@@ -121,7 +149,7 @@ impl Runner {
                 tracer.child(root, obs::SpanKind::Phase, &step.label, &format!("{:?}", step.kind));
             let t0 = Instant::now();
             for stmt in stmts {
-                self.db.execute_statement(stmt)?;
+                session.execute_statement(stmt)?;
             }
             tracer.finish(span);
             step_timings.push(StepTiming {
@@ -134,7 +162,7 @@ impl Runner {
         // Prediction through the SQL path (ORDER BY prob DESC LIMIT 1).
         self.db.check_canceled()?;
         let predict_span = tracer.child(root, obs::SpanKind::Phase, "predict", "");
-        let pred = self.db.execute_statement(&self.predict_stmt)?;
+        let pred = session.execute_statement(&self.predict_stmt)?;
         tracer.finish(predict_span);
         if pred.table().num_rows() != 1 {
             return Err(Error::Geometry("prediction query returned no rows".into()));
@@ -143,7 +171,7 @@ impl Runner {
         let inference_time = infer_start.elapsed();
 
         // Probabilities, ordered by class id.
-        let out = self.db.catalog().table(&self.compiled.output_table).ok_or_else(|| {
+        let out = session.catalog().table(&self.compiled.output_table).ok_or_else(|| {
             Error::Db(minidb::Error::NotFound(self.compiled.output_table.clone()))
         })?;
         let mut probabilities = vec![0.0f64; self.compiled.num_classes];

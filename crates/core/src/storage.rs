@@ -488,9 +488,11 @@ pub fn load_feature_map_table(
     Ok(())
 }
 
-/// Creates (or replaces) a state table from a tensor.
+/// Creates (or replaces) a state table from a tensor in `catalog`: the
+/// database's own, or a session's to keep the table private.
 pub fn load_state_table(
     db: &Database,
+    catalog: &minidb::Catalog,
     registry: &NeuralRegistry,
     name: &str,
     tensor: &Tensor,
@@ -511,7 +513,7 @@ pub fn load_state_table(
         ),
         None => None,
     };
-    db.catalog().create_table(name, table, true)?;
+    catalog.create_table(name, table, true)?;
     registry.register(name, TableRole::State { rows });
     Ok(())
 }
@@ -650,7 +652,7 @@ mod tests {
         let db = Database::new();
         let registry = NeuralRegistry::new();
         let t = Tensor::new(vec![2, 2, 2], (0..8).map(|i| i as f32).collect()).unwrap();
-        load_state_table(&db, &registry, "s", &t).unwrap();
+        load_state_table(&db, db.catalog(), &registry, "s", &t).unwrap();
         assert_eq!(registry.role("s"), Some(TableRole::State { rows: 8 }));
         let back = read_state_table(&db, "s", &[2, 2, 2]).unwrap();
         assert_eq!(back, t);
@@ -661,7 +663,7 @@ mod tests {
         let db = Database::new();
         let registry = NeuralRegistry::new();
         let t = Tensor::vector(&[1.0, 2.0, 3.0]);
-        load_state_table(&db, &registry, "v", &t).unwrap();
+        load_state_table(&db, db.catalog(), &registry, "v", &t).unwrap();
         let back = read_state_table(&db, "v", &[3]).unwrap();
         assert_eq!(back, t);
     }

@@ -1,4 +1,8 @@
 //! The catalog: tables, views and indices, behind a `parking_lot` lock.
+//!
+//! A session's catalog is a private layer over the database's: lookups try
+//! the layer first and fall through to the shared catalog, writes go to
+//! whichever layer holds the table, and new tables stay in the layer.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -9,6 +13,7 @@ use parking_lot::RwLock;
 use crate::error::{Error, Result};
 use crate::index::HashIndex;
 use crate::sql::ast::Query;
+use crate::stats::StatsCache;
 use crate::table::{Table, TableRef};
 
 #[derive(Default)]
@@ -30,6 +35,12 @@ pub struct Catalog {
     /// Bumped on every mutation (DDL, data replacement, index builds).
     /// Caches over planning artifacts key on this to stay coherent.
     epoch: Epoch,
+    /// Distinct counts of this layer's tables, keyed by this layer's
+    /// per-table epochs.
+    pub(crate) stats: StatsCache,
+    /// For a session's private layer: the catalog that names this layer
+    /// does not hold resolve in.
+    shared: Option<Arc<Catalog>>,
 }
 
 fn key(name: &str) -> String {
@@ -42,6 +53,27 @@ impl Catalog {
         Catalog::default()
     }
 
+    /// An empty private layer over `shared`: its tables shadow shared ones
+    /// of the same name and are invisible to every other layer.
+    pub(crate) fn layer_over(shared: Arc<Catalog>) -> Self {
+        Catalog { shared: Some(shared), ..Catalog::default() }
+    }
+
+    /// The shared catalog under a private layer; the catalog itself
+    /// otherwise.
+    pub(crate) fn shared(&self) -> &Catalog {
+        self.shared.as_deref().unwrap_or(self)
+    }
+
+    /// The layer holding table `name`: this one, unless it is a private
+    /// layer without such a table.
+    fn owner(&self, name: &str) -> &Catalog {
+        match &self.shared {
+            Some(shared) if !self.inner.read().tables.contains_key(&key(name)) => shared,
+            _ => self,
+        }
+    }
+
     /// The catalog-wide version counter. Any mutation — CREATE/DROP of
     /// tables or views, INSERT/UPDATE data replacement, index builds —
     /// bumps it, so a plan cached under one epoch is known valid iff the
@@ -50,9 +82,10 @@ impl Catalog {
         self.epoch.current()
     }
 
-    /// The version counter of one table (0 for never-seen names). Survives
-    /// DROP: re-creating a table continues its sequence rather than
-    /// restarting at 0, so stale per-table cache entries can never alias.
+    /// The version counter of one table in this layer (0 for never-seen
+    /// names). Survives DROP: re-creating a table continues its sequence
+    /// rather than restarting at 0, so stale per-table cache entries can
+    /// never alias.
     pub fn table_epoch(&self, name: &str) -> u64 {
         self.inner.read().table_epochs.get(&key(name)).copied().unwrap_or(0)
     }
@@ -92,17 +125,28 @@ impl Catalog {
 
     /// Snapshot of a table by name.
     pub fn table(&self, name: &str) -> Option<TableRef> {
-        self.inner.read().tables.get(&key(name)).cloned()
+        let local = self.inner.read().tables.get(&key(name)).cloned();
+        local.or_else(|| self.shared.as_ref()?.table(name))
     }
 
     /// View definition by name.
     pub fn view(&self, name: &str) -> Option<Arc<Query>> {
-        self.inner.read().views.get(&key(name)).cloned()
+        let local = self.inner.read().views.get(&key(name)).cloned();
+        local.or_else(|| self.shared.as_ref()?.view(name))
+    }
+
+    /// Exact distinct-value count of `table.column`, computed on demand and
+    /// cached by the layer that holds the table. `None` if the table or
+    /// column is absent.
+    pub fn ndv(&self, table: &str, column: &str) -> Option<u64> {
+        let owner = self.owner(table);
+        owner.stats.ndv(owner, table, column)
     }
 
     /// Replaces a table's contents in place (used by INSERT/UPDATE).
     pub fn replace_table(&self, name: &str, table: Table) -> Result<()> {
-        let mut inner = self.inner.write();
+        let owner = self.owner(name);
+        let mut inner = owner.inner.write();
         let k = key(name);
         if !inner.tables.contains_key(&k) {
             return Err(Error::NotFound(format!("table '{name}'")));
@@ -110,17 +154,18 @@ impl Catalog {
         // Data changed: indices over the old snapshot are stale.
         inner.indexes.remove(&k);
         inner.tables.insert(k.clone(), Arc::new(table));
-        self.touch(&mut inner, &k);
+        owner.touch(&mut inner, &k);
         Ok(())
     }
 
     /// Drops a table; `Ok(false)` when absent and `if_exists`.
     pub fn drop_table(&self, name: &str, if_exists: bool) -> Result<bool> {
-        let mut inner = self.inner.write();
+        let owner = self.owner(name);
+        let mut inner = owner.inner.write();
         let k = key(name);
         inner.indexes.remove(&k);
         if inner.tables.remove(&k).is_some() {
-            self.touch(&mut inner, &k);
+            owner.touch(&mut inner, &k);
             Ok(true)
         } else if if_exists {
             Ok(false)
@@ -129,7 +174,8 @@ impl Catalog {
         }
     }
 
-    /// Drops a view; `Ok(false)` when absent and `if_exists`.
+    /// Drops a view from this layer; `Ok(false)` when absent and
+    /// `if_exists`.
     pub fn drop_view(&self, name: &str, if_exists: bool) -> Result<bool> {
         let mut inner = self.inner.write();
         let k = key(name);
@@ -145,24 +191,25 @@ impl Catalog {
 
     /// Builds (or rebuilds) a hash index on `table.column`.
     pub fn create_index(&self, table_name: &str, column: &str) -> Result<()> {
-        let table = self
+        let owner = self.owner(table_name);
+        let table = owner
             .table(table_name)
             .ok_or_else(|| Error::NotFound(format!("table '{table_name}'")))?;
         let idx = Arc::new(HashIndex::build(&table, column)?);
-        let mut inner = self.inner.write();
+        let mut inner = owner.inner.write();
         let list = inner.indexes.entry(key(table_name)).or_default();
         list.retain(|i| !i.column.eq_ignore_ascii_case(column));
         list.push(idx);
         // A new index can change which plan the optimizer would pick, but
         // leaves the table's data (and thus its stats) untouched: bump the
         // catalog epoch only.
-        self.epoch.bump();
+        owner.epoch.bump();
         Ok(())
     }
 
     /// A current (non-stale) index on `table.column`, if one exists.
     pub fn index(&self, table_name: &str, column: &str) -> Option<Arc<HashIndex>> {
-        let inner = self.inner.read();
+        let inner = self.owner(table_name).inner.read();
         let idx = inner
             .indexes
             .get(&key(table_name))?
@@ -173,17 +220,18 @@ impl Catalog {
         (idx.rows() == table.num_rows()).then_some(idx)
     }
 
-    /// Names of all tables.
+    /// Names of all tables in this layer.
     pub fn table_names(&self) -> Vec<String> {
         self.inner.read().tables.keys().cloned().collect()
     }
 
-    /// Names of all views.
+    /// Names of all views in this layer.
     pub fn view_names(&self) -> Vec<String> {
         self.inner.read().views.keys().cloned().collect()
     }
 
-    /// Total approximate bytes across all tables (storage experiments).
+    /// Total approximate bytes across this layer's tables (storage
+    /// experiments).
     pub fn total_memory_bytes(&self) -> usize {
         self.inner.read().tables.values().map(|t| t.memory_bytes()).sum()
     }

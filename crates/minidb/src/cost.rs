@@ -14,7 +14,6 @@ use crate::catalog::Catalog;
 use crate::expr::BoundExpr;
 use crate::plan::logical::LogicalPlan;
 use crate::sql::ast::BinOp;
-use crate::stats::StatsCache;
 use crate::udf::UdfRegistry;
 use crate::value::Value;
 
@@ -32,7 +31,6 @@ pub struct PlanCost {
 pub struct CostContext<'a> {
     pub catalog: &'a Catalog,
     pub udfs: &'a UdfRegistry,
-    pub stats: &'a StatsCache,
     /// Executor parallelism the plan will run under (the
     /// `ExecConfig::parallelism` knob). `1` means serial execution and
     /// leaves every estimate untouched.
@@ -113,7 +111,7 @@ impl CostModel for DefaultCostModel {
     fn estimate(&self, plan: &LogicalPlan, ctx: &CostContext<'_>) -> PlanCost {
         match plan {
             LogicalPlan::Scan { table, .. } => {
-                let rows = ctx.stats.rows(ctx.catalog, table).map_or(1000.0, |n| n as f64);
+                let rows = ctx.catalog.table(table).map_or(1000.0, |t| t.num_rows() as f64);
                 PlanCost { rows, cost: rows }
             }
             LogicalPlan::Values { table } => {
@@ -405,7 +403,7 @@ impl DefaultCostModel {
         }
         match plan {
             LogicalPlan::Scan { table, schema } => {
-                ctx.stats.ndv(ctx.catalog, table, &schema.field(idx).name).map(|n| n as f64)
+                ctx.catalog.ndv(table, &schema.field(idx).name).map(|n| n as f64)
             }
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Sort { input, .. }
@@ -488,7 +486,7 @@ mod tests {
     use crate::table::{Field, Schema, Table};
     use crate::value::DataType;
 
-    fn setup() -> (Catalog, UdfRegistry, StatsCache) {
+    fn setup() -> (Catalog, UdfRegistry) {
         let catalog = Catalog::new();
         let t = Table::new(
             Schema::new(vec![Field::new("k", DataType::Int64), Field::new("v", DataType::Float64)]),
@@ -499,7 +497,7 @@ mod tests {
         )
         .unwrap();
         catalog.create_table("t", t, false).unwrap();
-        (catalog, UdfRegistry::new(), StatsCache::default())
+        (catalog, UdfRegistry::new())
     }
 
     fn scan(catalog: &Catalog, name: &str) -> LogicalPlan {
@@ -511,8 +509,8 @@ mod tests {
 
     #[test]
     fn scan_rows_come_from_stats() {
-        let (catalog, udfs, stats) = setup();
-        let ctx = CostContext { catalog: &catalog, udfs: &udfs, stats: &stats, parallelism: 1 };
+        let (catalog, udfs) = setup();
+        let ctx = CostContext { catalog: &catalog, udfs: &udfs, parallelism: 1 };
         let m = DefaultCostModel::default();
         let est = m.estimate(&scan(&catalog, "t"), &ctx);
         assert_eq!(est.rows, 100.0);
@@ -520,8 +518,8 @@ mod tests {
 
     #[test]
     fn equality_filter_uses_ndv() {
-        let (catalog, udfs, stats) = setup();
-        let ctx = CostContext { catalog: &catalog, udfs: &udfs, stats: &stats, parallelism: 1 };
+        let (catalog, udfs) = setup();
+        let ctx = CostContext { catalog: &catalog, udfs: &udfs, parallelism: 1 };
         let m = DefaultCostModel::default();
         let plan = LogicalPlan::Filter {
             input: Box::new(scan(&catalog, "t")),
@@ -538,8 +536,8 @@ mod tests {
 
     #[test]
     fn join_selectivity_uses_max_ndv() {
-        let (catalog, udfs, stats) = setup();
-        let ctx = CostContext { catalog: &catalog, udfs: &udfs, stats: &stats, parallelism: 1 };
+        let (catalog, udfs) = setup();
+        let ctx = CostContext { catalog: &catalog, udfs: &udfs, parallelism: 1 };
         let m = DefaultCostModel::default();
         let left = scan(&catalog, "t");
         let right = scan(&catalog, "t");
@@ -562,7 +560,7 @@ mod tests {
 
     #[test]
     fn udf_histogram_changes_selectivity_only_when_enabled() {
-        let (catalog, udfs, stats) = setup();
+        let (catalog, udfs) = setup();
         udfs.register(
             crate::udf::ScalarUdf::new("classify", vec![DataType::Float64], DataType::Utf8, |_| {
                 Ok(Value::Utf8("a".into()))
@@ -570,7 +568,7 @@ mod tests {
             .with_cost(500.0)
             .with_class_probabilities(vec![(Value::Utf8("a".into()), 0.02)]),
         );
-        let ctx = CostContext { catalog: &catalog, udfs: &udfs, stats: &stats, parallelism: 1 };
+        let ctx = CostContext { catalog: &catalog, udfs: &udfs, parallelism: 1 };
         let pred = BoundExpr::Binary {
             left: Box::new(BoundExpr::Udf {
                 name: "classify".into(),
@@ -590,8 +588,8 @@ mod tests {
 
     #[test]
     fn aggregate_groups_capped_by_input() {
-        let (catalog, udfs, stats) = setup();
-        let ctx = CostContext { catalog: &catalog, udfs: &udfs, stats: &stats, parallelism: 1 };
+        let (catalog, udfs) = setup();
+        let ctx = CostContext { catalog: &catalog, udfs: &udfs, parallelism: 1 };
         let m = DefaultCostModel::default();
         let plan = LogicalPlan::Aggregate {
             input: Box::new(scan(&catalog, "t")),

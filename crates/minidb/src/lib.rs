@@ -6,7 +6,8 @@
 //! that every experiment in the paper exercises:
 //!
 //! * typed columnar storage with a catalog of tables and views
-//!   ([`table`], [`catalog`]),
+//!   ([`table`], [`catalog`]), and sessions with private temp tables, UDF
+//!   bindings and planning settings ([`session`]),
 //! * a SQL dialect covering the paper's collaborative queries and every
 //!   statement the DL2SQL compiler emits ([`sql`]): SELECT with joins
 //!   (explicit and implicit), GROUP BY/HAVING, ORDER BY/LIMIT, scalar
@@ -50,6 +51,7 @@ pub mod hash;
 pub mod index;
 pub mod optimizer;
 pub mod plan;
+pub mod session;
 pub mod sql;
 pub mod stats;
 pub mod table;
@@ -63,6 +65,7 @@ pub use db::{Database, DatabaseBuilder, PreparedQuery, QueryResult};
 pub use error::{Error, Result};
 pub use exec::{OpCounters, OperatorKind};
 pub use govern::{CancelToken, QueryError};
+pub use session::{PlanSettings, Session};
 pub use table::{Field, Schema, Table};
 pub use udf::{ScalarUdf, UdfRegistry};
 pub use value::{DataType, Value};

@@ -1,5 +1,6 @@
-//! Table statistics for the cost models, computed on demand: row counts
-//! from the catalog, exact distinct counts only for the columns asked about.
+//! Table statistics for the cost models, computed on demand: exact
+//! distinct counts only for the columns asked about. Each catalog layer
+//! keeps its own cache (row counts come straight from the tables).
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -23,11 +24,6 @@ pub struct StatsCache {
 }
 
 impl StatsCache {
-    /// Row count of a catalog table (`None` if absent). O(1): no scan.
-    pub fn rows(&self, catalog: &Catalog, table: &str) -> Option<u64> {
-        catalog.table(table).map(|t| t.num_rows() as u64)
-    }
-
     /// Exact distinct-value count of `table.column`, computing and caching
     /// on demand. `None` if the table or column is absent. Column names
     /// compare case-insensitively; when several fields share a name, the
@@ -55,6 +51,12 @@ impl StatsCache {
     /// How many distinct counts have been computed (cache misses).
     pub fn ndv_computed(&self) -> u64 {
         self.computed.load(Ordering::Relaxed)
+    }
+
+    /// Adds another cache's computations to this one's count (a session's
+    /// layer folds its count into the database's when it ends).
+    pub(crate) fn absorb(&self, other: &StatsCache) {
+        self.computed.fetch_add(other.ndv_computed(), Ordering::Relaxed);
     }
 }
 
@@ -102,6 +104,10 @@ mod tests {
 
     fn one_column(name: &str, col: Column) -> Table {
         Table::new(Schema::new(vec![Field::new(name, col.data_type())]), vec![col]).unwrap()
+    }
+
+    fn rows(c: &Catalog, table: &str) -> Option<u64> {
+        c.table(table).map(|t| t.num_rows() as u64)
     }
 
     /// The distinct count a `HashSet` of `Value::to_key` gives.
@@ -200,7 +206,7 @@ mod tests {
             c.create_table("t", one_column("c", Column::empty(ty)), false).unwrap();
             let stats = StatsCache::default();
             assert_eq!(stats.ndv(&c, "t", "c"), Some(0), "{ty}");
-            assert_eq!(stats.rows(&c, "t"), Some(0), "{ty}");
+            assert_eq!(rows(&c, "t"), Some(0), "{ty}");
         }
     }
 
@@ -211,7 +217,7 @@ mod tests {
         let stats = StatsCache::default();
         assert_eq!(stats.ndv(&c, "nope", "k"), None);
         assert_eq!(stats.ndv(&c, "t", "missing"), None);
-        assert_eq!(stats.rows(&c, "nope"), None);
+        assert_eq!(rows(&c, "nope"), None);
         assert_eq!(stats.ndv_computed(), 0, "nothing was hashed");
     }
 
@@ -227,7 +233,7 @@ mod tests {
         let stats = StatsCache::default();
         assert_eq!(stats.ndv(&c, "t", "K"), Some(3));
         assert_eq!(stats.ndv(&c, "T", "k"), Some(3));
-        assert_eq!(stats.rows(&c, "t"), Some(3));
+        assert_eq!(rows(&c, "t"), Some(3));
         assert_eq!(stats.ndv_computed(), 1, "both spellings share one entry");
     }
 
@@ -241,7 +247,7 @@ mod tests {
         .unwrap();
         c.create_table("t", table, false).unwrap();
         let stats = StatsCache::default();
-        assert_eq!(stats.rows(&c, "t"), Some(3));
+        assert_eq!(rows(&c, "t"), Some(3));
         assert_eq!(stats.ndv_computed(), 0, "row counts hash nothing");
         assert_eq!(stats.ndv(&c, "t", "a"), Some(2));
         assert_eq!(stats.ndv(&c, "t", "a"), Some(2));
@@ -253,10 +259,10 @@ mod tests {
         let c = Catalog::new();
         c.create_table("t", t(vec![1, 2]), false).unwrap();
         let stats = StatsCache::default();
-        assert_eq!(stats.rows(&c, "t"), Some(2));
+        assert_eq!(rows(&c, "t"), Some(2));
         assert_eq!(stats.ndv(&c, "t", "k"), Some(2));
         c.replace_table("t", t(vec![1, 2, 3])).unwrap();
-        assert_eq!(stats.rows(&c, "t"), Some(3));
+        assert_eq!(rows(&c, "t"), Some(3));
         assert_eq!(stats.ndv(&c, "t", "k"), Some(3));
     }
 

@@ -131,7 +131,9 @@ impl ScalarUdf {
     }
 }
 
-/// Thread-safe registry of scalar UDFs.
+/// Thread-safe registry of scalar UDFs. A session's registry is a private
+/// layer over the database's: its bindings shadow shared ones of the same
+/// name and are invisible to every other session.
 #[derive(Debug, Default)]
 pub struct UdfRegistry {
     map: RwLock<HashMap<String, Arc<ScalarUdf>>>,
@@ -139,6 +141,8 @@ pub struct UdfRegistry {
     /// closures, so a re-registration must invalidate them; the plan cache
     /// folds this counter into its epoch.
     epoch: cachekit::Epoch,
+    /// For a private layer: the registry names it does not bind resolve in.
+    shared: Option<Arc<UdfRegistry>>,
 }
 
 impl UdfRegistry {
@@ -147,23 +151,29 @@ impl UdfRegistry {
         UdfRegistry::default()
     }
 
+    /// An empty private layer over `shared`.
+    pub(crate) fn layer_over(shared: Arc<UdfRegistry>) -> Self {
+        UdfRegistry { shared: Some(shared), ..UdfRegistry::default() }
+    }
+
     /// The registry's version counter (bumped by register/unregister).
     pub fn epoch(&self) -> u64 {
         self.epoch.current()
     }
 
-    /// Registers (or replaces) a UDF.
+    /// Registers (or replaces) a UDF in this layer.
     pub fn register(&self, udf: ScalarUdf) {
         self.map.write().insert(udf.name.to_ascii_lowercase(), Arc::new(udf));
         self.epoch.bump();
     }
 
-    /// Looks up a UDF by case-insensitive name.
+    /// Looks up a UDF by case-insensitive name, in this layer first.
     pub fn get(&self, name: &str) -> Option<Arc<ScalarUdf>> {
-        self.map.read().get(&name.to_ascii_lowercase()).cloned()
+        let local = self.map.read().get(&name.to_ascii_lowercase()).cloned();
+        local.or_else(|| self.shared.as_ref()?.get(name))
     }
 
-    /// Removes a UDF; true if it existed.
+    /// Removes a UDF from this layer; true if it existed.
     pub fn unregister(&self, name: &str) -> bool {
         let removed = self.map.write().remove(&name.to_ascii_lowercase()).is_some();
         if removed {
@@ -172,7 +182,7 @@ impl UdfRegistry {
         removed
     }
 
-    /// Names of all registered UDFs.
+    /// Names of the UDFs registered in this layer.
     pub fn names(&self) -> Vec<String> {
         self.map.read().values().map(|u| u.name.clone()).collect()
     }

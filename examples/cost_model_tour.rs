@@ -22,7 +22,7 @@ fn main() {
 
     // Materialize layer 1's staged feature map so the conv query plans.
     let input = Tensor::full(vec![1, 12, 12], 0.5);
-    dl2sql::storage::load_state_table(&db, &registry, &compiled.input_table, &input)
+    dl2sql::storage::load_state_table(&db, db.catalog(), &registry, &compiled.input_table, &input)
         .expect("stages");
     for stmt in &compiled.steps[0].statements {
         db.execute(stmt).expect("staging runs");

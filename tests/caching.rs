@@ -319,3 +319,39 @@ fn memo_keeps_warm_hits_while_rows_exist_and_never_pins_deleted_keyframes() {
         assert_tables_identical(&want.table, &got.table, kind.label());
     }
 }
+
+#[test]
+fn same_named_models_keep_their_own_artifacts() {
+    // Two different models, both named "student", compiled through one
+    // artifact cache into one database: each cached runner must run its
+    // own model's weights, not whichever model compiled last.
+    let db = Arc::new(Database::new());
+    let registry = dl2sql::NeuralRegistry::shared();
+    let cache = dl2sql::ArtifactCache::new(4);
+    let models: Vec<Arc<neuro::Model>> = [3u64, 4]
+        .into_iter()
+        .map(|seed| Arc::new(neuro::zoo::student(vec![1, 8, 8], 3, seed)))
+        .collect();
+    assert_eq!(models[0].name, models[1].name);
+    let runner = |m| cache.runner_for(&db, &registry, m, dl2sql::PreJoinStrategy::None).unwrap();
+    for m in &models {
+        runner(m);
+    }
+    let inputs: Vec<neuro::Tensor> = (0..6)
+        .map(|i| {
+            let data = (0..64).map(|j| ((i * 64 + j) as f32 * 0.37).sin()).collect();
+            neuro::Tensor::new(vec![1, 8, 8], data).unwrap()
+        })
+        .collect();
+    for (k, m) in models.iter().enumerate() {
+        let r = runner(m);
+        for x in &inputs {
+            let got = r.infer(x).unwrap().probabilities;
+            let want = m.forward(x).unwrap();
+            for (p, n) in got.iter().zip(want.data()) {
+                assert!((p - *n as f64).abs() <= 1e-3, "model {k}: {p} vs native {n}");
+            }
+        }
+    }
+    assert_eq!(cache.stats().misses, 2, "each model compiled once");
+}

@@ -354,3 +354,248 @@ fn per_statement_numbers_ignore_concurrent_statements() {
         h.join().unwrap();
     }
 }
+
+// ---------------------------------------------------------------------------
+// Schedule independence: one database shared by concurrent inferences and
+// strategies. Every result must equal its serial run, bit for bit.
+// ---------------------------------------------------------------------------
+
+fn prob_bits(probs: &[f64]) -> Vec<u64> {
+    probs.iter().map(|p| p.to_bits()).collect()
+}
+
+#[test]
+fn threads_share_one_runner_on_one_database() {
+    const THREADS: usize = 4;
+    const INFERENCES: usize = 20;
+    let model = neuro::zoo::student(vec![1, 12, 12], 4, 11);
+    let inputs: Vec<neuro::Tensor> = (0..INFERENCES)
+        .map(|i| {
+            let data = (0..144).map(|j| ((i * 144 + j) as f32 * 0.61).sin() * 1.5).collect();
+            neuro::Tensor::new(vec![1, 12, 12], data).unwrap()
+        })
+        .collect();
+    for parallelism in [1usize, 2, 8] {
+        let db = Arc::new(Database::builder().parallelism(parallelism).build());
+        let registry = dl2sql::NeuralRegistry::shared();
+        let compiled = Arc::new(dl2sql::compile_model(&db, &registry, &model).unwrap());
+        let runner = dl2sql::Runner::new(Arc::clone(&db), registry, compiled).unwrap();
+        let serial: Vec<Vec<u64>> = inputs
+            .iter()
+            .map(|x| {
+                let probs = runner.infer(x).unwrap().probabilities;
+                for (p, n) in probs.iter().zip(model.forward(x).unwrap().data()) {
+                    assert!((p - *n as f64).abs() <= 1e-3, "p={parallelism}: {p} vs native {n}");
+                }
+                prob_bits(&probs)
+            })
+            .collect();
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (runner, inputs, serial, start) = (&runner, &inputs, &serial, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Each thread walks the inputs from its own offset, so
+                    // different programs overlap statement by statement.
+                    for i in 0..INFERENCES {
+                        let k = (i + t * 5) % INFERENCES;
+                        let got = runner.infer(&inputs[k]).unwrap().probabilities;
+                        assert_eq!(
+                            prob_bits(&got),
+                            serial[k],
+                            "p={parallelism} thread {t} input {k}"
+                        );
+                    }
+                });
+            }
+        });
+        assert!(
+            db.catalog().table(&runner.compiled().input_table).is_none(),
+            "inference state stays private to its session"
+        );
+    }
+}
+
+#[test]
+fn type1_query_over_4096_keyframes_matches_serial_at_every_parallelism() {
+    use collab::{CollabEngine, QueryType, StrategyKind};
+    use workload::{build_dataset, DatasetConfig};
+
+    // 4096 video rows reach the executor's parallel threshold, and at
+    // p > 1 the filter's 16 morsels call the SQL-inference nUDF from
+    // several workers at once. A small classifier (one conv, pooling, FC and
+    // softmax: ten statements per inference) keeps the 3 × 4096 SQL
+    // inferences affordable.
+    const KEYFRAMES: usize = 4096;
+    let shape = vec![1usize, 8, 8];
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
+    let layers = vec![
+        neuro::zoo::conv_layer(&mut rng, 1, 2, 3, 1, 0),
+        neuro::graph::Layer::GlobalAvgPool,
+        neuro::zoo::linear_layer(&mut rng, 2, 6),
+        neuro::graph::Layer::Softmax,
+    ];
+    let model = Arc::new(neuro::Model::new("classify", shape.clone(), 6, layers));
+    let labels = ["Floral Pattern", "Stripe", "Dots", "Plaid", "Paisley", "Solid"];
+    let repo = collab::ModelRepo::new();
+    repo.register(collab::NudfSpec::new(
+        "nUDF_classify",
+        Arc::clone(&model),
+        collab::NudfOutput::Label { labels: labels.map(String::from).to_vec() },
+        vec![],
+    ));
+    let repo = Arc::new(repo);
+    let sql = workload::queries::template(QueryType::Type1, 1.0, "").sql;
+    let per_inference = repo.flops_per_inference("nUDF_classify").unwrap();
+    let mut outcomes = Vec::new();
+    for parallelism in [1usize, 2, 8] {
+        let db = Arc::new(
+            Database::builder()
+                .exec_config(minidb::exec::ExecConfig {
+                    parallelism,
+                    morsel_rows: KEYFRAMES / 16,
+                    ..Default::default()
+                })
+                .build(),
+        );
+        let dataset = DatasetConfig {
+            video_rows: KEYFRAMES,
+            keyframe_shape: shape.clone(),
+            ..Default::default()
+        };
+        build_dataset(&db, &dataset).unwrap();
+        let engine = CollabEngine::new(Arc::clone(&db), Arc::clone(&repo));
+        let out = engine.execute(&sql, StrategyKind::Tight).unwrap();
+        assert_eq!(
+            out.sim.inference_flops,
+            KEYFRAMES as u64 * per_inference,
+            "p={parallelism}: one SQL inference per keyframe"
+        );
+        outcomes.push((db, out));
+    }
+
+    // The native forward pass decides the reference answer: the window
+    // holds every row, so the query sums all meters once per keyframe the
+    // model labels 'Floral Pattern' (class 0).
+    let (db, serial) = &outcomes[0];
+    let frames = db.execute("SELECT keyframe FROM video").unwrap();
+    let floral = (0..KEYFRAMES)
+        .filter(|&r| {
+            let x = collab::blob_to_tensor(&frames.table().column(0).value(r)).unwrap();
+            model.predict(&x).unwrap() == 0
+        })
+        .count();
+    assert!(floral > 0 && floral < KEYFRAMES, "both outcomes occur: {floral} floral");
+    let meters = db.execute("SELECT sum(meter) FROM fabric").unwrap().table().column(0).f64_at(0);
+    let expected = meters * floral as f64;
+    let got = serial.table.column(0).f64_at(0);
+    assert!((got - expected).abs() <= 1e-9 * expected.abs(), "{got} vs native {expected}");
+
+    let [(_, p1), (_, p2), (_, p8)] = &outcomes[..] else { unreachable!() };
+    assert_tables_agree(&p1.table, &p2.table, 1e-9, "p=2 vs p=1");
+    assert_tables_agree(&p1.table, &p8.table, 1e-9, "p=8 vs p=1");
+    assert_tables_agree(&p2.table, &p8.table, 0.0, "p=8 vs p=2");
+}
+
+#[test]
+fn four_strategies_run_concurrently_on_one_engine() {
+    use collab::{CollabEngine, QueryType, StrategyKind};
+    use workload::{build_dataset, build_repo, DatasetConfig, RepoConfig};
+
+    let queries: Vec<String> =
+        [QueryType::Type1, QueryType::Type2, QueryType::Type3, QueryType::Type4]
+            .into_iter()
+            .map(|t| workload::queries::template(t, 0.1, "").sql)
+            .collect();
+    let shape = vec![1usize, 8, 8];
+    let repo = build_repo(&RepoConfig {
+        keyframe_shape: shape.clone(),
+        histogram_samples: 16,
+        ..Default::default()
+    });
+    for parallelism in [1usize, 2, 8] {
+        let db = Arc::new(
+            Database::builder()
+                .exec_config(minidb::exec::ExecConfig {
+                    parallelism,
+                    morsel_rows: 16,
+                    min_parallel_rows: 0,
+                    ..Default::default()
+                })
+                .build(),
+        );
+        let dataset =
+            DatasetConfig { video_rows: 100, keyframe_shape: shape.clone(), ..Default::default() };
+        build_dataset(&db, &dataset).unwrap();
+        let engine = CollabEngine::new(db, Arc::clone(&repo));
+        let run = |kind: StrategyKind, sql: &str| {
+            let out = engine
+                .execute(sql, kind)
+                .unwrap_or_else(|e| panic!("{} failed on {sql}: {e}", kind.label()));
+            (out.table, out.sim.inference_flops)
+        };
+        let serial: Vec<Vec<(minidb::Table, u64)>> = StrategyKind::all()
+            .into_iter()
+            .map(|kind| queries.iter().map(|sql| run(kind, sql)).collect())
+            .collect();
+        let start = Barrier::new(StrategyKind::all().len());
+        std::thread::scope(|s| {
+            for (k, kind) in StrategyKind::all().into_iter().enumerate() {
+                let (run, queries, serial, start) = (&run, &queries, &serial, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for (q, sql) in queries.iter().enumerate() {
+                        let (table, flops) = run(kind, sql);
+                        let ctx = format!("p={parallelism} {} concurrent: {sql}", kind.label());
+                        assert_tables_agree(&serial[k][q].0, &table, 0.0, &ctx);
+                        assert_eq!(flops, serial[k][q].1, "{ctx}: inference flops");
+                    }
+                });
+            }
+        });
+    }
+}
+
+#[test]
+fn sessions_keep_same_named_temp_tables_and_their_statistics_apart() {
+    // Two barrier-started sessions each create a TEMP table `t` with a
+    // different number of distinct keys, then EXPLAIN a GROUP BY over it:
+    // each estimate must be its own table's exact distinct count.
+    const ROWS: i64 = 2000;
+    let db = Database::new();
+    for (name, distinct) in [("few", 7i64), ("many", 300)] {
+        let table = minidb::Table::new(
+            minidb::Schema::new(vec![minidb::Field::new("k", DataType::Int64)]),
+            vec![minidb::Column::Int64((0..ROWS).map(|i| i % distinct).collect())],
+        )
+        .unwrap();
+        db.catalog().create_table(name, table, false).unwrap();
+    }
+    let estimate = |plan: &str| -> f64 {
+        let top = plan.lines().next().unwrap();
+        let rows = top.split("rows≈").nth(1).and_then(|r| r.split(',').next());
+        rows.and_then(|r| r.parse().ok()).unwrap_or_else(|| panic!("no estimate in {top}"))
+    };
+    for round in 0..20 {
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for (source, distinct) in [("few", 7.0), ("many", 300.0)] {
+                let (db, start) = (&db, &start);
+                s.spawn(move || {
+                    let session = db.session();
+                    start.wait();
+                    session
+                        .execute(&format!("CREATE TEMP TABLE t AS SELECT k FROM {source}"))
+                        .unwrap();
+                    for _ in 0..5 {
+                        let plan =
+                            session.explain("SELECT k, count(*) AS n FROM t GROUP BY k").unwrap();
+                        assert_eq!(estimate(&plan), distinct, "round {round} ({source}):\n{plan}");
+                    }
+                });
+            }
+        });
+        assert!(db.catalog().table("t").is_none(), "TEMP tables end with their session");
+    }
+}

@@ -8,7 +8,7 @@ use minidb::optimizer::OptimizerConfig;
 use minidb::plan::logical::{JoinAlgorithm, LogicalPlan};
 use minidb::sql::ast::Statement;
 use minidb::sql::parser::parse_statement;
-use minidb::{Column, DataType, Database, Field, ScalarUdf, Schema, Table, Value};
+use minidb::{Column, DataType, Database, Field, PlanSettings, ScalarUdf, Schema, Table, Value};
 
 fn small_db() -> Arc<Database> {
     let db = Database::new();
@@ -58,19 +58,21 @@ fn placement_hint_prunes_udf_invocations() {
     let sql = "SELECT t0.id FROM t0, t1 WHERE t0.id = t1.id and t1.flag = 1 \
                and expensive_classify(t0.payload) = TRUE ORDER BY t0.id";
 
-    // Hints off: the UDF filter is evaluated at scan time (all 60 rows).
+    // Hints off (the database's own settings): the UDF filter is
+    // evaluated at scan time (all 60 rows).
     let counter = Arc::new(AtomicU64::new(0));
     counting_udf(&db, Arc::clone(&counter));
-    db.swap_optimizer_config(OptimizerConfig { udf_placement_hints: false, ..Default::default() });
-    let plain_rows = db.execute(sql).unwrap();
+    let plain_rows = db.session().execute(sql).unwrap();
     let plain_calls = counter.load(Ordering::Relaxed);
 
-    // Hints on: the flag filter (selectivity 0.1) runs first, so the UDF
-    // sees only the surviving rows.
+    // Hints on, in a session: the flag filter (selectivity 0.1) runs
+    // first, so the UDF sees only the surviving rows.
     counter.store(0, Ordering::Relaxed);
-    db.swap_cost_model(Arc::new(minidb::DefaultCostModel::with_udf_hints()));
-    db.swap_optimizer_config(OptimizerConfig { udf_placement_hints: true, ..Default::default() });
-    let hinted_rows = db.execute(sql).unwrap();
+    let hinted = db.session_with(PlanSettings {
+        optimizer: OptimizerConfig { udf_placement_hints: true, ..Default::default() },
+        cost_model: Arc::new(minidb::DefaultCostModel::with_udf_hints()),
+    });
+    let hinted_rows = hinted.execute(sql).unwrap();
     let hinted_calls = counter.load(Ordering::Relaxed);
 
     assert_eq!(plain_rows.table(), hinted_rows.table(), "same answers");
@@ -90,14 +92,14 @@ fn symmetric_hash_join_is_chosen_for_udf_join_keys() {
         })
         .with_cost(1_000.0),
     );
-    db.swap_optimizer_config(OptimizerConfig {
-        symmetric_for_udf_joins: true,
+    let session = db.session_with(PlanSettings {
+        optimizer: OptimizerConfig { symmetric_for_udf_joins: true, ..Default::default() },
         ..Default::default()
     });
     // Join keyed on a UDF result: T0.recognize(payload) = T1.id.
     let sql = "SELECT t0.id FROM t0, t1 WHERE recognize(t0.payload) = t1.id";
     let Statement::Query(q) = parse_statement(sql).unwrap() else { panic!() };
-    let plan = db.plan_query(&q).unwrap();
+    let plan = session.plan_query(&q).unwrap();
     let mut found_symmetric = false;
     fn walk(p: &LogicalPlan, found: &mut bool) {
         if let LogicalPlan::Join { algorithm: JoinAlgorithm::SymmetricHash, .. } = p {
@@ -111,7 +113,7 @@ fn symmetric_hash_join_is_chosen_for_udf_join_keys() {
     assert!(found_symmetric, "expected a symmetric hash join:\n{plan}");
 
     // And it returns the right rows.
-    let out = db.execute(sql).unwrap();
+    let out = session.execute(sql).unwrap();
     assert_eq!(out.table().num_rows(), 60, "every row matches exactly one group id");
 }
 

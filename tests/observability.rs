@@ -255,15 +255,20 @@ fn explain_analyze_works_on_compiled_conv_sql() {
     let registry = Arc::new(NeuralRegistry::new());
     let model = neuro::zoo::student(vec![1, 8, 8], 3, 5);
     let compiled = compile_model(&db, &registry, &model).unwrap();
-    dl2sql::Runner::new(Arc::clone(&db), Arc::clone(&registry), Arc::new(compiled.clone()))
-        .unwrap()
-        .infer(&neuro::Tensor::zeros(vec![1, 8, 8]))
+    // Stage the program's state up to its first conv step in the shared
+    // catalog (a runner keeps each inference's tables to itself).
+    let input = neuro::Tensor::zeros(vec![1, 8, 8]);
+    dl2sql::storage::load_state_table(&db, db.catalog(), &registry, &compiled.input_table, &input)
         .unwrap();
-    let conv = compiled
+    let conv_at = compiled
         .steps
         .iter()
-        .find(|s| matches!(s.kind, dl2sql::StepKind::Conv))
+        .position(|s| matches!(s.kind, dl2sql::StepKind::Conv))
         .expect("student model has a conv step");
+    for sql in compiled.steps[..conv_at].iter().flat_map(|s| &s.statements) {
+        db.execute(sql).unwrap();
+    }
+    let conv = &compiled.steps[conv_at];
     let mut analyzed = 0;
     for sql in &conv.statements {
         // DROP/CREATE statements mutate state; re-analyzing them must
