@@ -308,8 +308,11 @@ fn all_strategies_match_forced_unfused_at_every_parallelism() {
         .map(|t| workload::queries::template(t, 0.1, "").sql)
         .collect();
     for parallelism in [1usize, 2, 8] {
-        let fused = CollabEngine::new(collab_db(parallelism, true), Arc::clone(&repo));
-        let unfused = CollabEngine::new(collab_db(parallelism, false), Arc::clone(&repo));
+        let (fused_db, unfused_db) = (collab_db(parallelism, true), collab_db(parallelism, false));
+        let fused_ops = count_join_aggregates(&fused_db);
+        let unfused_ops = count_join_aggregates(&unfused_db);
+        let fused = CollabEngine::new(fused_db, Arc::clone(&repo));
+        let unfused = CollabEngine::new(unfused_db, Arc::clone(&repo));
         for kind in StrategyKind::all() {
             for sql in &queries {
                 let ctx = format!("{} p={parallelism}: {sql}", kind.label());
@@ -320,6 +323,32 @@ fn all_strategies_match_forced_unfused_at_every_parallelism() {
                     fused.execute(sql, kind).unwrap_or_else(|e| panic!("fused {ctx} failed: {e}"));
                 assert_tables_identical(&reference.table, &got.table, &ctx);
             }
+            // The forced-unfused engine really ran unfused plans — DL2SQL-OP's
+            // own settings included — and the fused one fused the conv SQL.
+            let label = kind.label();
+            let unfused_loops =
+                unfused_ops.lock().unwrap().get("JoinAggregate").map_or(0, |a| a.loops);
+            assert_eq!(
+                unfused_loops, 0,
+                "{label} p={parallelism}: unfused engine ran JoinAggregate"
+            );
+            if matches!(kind, StrategyKind::Tight | StrategyKind::TightOptimized) {
+                let fused_loops =
+                    fused_ops.lock().unwrap().get("JoinAggregate").map_or(0, |a| a.loops);
+                assert!(fused_loops >= 1, "{label} p={parallelism}: fused engine never fused");
+            }
+            fused_ops.lock().unwrap().clear();
         }
     }
+}
+
+/// Traces every statement `db` runs and folds the operators they used.
+fn count_join_aggregates(db: &Database) -> Arc<Mutex<HashMap<String, obs::OpAgg>>> {
+    let ops: Arc<Mutex<HashMap<String, obs::OpAgg>>> = Arc::default();
+    let sink = Arc::clone(&ops);
+    db.tracer().set_sink(Some(Arc::new(move |tree: &obs::SpanTree| {
+        tree.fold_operators(&mut sink.lock().unwrap());
+    })));
+    db.tracer().enable();
+    ops
 }
