@@ -147,19 +147,22 @@ impl NudfSpec {
         }
     }
 
-    /// The model for a given condition: the variant with the highest
-    /// satisfied `min_condition`, else the default model.
+    /// The index into `variants` of the model for a given condition: the
+    /// variant with the highest satisfied `min_condition`. `None` selects
+    /// the default model (no condition, or none satisfied).
+    pub fn select_variant(&self, condition: Option<f64>) -> Option<usize> {
+        let cond = condition?;
+        self.variants
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| cond >= v.min_condition)
+            .max_by(|(_, a), (_, b)| a.min_condition.total_cmp(&b.min_condition))
+            .map(|(i, _)| i)
+    }
+
+    /// The model for a given condition (see [`NudfSpec::select_variant`]).
     pub fn select_model(&self, condition: Option<f64>) -> &Arc<Model> {
-        if let Some(cond) = condition {
-            self.variants
-                .iter()
-                .filter(|v| cond >= v.min_condition)
-                .max_by(|a, b| a.min_condition.total_cmp(&b.min_condition))
-                .map(|v| &v.model)
-                .unwrap_or(&self.model)
-        } else {
-            &self.model
-        }
+        self.select_variant(condition).map_or(&self.model, |i| &self.variants[i].model)
     }
 
     /// Runs the (condition-selected) model on a keyframe blob and maps the

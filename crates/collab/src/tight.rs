@@ -106,10 +106,8 @@ impl Strategy for Tight {
                 Ok(self.artifacts.runner_for(&self.db, &self.registry, m, PreJoinStrategy::None)?)
             };
             let default_runner = make_runner(&spec.model)?;
-            let mut variant_runners: Vec<(f64, Arc<Runner>)> = Vec::new();
-            for v in &spec.variants {
-                variant_runners.push((v.min_condition, make_runner(&v.model)?));
-            }
+            let variant_runners: Vec<Arc<Runner>> =
+                spec.variants.iter().map(|v| make_runner(&v.model)).collect::<Result<_>>()?;
             loading += t0.elapsed();
 
             // Deterministic per-inference flop count for device projection.
@@ -120,6 +118,7 @@ impl Strategy for Tight {
             let output = spec.output.clone();
             let memo = Arc::clone(&self.inference);
             let generation = self.repo.generation(&spec.name);
+            let selector = Arc::clone(&spec);
             let mut udf = ScalarUdf::new(
                 &spec.name,
                 spec.arg_types(),
@@ -140,15 +139,9 @@ impl Strategy for Tight {
                     let tensor =
                         blob_to_tensor(&args[0]).map_err(|e| minidb::Error::Exec(e.to_string()))?;
                     // Condition-selected SQL program (paper Type 3).
-                    let runner = match condition {
-                        Some(cond) => variant_runners
-                            .iter()
-                            .filter(|(min, _)| cond >= *min)
-                            .max_by(|a, b| a.0.total_cmp(&b.0))
-                            .map(|(_, r)| r)
-                            .unwrap_or(&default_runner),
-                        None => &default_runner,
-                    };
+                    let runner = selector
+                        .select_variant(condition)
+                        .map_or(&default_runner, |i| &variant_runners[i]);
                     let t = Instant::now();
                     let out = runner
                         .infer_with(&settings, &tensor)

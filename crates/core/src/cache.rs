@@ -17,6 +17,7 @@
 //! should still [`ArtifactCache::invalidate_model`] the old one to drop
 //! its tables from the database and the [`NeuralRegistry`].
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use cachekit::{LruCache, StatsSnapshot};
@@ -110,8 +111,11 @@ impl ArtifactCache {
     /// Explicitly invalidates every cached compilation of `model` (all
     /// strategies): entries are removed, their parameter tables dropped
     /// from the database, and their roles unregistered from the registry.
-    /// The geometry-only mapping tables stay: other models may read them.
-    /// Call this when the repository swaps the model behind an nUDF.
+    /// Tables are named by weight hash, so an identical model behind
+    /// another `Arc` compiles to the same tables: a table another entry
+    /// still lists stays. The geometry-only mapping tables stay too: other
+    /// models may read them. Call this when the repository swaps the model
+    /// behind an nUDF.
     pub fn invalidate_model(
         &self,
         db: &Database,
@@ -120,15 +124,17 @@ impl ArtifactCache {
     ) -> usize {
         let ptr = Arc::as_ptr(model) as usize;
         let mut doomed: Vec<Entry> = Vec::new();
-        for strategy in
-            [PreJoinStrategy::None, PreJoinStrategy::FuseMapping, PreJoinStrategy::PreJoinKernel]
-        {
-            if let Some(entry) = self.map.remove(&(ptr, strategy)) {
-                doomed.push(entry);
+        let mut kept: HashSet<String> = HashSet::new();
+        self.map.retain(|(key, _), entry| {
+            if *key == ptr {
+                doomed.push(entry.clone());
+                return false;
             }
-        }
-        for entry in &doomed {
-            for table in entry.compiled.parameter_tables() {
+            kept.extend(entry.compiled.parameter_tables().cloned());
+            true
+        });
+        for table in doomed.iter().flat_map(|e| e.compiled.parameter_tables()) {
+            if !kept.contains(table) {
                 let _ = db.catalog().drop_table(table, true);
                 registry.unregister(table);
             }
@@ -226,6 +232,25 @@ mod tests {
         let r2 = cache.runner_for(&db, &reg, &model, PreJoinStrategy::None).unwrap();
         let input = neuro::Tensor::full(vec![1, 8, 8], 0.4);
         assert_eq!(r2.infer(&input).unwrap().predicted_class, model.predict(&input).unwrap());
+    }
+
+    #[test]
+    fn invalidating_a_model_keeps_an_identical_models_tables() {
+        let db = Arc::new(Database::new());
+        let reg = NeuralRegistry::shared();
+        let first = Arc::new(neuro::zoo::student(vec![1, 8, 8], 3, 5));
+        let second = Arc::new(neuro::zoo::student(vec![1, 8, 8], 3, 5));
+        let cache = ArtifactCache::new(4);
+        cache.runner_for(&db, &reg, &first, PreJoinStrategy::None).unwrap();
+        let runner = cache.runner_for(&db, &reg, &second, PreJoinStrategy::None).unwrap();
+        assert_eq!(cache.invalidate_model(&db, &reg, &first), 1);
+        let input = neuro::Tensor::full(vec![1, 8, 8], 0.3);
+        let out = runner.infer(&input).unwrap();
+        let native = second.forward(&input).unwrap();
+        assert_eq!(out.probabilities.len(), native.data().len());
+        for (sql, nn) in out.probabilities.iter().zip(native.data()) {
+            assert!((sql - f64::from(*nn)).abs() < 1e-3, "{sql} vs {nn}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::plan::logical::LogicalPlan;
 use crate::plan::planner::Planner;
 use crate::session::{PlanSettings, Session};
 use crate::sql::ast::{ObjectKind, Query, Statement};
-use crate::sql::parser;
+use crate::sql::{lexer, parser};
 use crate::table::{Field, Schema, Table};
 use crate::udf::{ScalarUdf, UdfRegistry};
 
@@ -40,6 +40,12 @@ impl QueryResult {
             plan_cache: cachekit::StatsSnapshot::default(),
             trace: None,
         }
+    }
+
+    /// A result whose rows are the table's rows (SELECT, EXPLAIN).
+    fn of_table(table: Table) -> Self {
+        let rows = table.num_rows();
+        QueryResult::of(table, rows)
     }
 
     /// The result table (empty for DML/DDL statements).
@@ -67,8 +73,11 @@ impl QueryResult {
         self.table.schema().fields().iter().map(|f| f.data_type).collect()
     }
 
-    /// Wall-clock time the statement took (parse excluded for prepared
-    /// queries, included for `Database::execute`).
+    /// Wall-clock time of the statement, from the call that ran it to its
+    /// result: whatever that call did of parse, plan-cache lookup, plan
+    /// and execute (a prepared query only executes; a plan-cache hit skips
+    /// parse and plan). The latency histogram and the slow-query threshold
+    /// measure the same span.
     pub fn elapsed(&self) -> std::time::Duration {
         self.elapsed
     }
@@ -117,15 +126,48 @@ impl QueryResult {
 /// [`ExecConfig::slow_query_threshold`].
 pub type SlowQueryHook = Arc<dyn Fn(&obs::SpanTree) + Send + Sync>;
 
-/// One statement's own state, owned by its entry point and borrowed down
-/// to the executor: the executor configuration it runs under, its
-/// governance checkpoint, and its operator counters, which give the
+/// One statement's own state, built by [`Database::run_statement`] and
+/// borrowed down to the executor: the executor configuration it runs
+/// under, its governance checkpoint, its operator counters (which give the
 /// result's scan count and are added into the database totals when the
-/// statement ends.
+/// statement ends) and its root span (`NONE` when untraced).
 struct StmtScope {
     config: ExecConfig,
     governor: govern::Governor,
     ops: OpCounters,
+    root: obs::SpanId,
+}
+
+/// Whether a statement records a span tree of its own.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Trace {
+    /// When the collector is on or a slow-query threshold is armed.
+    Auto,
+    /// Always: `EXPLAIN ANALYZE` returns the tree it records.
+    Analyze,
+    /// Never: scalar subqueries evaluated while planning, whose
+    /// operators the enclosing statement does not nest.
+    Off,
+}
+
+impl Trace {
+    fn of(stmt: &Statement) -> Trace {
+        if matches!(stmt, Statement::ExplainAnalyze(_)) {
+            Trace::Analyze
+        } else {
+            Trace::Auto
+        }
+    }
+
+    /// [`Trace::of`] the statement `sql` parses to, read off its first
+    /// two keywords (the plan-cache path runs before any parse).
+    fn of_sql(sql: &str) -> Trace {
+        if lexer::starts_with_keywords(sql, &["explain", "analyze"]) {
+            Trace::Analyze
+        } else {
+            Trace::Auto
+        }
+    }
 }
 
 /// What one statement resolves names in and plans under: the database's
@@ -282,6 +324,13 @@ impl DatabaseBuilder {
     }
 }
 
+/// A one-column `plan` table, one row per line: the result of `EXPLAIN`
+/// and `EXPLAIN ANALYZE`.
+fn plan_table(lines: Vec<String>) -> Result<Table> {
+    let schema = Schema::new(vec![Field::new("plan", crate::value::DataType::Utf8)]);
+    Table::new(schema, vec![Column::Utf8(lines)])
+}
+
 /// Collapses whitespace runs to single spaces and trims, so formatting
 /// variants of the same statement share a plan-cache entry. Case and quoted
 /// literals are preserved: distinct texts may at worst miss, never collide.
@@ -419,19 +468,6 @@ impl Database {
         self.memory_budget.read().clone()
     }
 
-    /// The scope of one statement starting now: the current executor
-    /// configuration, fresh operator counters, and a governor over the
-    /// query-level token if given, else the session token (if anyone holds
-    /// the handle), with the deadline derived from
-    /// [`ExecConfig::query_timeout`]. The governor is unarmed — a
-    /// single-branch no-op per check — when neither is configured.
-    fn statement_scope(&self, token: Option<govern::CancelToken>) -> StmtScope {
-        let token = token.or_else(|| self.session_token.get().cloned());
-        let config = self.exec_config();
-        let governor = govern::Governor::new(token, config.query_timeout);
-        StmtScope { config, governor, ops: OpCounters::default() }
-    }
-
     /// The current executor configuration.
     pub fn exec_config(&self) -> ExecConfig {
         self.exec_config.read().clone()
@@ -458,110 +494,127 @@ impl Database {
     /// served from an epoch-validated plan cache, skipping parse + plan
     /// entirely; any catalog change invalidates affected entries wholesale.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let started = std::time::Instant::now();
-        let scope = self.statement_scope(None);
-        let root = self.query_root(&scope);
-        let out = self.execute_traced(sql, root, &scope);
-        self.finalize_query(root, &scope, started, out)
+        self.execute_in(&self.env(), sql, self.plan_cache.capacity() > 0)
     }
 
-    fn execute_traced(
+    pub(crate) fn execute_in(&self, env: &Env<'_>, sql: &str, cached: bool) -> Result<QueryResult> {
+        self.run_statement(None, Trace::of_sql(sql), |s| self.execute_sql(env, sql, cached, s))
+    }
+
+    /// Runs one statement. Every entry point (`execute`,
+    /// `execute_statement`, `run_query`, `execute_plan`,
+    /// `PreparedQuery::run` and their `Session` forms) is one call to this,
+    /// so each statement is scoped, traced and accounted for alike.
+    ///
+    /// `body` runs under the statement's scope: the current executor
+    /// configuration, fresh operator counters, a governor over `token`
+    /// (else the database's cancel handle, if anyone holds it) with the
+    /// [`ExecConfig::query_timeout`] deadline, and a root span as `trace`
+    /// asks. The governor is unarmed — a single-branch no-op per check —
+    /// when neither a token nor a deadline is configured. Then the
+    /// statement's counters join the database totals; its wall time from
+    /// entry to result becomes [`QueryResult::elapsed`] and a latency
+    /// observation; a failure is counted by governance cause; and a traced
+    /// statement's tree goes to the slow-query hook (when over the
+    /// threshold) and to the result, rendered as the result for
+    /// `EXPLAIN ANALYZE`.
+    fn run_statement(
         &self,
+        token: Option<govern::CancelToken>,
+        trace: Trace,
+        body: impl FnOnce(&StmtScope) -> Result<QueryResult>,
+    ) -> Result<QueryResult> {
+        let started = std::time::Instant::now();
+        let config = self.exec_config();
+        let token = token.or_else(|| self.session_token.get().cloned());
+        let governor = govern::Governor::new(token, config.query_timeout);
+        let traced = match trace {
+            Trace::Auto => self.tracer.is_enabled() || config.slow_query_threshold.is_some(),
+            Trace::Analyze => true,
+            Trace::Off => false,
+        };
+        let root = if traced { self.tracer.start_root("query") } else { obs::SpanId::NONE };
+        let scope = StmtScope { config, governor, ops: OpCounters::default(), root };
+        let out = body(&scope);
+        let elapsed = started.elapsed();
+        self.ops.absorb(&scope.ops);
+        self.query_latency.observe(elapsed.as_secs_f64());
+        if let Err(err) = &out {
+            self.note_failure(root, err);
+        }
+        let tree = root.is_some().then(|| {
+            self.tracer.finish(root);
+            Arc::new(self.tracer.take_tree(root))
+        });
+        let mut result = out?;
+        if let Some(tree) = tree {
+            if scope.config.slow_query_threshold.is_some_and(|t| elapsed >= t) {
+                let hook = self.slow_query_hook.read().clone();
+                hook(&tree);
+            }
+            if trace == Trace::Analyze {
+                let mut lines: Vec<String> = tree.render().lines().map(str::to_string).collect();
+                lines.push(format!(
+                    "Execution: {} rows, time={}",
+                    result.rows_affected,
+                    obs::fmt_ns(elapsed.as_nanos() as u64)
+                ));
+                result = QueryResult::of_table(plan_table(lines)?);
+            }
+            result.trace = Some(tree);
+        }
+        result.elapsed = elapsed;
+        result.rows_scanned = scope.ops.get(OperatorKind::Scan).rows_out;
+        Ok(result)
+    }
+
+    /// The body of [`execute`](Self::execute): parses and executes `sql`,
+    /// through the plan cache when `cached` (SELECTs only).
+    fn execute_sql(
+        &self,
+        env: &Env<'_>,
         sql: &str,
-        root: obs::SpanId,
+        cached: bool,
         scope: &StmtScope,
     ) -> Result<QueryResult> {
-        let env = &self.env();
-        if self.plan_cache.capacity() == 0 {
-            let stmt = self.parse_spanned(sql, root)?;
-            return self.execute_statement_spanned(env, &stmt, root, scope);
-        }
-        let key = normalize_sql(sql);
+        let root = scope.root;
+        let key = cached.then(|| normalize_sql(sql));
         // Read the epoch before planning: a concurrent mutation between
         // here and insert leaves the entry stamped old → next lookup
         // misses and replans. Stale-but-marked-fresh can't happen.
         let epoch = self.plan_epoch();
-        if let Some((cached_epoch, plan)) = self.plan_cache.get(&key) {
-            if cached_epoch == epoch {
-                self.plan_lookups.record_hit();
-                self.tracer.event(root, "plan_cache", "hit");
-                let mut result = self.run_plan_timed_spanned(env, &plan, root, scope)?;
-                result.plan_cache.hits = 1;
-                return Ok(result);
+        if let Some(key) = &key {
+            if let Some((cached_epoch, plan)) = self.plan_cache.get(key) {
+                if cached_epoch == epoch {
+                    self.plan_lookups.record_hit();
+                    self.tracer.event(root, "plan_cache", "hit");
+                    let mut result = self.run_plan(env, &plan, scope)?;
+                    result.plan_cache.hits = 1;
+                    return Ok(result);
+                }
+                self.plan_cache.remove(key);
             }
-            self.plan_cache.remove(&key);
         }
         let stmt = self.parse_spanned(sql, root)?;
-        if let Statement::Query(q) = &stmt {
-            self.plan_lookups.record_miss();
-            self.tracer.event(root, "plan_cache", "miss");
-            let plan = Arc::new(self.plan_query_spanned(env, q, root)?);
-            self.plan_cache.insert(key, (epoch, Arc::clone(&plan)));
-            let mut result = self.run_plan_timed_spanned(env, &plan, root, scope)?;
-            result.plan_cache.misses = 1;
-            return Ok(result);
-        }
-        self.execute_statement_spanned(env, &stmt, root, scope)
-    }
-
-    /// Root span for one statement: created when the collector is enabled
-    /// or an armed slow-query threshold forces capture; `NONE` otherwise,
-    /// which collapses the whole tracing path to `is_none` checks.
-    fn query_root(&self, scope: &StmtScope) -> obs::SpanId {
-        let forced = scope.config.slow_query_threshold.is_some();
-        if self.tracer.is_enabled() || forced {
-            self.tracer.start_root("query")
-        } else {
-            obs::SpanId::NONE
-        }
-    }
-
-    /// Ends a statement: adds its operator counters into the database
-    /// totals, closes its root span and extracts the tree, fires the
-    /// slow-query hook when the statement crossed the threshold, attaches
-    /// the trace and the statement's own scan count to the result, and
-    /// feeds the latency histogram. Errored statements feed the histogram
-    /// too (with their wall time up to the failure) and bump the failure
-    /// counters by governance cause.
-    fn finalize_query(
-        &self,
-        root: obs::SpanId,
-        scope: &StmtScope,
-        started: std::time::Instant,
-        out: Result<QueryResult>,
-    ) -> Result<QueryResult> {
-        self.ops.absorb(&scope.ops);
-        if let Err(err) = &out {
-            self.note_failure(root, err, started);
-        }
-        let tree = if root.is_some() {
-            self.tracer.finish(root);
-            Some(self.tracer.take_tree(root))
-        } else {
-            None
-        };
-        let mut result = out?;
-        result.rows_scanned = scope.ops.get(OperatorKind::Scan).rows_out;
-        self.query_latency.observe(result.elapsed.as_secs_f64());
-        if let Some(tree) = tree {
-            let tree = Arc::new(tree);
-            if let Some(threshold) = self.exec_config.read().slow_query_threshold {
-                if result.elapsed >= threshold {
-                    let hook = self.slow_query_hook.read().clone();
-                    hook(&tree);
-                }
+        match (&stmt, key) {
+            (Statement::Query(q), Some(key)) => {
+                self.plan_lookups.record_miss();
+                self.tracer.event(root, "plan_cache", "miss");
+                let plan = Arc::new(self.plan_query_spanned(env, q, root)?);
+                self.plan_cache.insert(key, (epoch, Arc::clone(&plan)));
+                let mut result = self.run_plan(env, &plan, scope)?;
+                result.plan_cache.misses = 1;
+                Ok(result)
             }
-            result.trace = Some(tree);
+            _ => self.execute_statement_inner(env, &stmt, scope),
         }
-        Ok(result)
     }
 
-    /// Failure-side bookkeeping for [`finalize_query`](Self::finalize_query):
-    /// latency histogram, failure counters by governance cause, and a
-    /// `governance` trace event when the statement was traced.
-    fn note_failure(&self, root: obs::SpanId, err: &Error, started: std::time::Instant) {
+    /// Failure-side bookkeeping for [`run_statement`](Self::run_statement):
+    /// failure counters by governance cause, and a `governance` trace event
+    /// when the statement was traced.
+    fn note_failure(&self, root: obs::SpanId, err: &Error) {
         use std::sync::atomic::Ordering::Relaxed;
-        self.query_latency.observe(started.elapsed().as_secs_f64());
         self.query_failures.fetch_add(1, Relaxed);
         let cause = match err.governance() {
             Some(govern::QueryError::Canceled) => {
@@ -595,24 +648,17 @@ impl Database {
         stmt
     }
 
-    /// Executes an optimized plan under an `execute` phase span, stamping
-    /// its timing.
-    fn run_plan_timed_spanned(
+    /// Executes an optimized plan under an `execute` phase span.
+    fn run_plan(
         &self,
         env: &Env<'_>,
         plan: &LogicalPlan,
-        parent: obs::SpanId,
         scope: &StmtScope,
     ) -> Result<QueryResult> {
-        let start = std::time::Instant::now();
-        let span = self.tracer.child(parent, obs::SpanKind::Phase, "execute", "");
+        let span = self.tracer.child(scope.root, obs::SpanKind::Phase, "execute", "");
         let table = exec::execute(plan, &self.exec_ctx(env, span, scope));
         self.tracer.finish(span);
-        let table = table?;
-        let rows = table.num_rows();
-        let mut result = QueryResult::of(table, rows);
-        result.elapsed = start.elapsed();
-        Ok(result)
+        table.map(QueryResult::of_table)
     }
 
     /// Executes a semicolon-separated script, returning the last result.
@@ -636,39 +682,18 @@ impl Database {
         env: &Env<'_>,
         stmt: &Statement,
     ) -> Result<QueryResult> {
-        let started = std::time::Instant::now();
-        let scope = self.statement_scope(None);
-        let root = self.query_root(&scope);
-        let out = self.execute_statement_spanned(env, stmt, root, &scope);
-        self.finalize_query(root, &scope, started, out)
-    }
-
-    fn execute_statement_spanned(
-        &self,
-        env: &Env<'_>,
-        stmt: &Statement,
-        span: obs::SpanId,
-        scope: &StmtScope,
-    ) -> Result<QueryResult> {
-        let start = std::time::Instant::now();
-        let mut result = self.execute_statement_inner(env, stmt, span, scope)?;
-        result.elapsed = start.elapsed();
-        Ok(result)
+        self.run_statement(None, Trace::of(stmt), |s| self.execute_statement_inner(env, stmt, s))
     }
 
     fn execute_statement_inner(
         &self,
         env: &Env<'_>,
         stmt: &Statement,
-        span: obs::SpanId,
         scope: &StmtScope,
     ) -> Result<QueryResult> {
+        let root = scope.root;
         match stmt {
-            Statement::Query(q) => {
-                let table = self.run_query_spanned(env, q, span, scope)?;
-                let rows = table.num_rows();
-                Ok(QueryResult::of(table, rows))
-            }
+            Statement::Query(q) => self.select(env, q, scope),
             Statement::CreateTable { name, temp, if_not_exists, columns, as_query } => {
                 if *if_not_exists && env.catalog.table(name).is_some() {
                     return Ok(QueryResult::of(Table::empty(Schema::default()), 0));
@@ -676,7 +701,7 @@ impl Database {
                 // The inner query's operators record themselves; the
                 // CreateTable entry covers only the materialization.
                 let table = match as_query {
-                    Some(q) => self.run_query_spanned(env, q, span, scope)?,
+                    Some(q) => self.select(env, q, scope)?.into_table(),
                     None => {
                         let schema = Schema::new(
                             columns.iter().map(|(n, t)| Field::new(n.clone(), *t)).collect(),
@@ -692,7 +717,7 @@ impl Database {
                 // scripts: allow replacement.
                 let target = if *temp { env.catalog } else { env.catalog.shared() };
                 target.create_table(name, table, true)?;
-                self.exec_ctx(env, span, scope).record_step(OperatorKind::CreateTable, start, rows);
+                self.exec_ctx(env, root, scope).record_step(OperatorKind::CreateTable, start, rows);
                 Ok(QueryResult::of(Table::empty(Schema::default()), rows))
             }
             Statement::CreateView { name, query } => {
@@ -701,14 +726,14 @@ impl Database {
                 env.catalog.shared().create_view(name, query.clone(), true)?;
                 Ok(QueryResult::of(Table::empty(Schema::default()), 0))
             }
-            Statement::Insert { table, rows } => self.run_insert(env, table, rows, span, scope),
+            Statement::Insert { table, rows } => self.run_insert(env, table, rows, scope),
             Statement::InsertSelect { table, query } => {
                 let start = std::time::Instant::now();
                 let current = env
                     .catalog
                     .table(table)
                     .ok_or_else(|| Error::NotFound(format!("table '{table}'")))?;
-                let incoming = self.run_query_spanned(env, query, span, scope)?;
+                let incoming = self.select(env, query, scope)?.into_table();
                 if incoming.num_columns() != current.num_columns() {
                     return Err(Error::Plan(format!(
                         "INSERT SELECT produces {} columns, table '{table}' has {}",
@@ -722,11 +747,11 @@ impl Database {
                 }
                 let affected = incoming.num_rows();
                 env.catalog.replace_table(table, new_table)?;
-                self.exec_ctx(env, span, scope).record_step(OperatorKind::Insert, start, affected);
+                self.exec_ctx(env, root, scope).record_step(OperatorKind::Insert, start, affected);
                 Ok(QueryResult::of(Table::empty(Schema::default()), affected))
             }
             Statement::Update { table, assignments, predicate } => {
-                self.run_update(env, table, assignments, predicate.as_ref(), span, scope)
+                self.run_update(env, table, assignments, predicate.as_ref(), scope)
             }
             Statement::CreateIndex { table, column } => {
                 env.catalog.create_index(table, column)?;
@@ -735,18 +760,11 @@ impl Database {
             Statement::Explain(q) => {
                 let plan = self.plan_query_spanned(env, q, obs::SpanId::NONE)?;
                 let text = self.explain_plan_with_costs(env, &plan);
-                let mut col = Column::empty(crate::value::DataType::Utf8);
-                for line in text.lines() {
-                    col.push(crate::value::Value::Utf8(line.to_string()))?;
-                }
-                let table = Table::new(
-                    Schema::new(vec![Field::new("plan", crate::value::DataType::Utf8)]),
-                    vec![col],
-                )?;
-                let rows = table.num_rows();
-                Ok(QueryResult::of(table, rows))
+                Ok(QueryResult::of_table(plan_table(text.lines().map(str::to_string).collect())?))
             }
-            Statement::ExplainAnalyze(inner) => self.explain_analyze(env, inner, scope),
+            // Runs the statement under the root `run_statement` opened for
+            // it, which renders the tree as the result.
+            Statement::ExplainAnalyze(inner) => self.execute_statement_inner(env, inner, scope),
             Statement::Drop { kind, name, if_exists } => {
                 let dropped = match kind {
                     ObjectKind::Table => env.catalog.drop_table(name, *if_exists)?,
@@ -774,37 +792,21 @@ impl Database {
         Ok(PreparedQuery { db: self, plan: self.plan_query(q)?, token: std::sync::OnceLock::new() })
     }
 
-    /// Plans, optimizes and executes a SELECT. Failures count toward the
-    /// same governance metrics as [`execute`](Self::execute).
+    /// Plans, optimizes and executes a SELECT: a statement like any
+    /// other, traced and accounted for as [`execute`](Self::execute) is.
     pub fn run_query(&self, q: &Query) -> Result<Table> {
-        self.run_query_in(&self.env(), q)
+        self.query_in(&self.env(), q, Trace::Auto)
     }
 
-    pub(crate) fn run_query_in(&self, env: &Env<'_>, q: &Query) -> Result<Table> {
-        let started = std::time::Instant::now();
-        let scope = self.statement_scope(None);
-        let out = self.run_query_spanned(env, q, obs::SpanId::NONE, &scope);
-        self.ops.absorb(&scope.ops);
-        if let Err(err) = &out {
-            self.note_failure(obs::SpanId::NONE, err, started);
-        }
-        out
+    pub(crate) fn query_in(&self, env: &Env<'_>, q: &Query, trace: Trace) -> Result<Table> {
+        self.run_statement(None, trace, |s| self.select(env, q, s)).map(QueryResult::into_table)
     }
 
-    /// [`run_query`](Self::run_query) with plan/execute phase spans
-    /// nesting under `parent`.
-    fn run_query_spanned(
-        &self,
-        env: &Env<'_>,
-        q: &Query,
-        parent: obs::SpanId,
-        scope: &StmtScope,
-    ) -> Result<Table> {
-        let plan = self.plan_query_spanned(env, q, parent)?;
-        let span = self.tracer.child(parent, obs::SpanKind::Phase, "execute", "");
-        let out = exec::execute(&plan, &self.exec_ctx(env, span, scope));
-        self.tracer.finish(span);
-        out
+    /// Plans and executes a SELECT under the statement's root, with plan
+    /// and execute phase spans.
+    fn select(&self, env: &Env<'_>, q: &Query, scope: &StmtScope) -> Result<QueryResult> {
+        let plan = self.plan_query_spanned(env, q, scope.root)?;
+        self.run_plan(env, &plan, scope)
     }
 
     fn cost_ctx<'a>(&self, env: &Env<'a>) -> CostContext<'a> {
@@ -840,7 +842,9 @@ impl Database {
         q: &Query,
         span: obs::SpanId,
     ) -> Result<LogicalPlan> {
-        let runner = |sub: &Query| self.run_query_in(env, sub);
+        // Scalar subqueries run as statements of their own: their own
+        // counters, and no tree (the planner's caller has the root).
+        let runner = |sub: &Query| self.query_in(env, sub, Trace::Off);
         let planner = Planner::new(env.catalog, env.udfs, Some(&runner));
         let s = self.tracer.child(span, obs::SpanKind::Phase, "build_logical", "");
         let plan = planner.plan_query(q);
@@ -872,12 +876,10 @@ impl Database {
         Ok(plan)
     }
 
-    /// Executes an already-optimized plan.
+    /// Executes an already-optimized plan as a statement of its own.
     pub fn execute_plan(&self, plan: &LogicalPlan) -> Result<Table> {
-        let scope = self.statement_scope(None);
-        let out = exec::execute(plan, &self.exec_ctx(&self.env(), obs::SpanId::NONE, &scope));
-        self.ops.absorb(&scope.ops);
-        out
+        self.run_statement(None, Trace::Auto, |s| self.run_plan(&self.env(), plan, s))
+            .map(QueryResult::into_table)
     }
 
     /// An executor context for one statement, nesting operator spans under
@@ -943,41 +945,6 @@ impl Database {
         let mut out = String::new();
         walk(plan, 0, model.as_ref(), &ctx, &mut out);
         out
-    }
-
-    /// Executes a statement under a forced trace and renders the span tree
-    /// — phases, operators with actual rows/loops/exclusive time/effective
-    /// parallelism/bytes-not-materialized, cache events, morsel workers —
-    /// as a one-column `plan` table (the `EXPLAIN ANALYZE` statement).
-    fn explain_analyze(
-        &self,
-        env: &Env<'_>,
-        stmt: &Statement,
-        scope: &StmtScope,
-    ) -> Result<QueryResult> {
-        // Forced root: EXPLAIN ANALYZE traces even with the collector off.
-        let root = self.tracer.start_root("query");
-        let out = self.execute_statement_spanned(env, stmt, root, scope);
-        self.tracer.finish(root);
-        let tree = self.tracer.take_tree(root);
-        let inner = out?;
-        let mut col = Column::empty(crate::value::DataType::Utf8);
-        for line in tree.render().lines() {
-            col.push(crate::value::Value::Utf8(line.to_string()))?;
-        }
-        col.push(crate::value::Value::Utf8(format!(
-            "Execution: {} rows, time={}",
-            inner.rows_affected,
-            obs::fmt_ns(inner.elapsed.as_nanos() as u64)
-        )))?;
-        let table = Table::new(
-            Schema::new(vec![Field::new("plan", crate::value::DataType::Utf8)]),
-            vec![col],
-        )?;
-        let rows = table.num_rows();
-        let mut result = QueryResult::of(table, rows);
-        result.trace = Some(Arc::new(tree));
-        Ok(result)
     }
 
     /// The span collector. Enable it (`db.tracer().enable()`) to trace
@@ -1164,7 +1131,6 @@ impl Database {
         env: &Env<'_>,
         table_name: &str,
         rows: &[Vec<crate::sql::ast::Expr>],
-        span: obs::SpanId,
         scope: &StmtScope,
     ) -> Result<QueryResult> {
         let start = std::time::Instant::now();
@@ -1193,7 +1159,7 @@ impl Database {
         }
         let affected = rows.len();
         env.catalog.replace_table(table_name, new_table)?;
-        self.exec_ctx(env, span, scope).record_step(OperatorKind::Insert, start, affected);
+        self.exec_ctx(env, scope.root, scope).record_step(OperatorKind::Insert, start, affected);
         Ok(QueryResult::of(Table::empty(Schema::default()), affected))
     }
 
@@ -1203,7 +1169,6 @@ impl Database {
         table_name: &str,
         assignments: &[(String, crate::sql::ast::Expr)],
         predicate: Option<&crate::sql::ast::Expr>,
-        span: obs::SpanId,
         scope: &StmtScope,
     ) -> Result<QueryResult> {
         let start = std::time::Instant::now();
@@ -1240,7 +1205,7 @@ impl Database {
             new_table.set_column(idx, rebuilt)?;
         }
         env.catalog.replace_table(table_name, new_table)?;
-        self.exec_ctx(env, span, scope).record_step(OperatorKind::Update, start, affected);
+        self.exec_ctx(env, scope.root, scope).record_step(OperatorKind::Update, start, affected);
         Ok(QueryResult::of(Table::empty(Schema::default()), affected))
     }
 }
@@ -1273,14 +1238,13 @@ impl PreparedQuery<'_> {
         self.token.get_or_init(govern::CancelToken::new).clone()
     }
 
-    /// Executes the prepared plan, stamping timing metadata like
-    /// [`Database::execute_statement`] (without the parse/plan cost).
+    /// Executes the prepared plan as a statement, like
+    /// [`Database::execute_statement`] (it has no parse or plan to time).
     pub fn run(&self) -> Result<QueryResult> {
-        let started = std::time::Instant::now();
-        let scope = self.db.statement_scope(self.token.get().cloned());
-        let root = self.db.query_root(&scope);
-        let out = self.db.run_plan_timed_spanned(&self.db.env(), &self.plan, root, &scope);
-        self.db.finalize_query(root, &scope, started, out)
+        let db = self.db;
+        db.run_statement(self.token.get().cloned(), Trace::Auto, |s| {
+            db.run_plan(&db.env(), &self.plan, s)
+        })
     }
 }
 

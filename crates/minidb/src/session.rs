@@ -24,12 +24,11 @@ use std::sync::Arc;
 
 use crate::catalog::Catalog;
 use crate::cost::{CostModel, DefaultCostModel};
-use crate::db::{Database, Env, QueryResult};
+use crate::db::{Database, Env, QueryResult, Trace};
 use crate::error::Result;
 use crate::optimizer::OptimizerConfig;
 use crate::plan::logical::LogicalPlan;
 use crate::sql::ast::{Query, Statement};
-use crate::sql::parser;
 use crate::table::Table;
 use crate::udf::{ScalarUdf, UdfRegistry};
 
@@ -100,7 +99,7 @@ impl<'db> Session<'db> {
     /// Parses and executes one statement (sessions bypass the database's
     /// plan cache: their names and settings are their own).
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.execute_statement(&parser::parse_statement(sql)?)
+        self.db.execute_in(&self.env(), sql, false)
     }
 
     /// Executes a parsed statement, like [`Database::execute_statement`].
@@ -111,7 +110,7 @@ impl<'db> Session<'db> {
     /// Plans, optimizes and executes a SELECT, like
     /// [`Database::run_query`].
     pub fn run_query(&self, q: &Query) -> Result<Table> {
-        self.db.run_query_in(&self.env(), q)
+        self.db.query_in(&self.env(), q, Trace::Auto)
     }
 
     /// Plans and optimizes a SELECT without executing it.

@@ -193,6 +193,25 @@ pub fn tokenize(sql: &str) -> Result<Vec<Token>> {
     Ok(tokens)
 }
 
+/// Whether `sql` begins with the keywords `kws` (in any case), read as
+/// [`tokenize`] reads them, without tokenizing the rest.
+pub(crate) fn starts_with_keywords(sql: &str, kws: &[&str]) -> bool {
+    let mut rest = sql;
+    kws.iter().all(|kw| {
+        loop {
+            rest = rest.trim_start_matches([' ', '\t', '\r', '\n']);
+            match rest.strip_prefix("--") {
+                Some(comment) => rest = comment.find('\n').map_or("", |i| &comment[i..]),
+                None => break,
+            }
+        }
+        let end = rest.find(|c: char| !c.is_ascii_alphanumeric() && c != '_').unwrap_or(rest.len());
+        let (word, tail) = rest.split_at(end);
+        rest = tail;
+        word.eq_ignore_ascii_case(kw)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,6 +263,17 @@ mod tests {
         assert_eq!(kinds("'it''s'"), vec![TokenKind::Str("it's".into())]);
         assert!(tokenize("'unterminated").is_err());
         assert!(tokenize("SELECT @").is_err());
+    }
+
+    #[test]
+    fn leading_keywords_read_like_tokens() {
+        let ea = ["explain", "analyze"];
+        assert!(starts_with_keywords("EXPLAIN ANALYZE SELECT 1", &ea));
+        assert!(starts_with_keywords("  -- why\n explain\n\tAnalyze(SELECT 1)", &ea));
+        assert!(!starts_with_keywords("EXPLAIN SELECT 1", &ea));
+        assert!(!starts_with_keywords("EXPLAINANALYZE SELECT 1", &ea));
+        assert!(!starts_with_keywords("SELECT 'explain analyze'", &ea));
+        assert!(!starts_with_keywords("-- EXPLAIN ANALYZE", &ea));
     }
 
     #[test]

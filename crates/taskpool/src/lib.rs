@@ -321,6 +321,15 @@ where
 mod tests {
     use super::*;
 
+    /// Serializes the tests that run pool regions. `stats()` counts over
+    /// the whole process and the test harness runs tests on parallel
+    /// threads, so a test asserting exact deltas must not overlap another
+    /// test's regions.
+    fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn split_covers_everything_in_order() {
         assert_eq!(split_ranges(0, 4), vec![]);
@@ -331,6 +340,7 @@ mod tests {
 
     #[test]
     fn run_indexed_preserves_task_order() {
+        let _pool = pool_lock();
         for workers in [1, 2, 8] {
             let out = run_indexed(workers, 37, |i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
@@ -339,6 +349,7 @@ mod tests {
 
     #[test]
     fn run_ranges_matches_sequential() {
+        let _pool = pool_lock();
         let ranges = split_ranges(1000, 64);
         let serial: Vec<usize> = ranges.iter().map(|r| r.clone().sum()).collect();
         let parallel = run_ranges(4, &ranges, |r| r.sum::<usize>());
@@ -357,6 +368,7 @@ mod tests {
 
     #[test]
     fn stats_count_regions_tasks_and_workers() {
+        let _pool = pool_lock();
         let before = stats();
         let ids = run_indexed(4, 64, |_| current_worker());
         let after = stats();
@@ -370,6 +382,7 @@ mod tests {
 
     #[test]
     fn try_run_catches_panics_and_pool_stays_usable() {
+        let _pool = pool_lock();
         for workers in [1, 2, 8] {
             let before = stats().caught_panics;
             let err = try_run_indexed(workers, 64, |i| {
@@ -389,6 +402,7 @@ mod tests {
 
     #[test]
     fn try_run_ranges_matches_sequential_on_success() {
+        let _pool = pool_lock();
         let ranges = split_ranges(500, 32);
         let serial: Vec<usize> = ranges.iter().map(|r| r.clone().sum()).collect();
         let parallel = try_run_ranges(4, &ranges, |r| r.sum::<usize>()).unwrap();
@@ -397,6 +411,7 @@ mod tests {
 
     #[test]
     fn panics_propagate() {
+        let _pool = pool_lock();
         let caught = std::panic::catch_unwind(|| {
             run_indexed(4, 8, |i| {
                 if i == 5 {

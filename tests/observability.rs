@@ -127,6 +127,12 @@ fn trace_absent_when_collector_disabled() {
 // ---------------------------------------------------------------------------
 
 fn traced_engine() -> CollabEngine {
+    let engine = small_engine();
+    engine.db().tracer().enable();
+    engine
+}
+
+fn small_engine() -> CollabEngine {
     let db = Arc::new(Database::new());
     let config =
         DatasetConfig { video_rows: 60, keyframe_shape: vec![1, 8, 8], ..Default::default() };
@@ -137,7 +143,6 @@ fn traced_engine() -> CollabEngine {
         histogram_samples: 16,
         ..Default::default()
     });
-    db.tracer().enable();
     CollabEngine::new(db, repo)
 }
 
@@ -374,10 +379,7 @@ fn slow_query_hook_fires_without_enabling_the_collector() {
 // ---------------------------------------------------------------------------
 
 fn ndv_computed(db: &Database) -> u64 {
-    match db.metrics_snapshot().get("minidb_stats_ndv_computed_total", &[]).map(|m| &m.value) {
-        Some(obs::MetricValue::Counter(n)) => *n,
-        other => panic!("minidb_stats_ndv_computed_total: {other:?}"),
-    }
+    counter(db, "minidb_stats_ndv_computed_total")
 }
 
 fn stats_db(model: DefaultCostModel) -> Database {
@@ -424,4 +426,154 @@ fn planner_statistics_hash_only_the_columns_estimates_read() {
         db.execute(sql).unwrap();
     }
     assert_eq!(ndv_computed(&db), 0, "clickhouse_like computes no NDV");
+}
+
+// ---------------------------------------------------------------------------
+// One statement driver: strategy queries, execute_plan and EXPLAIN ANALYZE
+// are scoped, traced and accounted for like any statement
+// ---------------------------------------------------------------------------
+
+const STRATEGY_SQL: &str = "SELECT sum(meter) FROM FABRIC F, Video V \
+     WHERE F.transID = V.transID AND nUDF_classify(V.keyframe) = 'Floral Pattern'";
+
+/// The strategies whose own collaborative query is a `run_query` call
+/// with no DL2SQL runner underneath it.
+const DRIVER_STRATEGIES: [StrategyKind; 2] = [StrategyKind::LooseUdf, StrategyKind::Independent];
+
+/// Whether a tree is a statement's own (root `query`) and scans `video`.
+fn scans_video(tree: &obs::SpanTree) -> bool {
+    let root = tree.root().map(|r| tree.record(r).name.as_str());
+    root == Some("query")
+        && tree.records().iter().any(|r| {
+            r.kind == SpanKind::Operator
+                && r.name == "Scan"
+                && r.detail.to_ascii_lowercase().contains("scan: video")
+        })
+}
+
+fn latency_count(db: &Database) -> u64 {
+    match db.metrics_snapshot().get("minidb_query_latency_seconds", &[]).map(|m| &m.value) {
+        Some(obs::MetricValue::Histogram(h)) => h.count,
+        other => panic!("minidb_query_latency_seconds: {other:?}"),
+    }
+}
+
+fn counter(db: &Database, name: &str) -> u64 {
+    match db.metrics_snapshot().get(name, &[]).map(|m| &m.value) {
+        Some(obs::MetricValue::Counter(n)) => *n,
+        other => panic!("{name}: {other:?}"),
+    }
+}
+
+#[test]
+fn strategy_queries_reach_the_slow_query_hook_with_the_collector_off() {
+    let engine = small_engine();
+    let db = engine.db();
+    let mut cfg = db.exec_config();
+    cfg.slow_query_threshold = Some(Duration::ZERO);
+    db.swap_exec_config(cfg);
+    let hooked: Arc<Mutex<Vec<obs::SpanTree>>> = Arc::default();
+    let sink = Arc::clone(&hooked);
+    db.set_slow_query_hook(Arc::new(move |tree| sink.lock().unwrap().push(tree.clone())));
+    assert!(!db.tracer().is_enabled());
+    for kind in DRIVER_STRATEGIES {
+        hooked.lock().unwrap().clear();
+        engine.execute(STRATEGY_SQL, kind).unwrap();
+        let trees = hooked.lock().unwrap();
+        assert!(
+            trees.iter().any(scans_video),
+            "{}: no statement tree scanning video among {} hooked",
+            kind.label(),
+            trees.len()
+        );
+    }
+}
+
+#[test]
+fn strategy_queries_emit_their_statement_trees_to_the_sink() {
+    let engine = traced_engine();
+    let db = engine.db();
+    let emitted: Arc<Mutex<Vec<obs::SpanTree>>> = Arc::default();
+    let sink = Arc::clone(&emitted);
+    db.tracer().set_sink(Some(Arc::new(move |tree: &obs::SpanTree| {
+        sink.lock().unwrap().push(tree.clone())
+    })));
+    for kind in DRIVER_STRATEGIES {
+        emitted.lock().unwrap().clear();
+        engine.execute(STRATEGY_SQL, kind).unwrap();
+        let trees = emitted.lock().unwrap();
+        let statement = trees.iter().find(|t| scans_video(t)).unwrap_or_else(|| {
+            panic!("{}: no statement tree scanning video among {}", kind.label(), trees.len())
+        });
+        let root = statement.root().unwrap();
+        assert!(statement.operator_exclusive_total_ns() <= statement.inclusive_ns(root));
+    }
+    db.tracer().set_sink(None);
+}
+
+#[test]
+fn strategy_queries_feed_the_latency_histogram() {
+    let engine = small_engine();
+    let db = engine.db();
+    for kind in DRIVER_STRATEGIES {
+        let before = latency_count(db);
+        engine.execute(STRATEGY_SQL, kind).unwrap();
+        assert!(latency_count(db) > before, "{}: no latency observation", kind.label());
+    }
+}
+
+#[test]
+fn execute_plan_counts_a_canceled_statement() {
+    let db = corpus_db(1);
+    let stmt = minidb::sql::parse_statement(CORPUS[2]).unwrap();
+    let minidb::sql::Statement::Query(q) = stmt else { unreachable!() };
+    let plan = db.plan_query(&q).unwrap();
+    let (failures, cancellations) = (
+        counter(&db, "minidb_query_failures_total"),
+        counter(&db, "minidb_query_cancellations_total"),
+    );
+    db.cancel_handle().cancel();
+    let err = db.execute_plan(&plan).unwrap_err();
+    assert!(matches!(err.governance(), Some(govern::QueryError::Canceled)), "{err}");
+    assert_eq!(counter(&db, "minidb_query_failures_total"), failures + 1);
+    assert_eq!(counter(&db, "minidb_query_cancellations_total"), cancellations + 1);
+}
+
+#[test]
+fn explain_analyze_emits_one_tree_with_the_collector_on() {
+    let db = corpus_db(1);
+    let emitted: Arc<Mutex<Vec<obs::SpanTree>>> = Arc::default();
+    let sink = Arc::clone(&emitted);
+    db.tracer().set_sink(Some(Arc::new(move |tree: &obs::SpanTree| {
+        sink.lock().unwrap().push(tree.clone())
+    })));
+    db.tracer().enable();
+    let sql = format!("EXPLAIN ANALYZE {}", CORPUS[2]);
+    let lines = plan_lines(&db, &sql);
+    let trees = emitted.lock().unwrap();
+    assert_eq!(trees.len(), 1, "one statement, one tree");
+    assert!(trees[0].records().iter().any(|r| r.name == "Scan"), "{}", trees[0].render());
+    assert!(lines.iter().any(|l| l.trim_start().starts_with("Scan")), "{lines:?}");
+}
+
+#[test]
+fn traced_inference_emits_one_tree_per_statement_and_one_for_the_run() {
+    let db = Arc::new(Database::new());
+    let registry = Arc::new(NeuralRegistry::new());
+    let model = neuro::zoo::student(vec![1, 8, 8], 3, 5);
+    let compiled = Arc::new(compile_model(&db, &registry, &model).unwrap());
+    let statements: usize = compiled.steps.iter().map(|s| s.statements.len()).sum();
+    let runner = dl2sql::Runner::new(Arc::clone(&db), registry, compiled).unwrap();
+    let roots: Arc<Mutex<Vec<String>>> = Arc::default();
+    let sink = Arc::clone(&roots);
+    db.tracer().set_sink(Some(Arc::new(move |tree: &obs::SpanTree| {
+        sink.lock().unwrap().push(tree.record(tree.root().unwrap()).name.clone())
+    })));
+    db.tracer().enable();
+    runner.infer(&neuro::Tensor::full(vec![1, 8, 8], 0.3)).unwrap();
+    let roots = roots.lock().unwrap();
+    // Each program statement and the prediction query, then the run.
+    assert_eq!(roots.len(), statements + 2, "{roots:?}");
+    assert_eq!(roots.last().map(String::as_str), Some("infer"));
+    assert!(roots[..roots.len() - 1].iter().all(|r| r == "query"), "{roots:?}");
 }
