@@ -58,7 +58,6 @@ fn bit_identity_at(parallelism: usize, repo: &Arc<collab::ModelRepo>) -> bool {
                 .exec_config(minidb::exec::ExecConfig {
                     parallelism,
                     morsel_rows: 32,
-                    min_parallel_rows: 0,
                     ..Default::default()
                 })
                 .build(),

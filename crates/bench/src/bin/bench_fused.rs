@@ -38,7 +38,6 @@ fn build_db(fuse: bool) -> Database {
     let db = Database::builder()
         .exec_config(minidb::exec::ExecConfig {
             parallelism: PARALLELISM,
-            min_parallel_rows: 0,
             plan_cache_capacity: 0,
             ..Default::default()
         })

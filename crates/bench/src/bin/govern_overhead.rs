@@ -38,12 +38,7 @@ const LAYERS: &[(&str, i64, i64, i64)] = &[
 
 fn build_db(parallelism: usize) -> Database {
     let db = Database::builder()
-        .exec_config(ExecConfig {
-            parallelism,
-            min_parallel_rows: 0,
-            plan_cache_capacity: 0,
-            ..Default::default()
-        })
+        .exec_config(ExecConfig { parallelism, plan_cache_capacity: 0, ..Default::default() })
         .build();
     for (i, &(_, t_in, k_in, n_out)) in LAYERS.iter().enumerate() {
         db.execute_script(&format!(

@@ -375,7 +375,8 @@ pub mod failpoints {
     //!
     //! Site catalog (see DESIGN.md §11 for the full table):
     //! * `independent.transfer` — the DB↔DL byte-channel round trip,
-    //! * `exec.morsel` — start of every parallel morsel in `minidb`,
+    //! * `exec.morsel` — start of every operator range in `minidb`, at
+    //!   every parallelism (one range per operator at `parallelism = 1`),
     //! * `budget.reserve` — every [`super::MemoryBudget`] reservation.
 
     use std::time::Duration;

@@ -247,9 +247,10 @@ pub struct DatabaseBuilder {
 }
 
 impl DatabaseBuilder {
-    /// Replaces the executor configuration wholesale.
+    /// Replaces the executor configuration wholesale (`parallelism`
+    /// clamped to at least 1).
     pub fn exec_config(mut self, config: ExecConfig) -> Self {
-        self.exec_config = config;
+        self.exec_config = ExecConfig { parallelism: config.parallelism.max(1), ..config };
         self
     }
 
@@ -265,8 +266,8 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Worker threads for morsel-parallel operators (`1` = serial
-    /// reference path). Clamped to at least 1.
+    /// Worker threads for the range-driven operators (`1` = one range per
+    /// operator, in row order). Clamped to at least 1.
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.exec_config.parallelism = workers.max(1);
         self
@@ -425,9 +426,11 @@ impl Database {
     }
 
     /// Replaces the executor configuration mid-session, returning the
-    /// previous one. Invalidates cached plans (parallelism feeds the cost
-    /// model) and applies the new plan-cache capacity.
+    /// previous one (`parallelism` clamped to at least 1). Invalidates
+    /// cached plans (parallelism feeds the cost model) and applies the new
+    /// plan-cache capacity.
     pub fn swap_exec_config(&self, config: ExecConfig) -> ExecConfig {
+        let config = ExecConfig { parallelism: config.parallelism.max(1), ..config };
         self.config_epoch.bump();
         self.plan_cache.set_capacity(config.plan_cache_capacity);
         *self.memory_budget.write() = Database::build_budget(&config);
@@ -1648,6 +1651,21 @@ mod tests {
         assert!(db.execute(sql).unwrap().plan_cache_hit());
         db.swap_exec_config(db.exec_config());
         assert!(!db.execute(sql).unwrap().plan_cache_hit());
+    }
+
+    #[test]
+    fn every_exec_config_entry_point_clamps_parallelism_to_one() {
+        let zero = || ExecConfig { parallelism: 0, ..Default::default() };
+        let db = Database::builder().exec_config(zero()).build();
+        assert_eq!(db.exec_config().parallelism, 1, "builder");
+        let db = Database::builder().parallelism(4).build();
+        db.swap_exec_config(zero());
+        assert_eq!(db.exec_config().parallelism, 1, "swap");
+        // The clamped database still runs every range-driven operator.
+        db.execute_script("CREATE TABLE t (k Int64, v Float64); INSERT INTO t VALUES (1, 2.5);")
+            .unwrap();
+        let out = db.execute("SELECT k, SUM(v) FROM t WHERE v > 0.0 GROUP BY k").unwrap();
+        assert_eq!(out.table().column(1).f64_at(0), 2.5);
     }
 
     #[test]

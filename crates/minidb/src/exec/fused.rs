@@ -14,10 +14,11 @@
 //!   group-by would, in the same order, with the same argument values
 //!   (the per-side column evaluation reproduces what expression
 //!   evaluation over the materialized join row would compute);
-//! * the morsel-parallel path partitions *probe* rows, computes partial
-//!   accumulators per morsel and merges them in morsel order, so the
-//!   result depends only on the morsel decomposition, never on worker
-//!   scheduling — the same discipline as [`parallel::aggregate`].
+//! * the fold runs over ranges of *probe* rows ([`parallel::fold_groups`]):
+//!   one range at `parallelism = 1`, whose partials are the result, and
+//!   morsels above it, whose partials merge in range order — so the
+//!   result depends only on the range list, never on worker scheduling,
+//!   the same discipline as the executor's GroupBy.
 //!
 //! Typed fast paths avoid per-pair heap traffic: small dense integer keys
 //! are addressed by offset ([`super::dense`]), sparse ones of up to two
@@ -25,7 +26,7 @@
 //! hasher ([`crate::hash`]), aggregate arguments read `&[i64]`/`&[f64]`
 //! slices, and `SUM(f64 × f64)` folds into plain `f64`s.
 
-use std::sync::{Mutex, PoisonError};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use crate::column::{Column, Key};
@@ -38,15 +39,16 @@ use crate::table::{Schema, Table};
 use crate::value::{DataType, Value};
 
 use super::dense::{DenseGroupIds, DenseLayout, GroupIds, KeyPath};
-use super::{parallel, Acc, ExecContext, JoinIndex};
+use super::parallel::{self, Groups};
+use super::{Acc, ExecContext, JoinIndex, CHECK_STRIDE};
 
 /// Counters the executor records for the fused operator.
 pub(crate) struct FusedMetrics {
     /// Worker busy time beyond the operator's own wall time (zero when
-    /// the probe ran serially).
+    /// the probe ran as one range).
     pub extra_busy: Duration,
     /// Serial setup time — argument/key evaluation plus hash-table build —
-    /// before the (possibly parallel) probe starts. The executor records
+    /// before the range-driven probe starts. The executor records
     /// this as its own invocation so effective parallelism reflects only
     /// the probe.
     pub build: Duration,
@@ -138,20 +140,9 @@ impl FusedArg {
 }
 
 /// Group state after a fold: per group, its first matched (left row,
-/// right row) pair in first-occurrence order — the rows group-key output
-/// values are read from — and `width` flat accumulators at
-/// `accs[g * width..(g + 1) * width]`.
-struct Folded<A> {
-    firsts: Vec<(usize, usize)>,
-    accs: Vec<A>,
-    pairs: u64,
-}
-
-impl<A> Default for Folded<A> {
-    fn default() -> Self {
-        Folded { firsts: Vec::new(), accs: Vec::new(), pairs: 0 }
-    }
-}
+/// right row) pair — the rows group-key output values are read from — and
+/// its flat accumulators; `items` counts the matched pairs.
+type Folded<A> = Groups<(usize, usize), A>;
 
 /// How matched pairs fold into a group's flat accumulators.
 trait Fold: Sync {
@@ -162,7 +153,7 @@ trait Fold: Sync {
     fn open(&self, accs: &mut Vec<Self::Acc>);
     /// Folds the pair (`li`, `ri`) into one group's accumulators.
     fn update(&self, group: &mut [Self::Acc], li: usize, ri: usize) -> Result<()>;
-    /// Folds a later morsel's partial into an accumulator.
+    /// Folds a later range's partial into an accumulator.
     fn merge(&self, acc: &mut Self::Acc, partial: Self::Acc) -> Result<()>;
     /// The output value of a finished accumulator.
     fn finish(&self, acc: &Self::Acc, output_type: DataType) -> Value;
@@ -349,22 +340,15 @@ fn fold_and_emit<F: Fold>(
         fold.open(&mut folded.accs);
     }
 
-    let width = fold.width();
-    let mut cols: Vec<Column> =
-        schema.fields().iter().map(|f| Column::empty(f.data_type)).collect();
-    for (g, &(li, ri)) in folded.firsts.iter().enumerate() {
-        for (ki, (side, col)) in group_cols.iter().enumerate() {
-            cols[ki].push(col.value(pick(*side, li, ri)))?;
-        }
-        for (ai, acc) in folded.accs[g * width..(g + 1) * width].iter().enumerate() {
-            let field = schema.field(group.len() + ai);
-            cols[group.len() + ai].push(fold.finish(acc, field.data_type))?;
-        }
-    }
+    let key_value = |ki: usize, (li, ri)| {
+        let (side, col) = &group_cols[ki];
+        col.value(pick(*side, li, ri))
+    };
+    let finish = |acc: &F::Acc, output_type| fold.finish(acc, output_type);
     Ok(Emitted {
-        table: Table::new(schema.clone(), cols)?,
+        table: parallel::emit_groups(schema, &folded, group.len(), key_value, finish)?,
         extra_busy,
-        pairs: folded.pairs,
+        pairs: folded.items,
         group_path,
     })
 }
@@ -447,8 +431,7 @@ fn build_arg(
 /// probe side's rows — are addressed by offset ([`DenseGroupIds`]);
 /// sparse ones pack into an `i128` hash key (the conv shape needs no
 /// per-pair allocation either way); anything else uses general composite
-/// keys. The serial fold, every morsel and the morsel merge use the same
-/// choice.
+/// keys. Every range and the range merge use the same choice.
 fn fold_grouped<F: Fold>(
     index: &JoinIndex,
     build_left: bool,
@@ -457,6 +440,7 @@ fn fold_grouped<F: Fold>(
     ctx: &ExecContext<'_>,
 ) -> Result<(Folded<F::Acc>, Duration, KeyPath)> {
     let probe_len = index.probe_len();
+    let ranges = parallel::ranges(ctx.config, probe_len);
     let ints: Option<Vec<(Side, &[i64])>> = if group_cols.len() <= 2 {
         group_cols.iter().map(|(s, c)| c.as_i64_slice().map(|v| (*s, v))).collect()
     } else {
@@ -466,20 +450,20 @@ fn fold_grouped<F: Fold>(
         let keyer = |li, ri| -> Vec<Key> {
             group_cols.iter().map(|(s, c)| c.key_at(pick(*s, li, ri))).collect()
         };
-        let (folded, busy) = fold_all(index, build_left, keyer, hash_ids, fold, ctx)?;
+        let (folded, busy) = fold_all(index, &ranges, build_left, keyer, hash_ids, fold, ctx)?;
         return Ok((folded, busy, KeyPath::Hash));
     };
     let cols: Vec<&[i64]> = ints.iter().map(|(_, c)| *c).collect();
     if let Some(layout) = DenseLayout::choose(&cols, probe_len) {
         // One table per concurrently folding worker.
-        let parallel = parallel::active(ctx.config, probe_len);
-        let tables = if parallel { ctx.config.parallelism } else { 1 } as u64;
+        let tables = ctx.config.parallelism.min(ranges.len()) as u64;
         let _mem = ctx.reserve("fused.build", tables * DenseGroupIds::bytes(layout.span()))?;
         let ids = || DenseGroupIds::new(layout.span());
         let (folded, busy) = match *ints.as_slice() {
-            [] => fold_all(index, build_left, |_, _| 0, ids, fold, ctx)?,
+            [] => fold_all(index, &ranges, build_left, |_, _| 0, ids, fold, ctx)?,
             [(s0, c0)] => fold_all(
                 index,
+                &ranges,
                 build_left,
                 move |li, ri| layout.slot(c0[pick(s0, li, ri)], 0),
                 ids,
@@ -488,6 +472,7 @@ fn fold_grouped<F: Fold>(
             )?,
             [(s0, c0), (s1, c1)] => fold_all(
                 index,
+                &ranges,
                 build_left,
                 move |li, ri| layout.slot(c0[pick(s0, li, ri)], c1[pick(s1, li, ri)]),
                 ids,
@@ -501,6 +486,7 @@ fn fold_grouped<F: Fold>(
     let (folded, busy) = match *ints.as_slice() {
         [(s0, c0)] => fold_all(
             index,
+            &ranges,
             build_left,
             move |li, ri| c0[pick(s0, li, ri)] as i128,
             hash_ids,
@@ -509,6 +495,7 @@ fn fold_grouped<F: Fold>(
         )?,
         [(s0, c0), (s1, c1)] => fold_all(
             index,
+            &ranges,
             build_left,
             move |li, ri| {
                 let a = c0[pick(s0, li, ri)];
@@ -529,10 +516,12 @@ fn hash_ids<K>() -> FxHashMap<K, usize> {
     fx_map_with_capacity(64)
 }
 
-/// Probes serially or morsel-parallel and returns merged group state plus
-/// worker busy time beyond wall time.
+/// Probes every range of probe rows and folds each matched pair into its
+/// group ([`parallel::fold_groups`]); returns the group state plus worker
+/// busy time beyond wall time.
 fn fold_all<K, KF, M, F>(
     index: &JoinIndex,
+    ranges: &[Range<usize>],
     build_left: bool,
     keyer: KF,
     new_ids: impl Fn() -> M + Sync,
@@ -544,67 +533,19 @@ where
     M: GroupIds<K> + Send,
     F: Fold,
 {
-    let probe_len = index.probe_len();
-    if !parallel::active(ctx.config, probe_len) {
-        let folded =
-            fold_range(0..probe_len, index, build_left, &keyer, &mut new_ids(), fold, ctx)?;
-        return Ok((folded, Duration::ZERO));
-    }
-
-    // Group-id tables are reused across morsels: each morsel forgets the
-    // groups it opened, so a dense table is filled once per worker, not
-    // once per morsel.
-    let tables: Mutex<Vec<M>> = Mutex::new(Vec::new());
-    let take = || tables.lock().unwrap_or_else(PoisonError::into_inner).pop();
-    let probe_start = Instant::now();
-    let ranges = taskpool::split_ranges(probe_len, ctx.config.morsel_rows);
-    let parts = taskpool::try_run_ranges(ctx.config.parallelism, &ranges, |range| {
-        parallel::morsel_checkpoint(ctx)?;
-        let t0 = parallel::morsel_t0(ctx);
-        let start = Instant::now();
-        let mut ids = take().unwrap_or_else(&new_ids);
-        let local = fold_range(range.clone(), index, build_left, &keyer, &mut ids, fold, ctx)?;
-        for &(li, ri) in &local.firsts {
-            ids.forget(keyer(li, ri));
-        }
-        tables.lock().unwrap_or_else(PoisonError::into_inner).push(ids);
-        let elapsed = start.elapsed();
-        parallel::note_morsel(ctx, &range, t0, local.firsts.len() as u64);
-        Ok::<_, crate::error::Error>((local, elapsed))
-    })?;
-
-    // Merge partials in morsel order: group ids follow first occurrence
-    // across morsels, matching the serial probe's group order. A local
-    // group's key is recomputed from its first pair.
-    let width = fold.width();
-    let mut busy = Duration::ZERO;
-    let mut ids = take().unwrap_or_else(new_ids);
-    let mut folded = Folded::default();
-    for part in parts {
-        let (local, elapsed) = part?;
-        busy += elapsed;
-        folded.pairs += local.pairs;
-        let mut partials = local.accs.into_iter();
-        for (li, ri) in local.firsts {
-            let next = folded.firsts.len();
-            let gid = ids.id(keyer(li, ri), next);
-            let group = partials.by_ref().take(width);
-            if gid == next {
-                folded.firsts.push((li, ri));
-                folded.accs.extend(group);
-            } else {
-                for (acc, partial) in folded.accs[gid * width..].iter_mut().zip(group) {
-                    fold.merge(acc, partial)?;
-                }
-            }
-        }
-    }
-    Ok((folded, busy.saturating_sub(probe_start.elapsed())))
+    let fold_one =
+        |range, ids: &mut M| fold_range(range, index, build_left, &keyer, ids, fold, ctx);
+    let key = |(li, ri)| keyer(li, ri);
+    let merge = |acc: &mut F::Acc, partial| fold.merge(acc, partial);
+    parallel::fold_groups(ctx, ranges, fold.width(), key, new_ids, fold_one, merge)
 }
 
-/// The probe-and-fold inner loop over one probe-row range.
+/// The probe-and-fold inner loop over one probe-row range. A plain
+/// function taking its inputs as arguments: written inside the range
+/// closure, the loop read them through the closure's captures and the
+/// conv fold ran ~10% slower at `parallelism = 1`.
 fn fold_range<K, F: Fold>(
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     index: &JoinIndex,
     build_left: bool,
     keyer: &impl Fn(usize, usize) -> K,
@@ -615,19 +556,13 @@ fn fold_range<K, F: Fold>(
     let width = fold.width();
     let mut local = Folded::default();
     for probe_row in range {
-        if probe_row % super::CHECK_STRIDE == 0 {
+        if probe_row % CHECK_STRIDE == 0 {
             ctx.check()?;
         }
         for &build_row in index.matches(probe_row) {
             let (li, ri) = if build_left { (build_row, probe_row) } else { (probe_row, build_row) };
-            let next = local.firsts.len();
-            let id = ids.id(keyer(li, ri), next);
-            if id == next {
-                local.firsts.push((li, ri));
-                fold.open(&mut local.accs);
-            }
-            fold.update(&mut local.accs[id * width..(id + 1) * width], li, ri)?;
-            local.pairs += 1;
+            let accs = local.group(ids, keyer(li, ri), (li, ri), width, |a| fold.open(a));
+            fold.update(accs, li, ri)?;
         }
     }
     Ok(local)

@@ -36,14 +36,14 @@ pub struct ExecConfig {
     /// In-memory bucket budget of the symmetric hash join before the
     /// bucket-level LRU starts evicting (paper Sec. IV-B rule 3).
     pub symmetric_bucket_budget: usize,
-    /// Worker threads for morsel-parallel operators. `1` (the default)
-    /// takes the serial reference path, bit-for-bit.
+    /// Worker threads for the range-driven operators (Filter, Project,
+    /// GroupBy, the hash-join probe, the fused fold). At `1` (the default)
+    /// each operator folds its whole input as one range, in row order;
+    /// above `1` it splits inputs longer than one morsel into morsels.
+    /// Either way it is the same code.
     pub parallelism: usize,
-    /// Rows per morsel when an operator goes parallel.
+    /// Rows per morsel when an operator is split over workers.
     pub morsel_rows: usize,
-    /// Inputs below this row count stay serial even when `parallelism > 1`
-    /// (fan-out overhead dominates on small tables).
-    pub min_parallel_rows: usize,
     /// Entries in the ad-hoc `Database::execute` plan cache (normalized SQL
     /// text → optimized plan, validated against the catalog epoch). `0`
     /// disables the cache.
@@ -53,8 +53,8 @@ pub struct ExecConfig {
     /// hook. `None` (the default) disables the slow-query log.
     pub slow_query_threshold: Option<Duration>,
     /// Per-statement wall-clock deadline. Checked cooperatively at
-    /// operator and morsel boundaries (and on a stride inside serial
-    /// loops), so a timed-out query aborts within a few morsels of the
+    /// operator and range boundaries (and on a stride inside row loops),
+    /// so a timed-out query aborts within a few morsels of the
     /// deadline with [`govern::QueryError::TimedOut`]. `None` (the
     /// default) disables the deadline.
     pub query_timeout: Option<Duration>,
@@ -73,7 +73,6 @@ impl Default for ExecConfig {
             symmetric_bucket_budget: 1 << 16,
             parallelism: 1,
             morsel_rows: 4096,
-            min_parallel_rows: 4096,
             plan_cache_capacity: 64,
             slow_query_threshold: None,
             query_timeout: None,
@@ -183,8 +182,14 @@ impl<'a> ExecContext<'a> {
 
 /// Metrics of a serial operator invocation that began at `start`.
 fn serial(start: Instant, rows_out: usize) -> obs::OpMetrics {
+    ranged(start, Duration::ZERO, rows_out)
+}
+
+/// Metrics of an operator invocation that began at `start` and whose
+/// ranges kept workers busy `extra_busy` beyond its wall time.
+fn ranged(start: Instant, extra_busy: Duration, rows_out: usize) -> obs::OpMetrics {
     let elapsed = start.elapsed();
-    parallel(elapsed, elapsed, rows_out)
+    parallel(elapsed, elapsed + extra_busy, rows_out)
 }
 
 /// Metrics of an operator invocation that may have fanned out over a
@@ -242,7 +247,7 @@ fn variant_name(plan: &LogicalPlan) -> &'static str {
     }
 }
 
-/// Serial row loops check the governor once per this many rows, keeping
+/// Row loops check the governor once per this many rows, keeping
 /// cancellation latency at morsel scale without measurable per-row cost.
 pub(crate) const CHECK_STRIDE: usize = 4096;
 
@@ -268,32 +273,15 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let start = Instant::now();
             let kind =
                 if predicate.contains_udf() { OperatorKind::UdfEval } else { OperatorKind::Filter };
-            if parallel::active(ctx.config, t.num_rows()) {
-                let (out, busy) = parallel::filter(&t, predicate, ctx)?;
-                ctx.record(kind, parallel(start.elapsed(), busy, out.num_rows()));
-                return Ok(out);
-            }
-            let mask_col = predicate.eval(&t, &ctx.eval_ctx())?;
-            let mask = mask_col.as_bool_slice()?;
-            let out = t.filter(mask);
-            ctx.record(kind, serial(start, out.num_rows()));
+            let (out, extra_busy) = parallel::filter(&t, predicate, ctx)?;
+            ctx.record(kind, ranged(start, extra_busy, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Project { input, exprs, schema } => {
             let t = execute(input, ctx)?;
             let start = Instant::now();
-            if parallel::active(ctx.config, t.num_rows()) {
-                let (out, busy) = parallel::project(&t, exprs, schema, ctx)?;
-                ctx.record(OperatorKind::Project, parallel(start.elapsed(), busy, out.num_rows()));
-                return Ok(out);
-            }
-            let cols: Vec<Column> = exprs
-                .iter()
-                .zip(schema.fields())
-                .map(|(e, f)| coerce_column(e.eval(&t, &ctx.eval_ctx())?, f.data_type))
-                .collect::<Result<_>>()?;
-            let out = Table::new(schema.clone(), cols)?;
-            ctx.record(OperatorKind::Project, serial(start, out.num_rows()));
+            let (out, extra_busy) = parallel::project(&t, exprs, schema, ctx)?;
+            ctx.record(OperatorKind::Project, ranged(start, extra_busy, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Join { left, right, keys, residual, algorithm, output, schema } => {
@@ -318,9 +306,8 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                     KeyPath::Hash,
                 ),
             };
-            let elapsed = start.elapsed();
             ctx.note_keys(plan, &[("keys", path)]);
-            ctx.record(OperatorKind::Join, parallel(elapsed, elapsed + extra_busy, out.num_rows()));
+            ctx.record(OperatorKind::Join, ranged(start, extra_busy, out.num_rows()));
             Ok(out)
         }
         LogicalPlan::Cross { left, right, schema } => {
@@ -351,7 +338,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let (out, m) = fused::join_aggregate(&lt, &rt, keys, group, aggs, schema, ctx)?;
             let elapsed = start.elapsed();
             // Build (serial argument/key evaluation + hash build) and
-            // probe (morsel-parallel fold + emit) are distinct recorded
+            // probe (range-driven fold + emit) are distinct recorded
             // invocations: lumping them made busy/wall meaningless as an
             // effective-parallelism ratio, since the serial build diluted
             // the parallel probe's busy time.
@@ -394,14 +381,8 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
         LogicalPlan::Aggregate { input, group, aggs, schema } => {
             let t = execute(input, ctx)?;
             let start = Instant::now();
-            if parallel::active(ctx.config, t.num_rows()) {
-                let (out, busy, path) = parallel::aggregate(&t, group, aggs, schema, ctx)?;
-                ctx.record(OperatorKind::GroupBy, parallel(start.elapsed(), busy, out.num_rows()));
-                ctx.note_keys(plan, &[("keys", path)]);
-                return Ok(out);
-            }
-            let (out, path) = aggregate(&t, group, aggs, schema, ctx)?;
-            ctx.record(OperatorKind::GroupBy, serial(start, out.num_rows()));
+            let (out, extra_busy, path) = aggregate(&t, group, aggs, schema, ctx)?;
+            ctx.record(OperatorKind::GroupBy, ranged(start, extra_busy, out.num_rows()));
             ctx.note_keys(plan, &[("keys", path)]);
             Ok(out)
         }
@@ -571,10 +552,10 @@ fn into_ints(cols: Vec<Column>) -> std::result::Result<Vec<Vec<i64>>, Vec<Column
 
 /// One or two integer key values packed into an `i128` hash key.
 #[inline]
-fn pack(cols: &[Vec<i64>], row: usize) -> i128 {
+fn pack<C: AsRef<[i64]>>(cols: &[C], row: usize) -> i128 {
     match cols {
-        [a] => a[row] as i128,
-        _ => ((cols[0][row] as i128) << 64) | (cols[1][row] as u64 as i128),
+        [a] => a.as_ref()[row] as i128,
+        _ => ((cols[0].as_ref()[row] as i128) << 64) | (cols[1].as_ref()[row] as u64 as i128),
     }
 }
 
@@ -701,11 +682,11 @@ pub(crate) fn group_state_bytes(groups: usize, aggs: usize) -> u64 {
     (groups as u64) * (48 + 48 * aggs as u64)
 }
 
-/// Equi-join: serial build on the smaller side ([`JoinIndex`]), probe
-/// either serially or morsel-parallel. Returns the joined table, any
-/// worker busy time the parallel probe accrued beyond its own wall time
-/// (zero when serial), so the caller can record wall + extra as the
-/// join's busy time, and the key path the build took.
+/// Equi-join: serial build on the smaller side ([`JoinIndex`]), then a
+/// range-driven probe ([`parallel::probe`]). Returns the joined table, the
+/// worker busy time the probe accrued beyond its own wall time (zero for
+/// one range), so the caller can record wall + extra as the join's busy
+/// time, and the key path the build took.
 fn hash_join(
     lt: &Table,
     rt: &Table,
@@ -718,26 +699,8 @@ fn hash_join(
     let build_left = lt.num_rows() <= rt.num_rows();
     let index = JoinIndex::build(lt, rt, keys, build_left, "join.build", ctx)?;
     let path = index.path();
-    let mut extra_busy = Duration::ZERO;
-    let (build_rows, probe_rows) = if parallel::active(ctx.config, index.probe_len()) {
-        let probe_start = Instant::now();
-        let (b, p, busy) = parallel::probe(index.probe_len(), |row| index.matches(row), ctx)?;
-        extra_busy = busy.saturating_sub(probe_start.elapsed());
-        (b, p)
-    } else {
-        let mut b = Vec::new();
-        let mut p = Vec::new();
-        for probe_row in 0..index.probe_len() {
-            if probe_row % CHECK_STRIDE == 0 {
-                ctx.check()?;
-            }
-            for &build_row in index.matches(probe_row) {
-                b.push(build_row);
-                p.push(probe_row);
-            }
-        }
-        (b, p)
-    };
+    let (build_rows, probe_rows, extra_busy) =
+        parallel::probe(index.probe_len(), |row| index.matches(row), ctx)?;
     drop(index);
     let (l_idx, r_idx) =
         if build_left { (build_rows, probe_rows) } else { (probe_rows, build_rows) };
@@ -832,10 +795,9 @@ impl Acc {
         Ok(())
     }
 
-    /// Folds another accumulator of the same shape into this one. The
-    /// parallel group-by merges per-morsel partials in morsel order, so the
-    /// combined state depends only on the morsel decomposition, not on
-    /// worker scheduling.
+    /// Folds another accumulator of the same shape into this one. A split
+    /// group-by merges per-range partials in range order, so the combined
+    /// state depends only on the range list, not on worker scheduling.
     fn merge(&mut self, other: Acc) -> Result<()> {
         match (self, other) {
             (Acc::Count(a), Acc::Count(b)) => *a += b,
@@ -875,9 +837,7 @@ impl Acc {
                 }
             }
             _ => {
-                return Err(Error::Plan(
-                    "mismatched accumulator shapes in parallel aggregate merge".into(),
-                ))
+                return Err(Error::Plan("mismatched accumulator shapes in aggregate merge".into()))
             }
         }
         Ok(())
@@ -911,127 +871,107 @@ fn zero_of(dt: DataType) -> Value {
     }
 }
 
-/// Assigns a group id to every row from the evaluated key columns,
-/// returning each group's first row (in first-occurrence order), the
-/// per-row group ids and the key path taken. Up to two `Int64` key
-/// columns with a small span are addressed by offset ([`DenseGroupIds`],
-/// charged to the budget as `agg.groups`); sparse ones pack into an
-/// `i128` hash key; anything else gathers composite keys columnar-wise
-/// via [`Column::key_at`].
-pub(crate) fn group_rows(
-    key_cols: &[Column],
-    n: usize,
-    ctx: &ExecContext<'_>,
-) -> Result<(Vec<usize>, Vec<usize>, KeyPath)> {
-    let cap = (n / 4 + 16).min(1 << 16);
-    let ints: Option<Vec<&[i64]>> =
-        if key_cols.len() > 2 { None } else { key_cols.iter().map(Column::as_i64_slice).collect() };
-    if let Some(ints) = &ints {
-        if let Some(layout) = DenseLayout::choose(ints, n) {
-            let _mem = ctx.reserve("agg.groups", DenseGroupIds::bytes(layout.span()))?;
-            let ids = DenseGroupIds::new(layout.span());
-            let (first, rows) = assign(n, ids, |row| {
-                let (a, b) = dense::key_at(ints, row);
-                layout.slot(a, b)
-            });
-            return Ok((first, rows, KeyPath::Dense));
-        }
-        if !ints.is_empty() {
-            let ids: FxHashMap<i128, usize> = fx_map_with_capacity(cap);
-            let (first, rows) = assign(n, ids, |row| match ints.as_slice() {
-                [c] => c[row] as i128,
-                [a, b] => ((a[row] as i128) << 64) | (b[row] as u64 as i128),
-                _ => unreachable!(),
-            });
-            return Ok((first, rows, KeyPath::Hash));
-        }
-    }
-    let key_vecs: Vec<Vec<Key>> = key_cols.iter().map(Column::keys).collect();
-    let ids: FxHashMap<Vec<Key>, usize> = fx_map_with_capacity(cap);
-    let (first, rows) =
-        assign(n, ids, |row| key_vecs.iter().map(|kv| kv[row].clone()).collect::<Vec<Key>>());
-    Ok((first, rows, KeyPath::Hash))
-}
-
-/// Runs rows `0..n` through a group-id table: each group's first row, in
-/// first-occurrence order, and every row's group id.
-fn assign<K>(
-    n: usize,
-    mut ids: impl GroupIds<K>,
-    key: impl Fn(usize) -> K,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut group_first_row: Vec<usize> = Vec::new();
-    let mut row_group: Vec<usize> = Vec::with_capacity(n);
-    for row in 0..n {
-        let next = group_first_row.len();
-        let id = ids.id(key(row), next);
-        if id == next {
-            group_first_row.push(row);
-        }
-        row_group.push(id);
-    }
-    (group_first_row, row_group)
-}
-
+/// GroupBy: a grouped fold ([`parallel::fold_groups`]) of every input row
+/// into its group's [`Acc`]s, groups in first-occurrence order. Up to two
+/// `Int64` key columns with a small span are addressed by offset
+/// ([`DenseGroupIds`], one table charged to the budget as `agg.groups` per
+/// concurrently folding worker); sparse ones pack into an `i128` hash key;
+/// anything else hashes composite keys built with [`Column::key_at`].
+/// Returns the output, the worker busy time beyond wall time and the key
+/// path taken.
 fn aggregate(
     t: &Table,
     group: &[BoundExpr],
     aggs: &[AggExpr],
     schema: &Schema,
     ctx: &ExecContext<'_>,
-) -> Result<(Table, KeyPath)> {
+) -> Result<(Table, Duration, KeyPath)> {
     let n = t.num_rows();
-    let key_cols: Vec<Column> =
-        group.iter().map(|e| e.eval(t, &ctx.eval_ctx())).collect::<Result<_>>()?;
-    let arg_cols: Vec<Option<Column>> = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| e.eval(t, &ctx.eval_ctx())).transpose())
-        .collect::<Result<_>>()?;
-
-    // Group id per row.
-    let (group_first_row, row_group, path) = group_rows(&key_cols, n, ctx)?;
-    // Global aggregate: exactly one group even with zero input rows.
-    let n_groups =
-        if group.is_empty() { 1.max(group_first_row.len()) } else { group_first_row.len() };
-    let _group_mem = ctx.reserve("agg.groups", group_state_bytes(n_groups, aggs.len()))?;
-
-    // Accumulate.
-    let mut accs: Vec<Vec<Acc>> = (0..n_groups)
-        .map(|_| {
-            aggs.iter()
-                .zip(&arg_cols)
-                .map(|(a, c)| Acc::new(a, c.as_ref().map(Column::data_type)))
-                .collect()
-        })
-        .collect();
-    #[allow(clippy::needless_range_loop)] // row drives parallel column reads
-    for row in 0..n {
-        if row % CHECK_STRIDE == 0 {
-            ctx.check()?;
+    let key_cols = eval_all(t, group, ctx)?;
+    let ranges = parallel::ranges(ctx.config, n);
+    let cap = (ranges[0].len() / 4 + 16).min(1 << 16);
+    let ints: Option<Vec<&[i64]>> =
+        if key_cols.len() > 2 { None } else { key_cols.iter().map(Column::as_i64_slice).collect() };
+    let (mut groups, extra_busy, path) = match ints {
+        Some(ints) => match DenseLayout::choose(&ints, n) {
+            Some(layout) => {
+                let span = layout.span();
+                let tables = ctx.config.parallelism.min(ranges.len()) as u64;
+                let _ids_mem = ctx.reserve("agg.groups", tables * DenseGroupIds::bytes(span))?;
+                let slot = |row| {
+                    let (a, b) = dense::key_at(&ints, row);
+                    layout.slot(a, b)
+                };
+                let new_ids = || DenseGroupIds::new(span);
+                let (groups, busy) = fold_rows(t, &ranges, slot, new_ids, aggs, ctx)?;
+                (groups, busy, KeyPath::Dense)
+            }
+            // No key columns always fit the dense layout, so `ints` has one or two.
+            None => {
+                let new_ids = || -> FxHashMap<i128, usize> { fx_map_with_capacity(cap) };
+                let key = |row| pack(&ints, row);
+                let (groups, busy) = fold_rows(t, &ranges, key, new_ids, aggs, ctx)?;
+                (groups, busy, KeyPath::Hash)
+            }
+        },
+        None => {
+            let new_ids = || -> FxHashMap<Vec<Key>, usize> { fx_map_with_capacity(cap) };
+            let key = |row| key_cols.iter().map(|c| c.key_at(row)).collect::<Vec<Key>>();
+            let (groups, busy) = fold_rows(t, &ranges, key, new_ids, aggs, ctx)?;
+            (groups, busy, KeyPath::Hash)
         }
-        let g = if group.is_empty() { 0 } else { row_group[row] };
-        for (ai, col) in arg_cols.iter().enumerate() {
-            let v = col.as_ref().map(|c| c.value(row));
-            accs[g][ai].update(v.as_ref())?;
-        }
+    };
+    // Global aggregate: exactly one group even over zero rows (argument
+    // types default from the aggregate's output field).
+    if group.is_empty() && groups.firsts.is_empty() {
+        groups.firsts.push(usize::MAX);
+        groups
+            .accs
+            .extend(aggs.iter().zip(schema.fields()).map(|(a, f)| Acc::new(a, Some(f.data_type))));
     }
+    let _group_mem =
+        ctx.reserve("agg.groups", group_state_bytes(groups.firsts.len(), aggs.len()))?;
+    let key_value = |ki: usize, row| key_cols[ki].value(row);
+    let out = parallel::emit_groups(schema, &groups, group.len(), key_value, Acc::finish)?;
+    Ok((out, extra_busy, path))
+}
 
-    // Emit.
-    #[allow(clippy::needless_range_loop)]
-    let mut cols: Vec<Column> =
-        schema.fields().iter().map(|f| Column::empty(f.data_type)).collect();
-    #[allow(clippy::needless_range_loop)] // g indexes accumulators and first-row table
-    for g in 0..n_groups {
-        for (ki, kc) in key_cols.iter().enumerate() {
-            let row = *group_first_row.get(g).unwrap_or(&0);
-            cols[ki].push(kc.value(row))?;
+/// Folds every row of `t` into the group `key(row)`: each range evaluates
+/// the aggregate arguments over its rows, then updates each row's
+/// accumulators in row order.
+fn fold_rows<K, M: GroupIds<K> + Send>(
+    t: &Table,
+    ranges: &[std::ops::Range<usize>],
+    key: impl Fn(usize) -> K + Sync,
+    new_ids: impl Fn() -> M + Sync,
+    aggs: &[AggExpr],
+    ctx: &ExecContext<'_>,
+) -> Result<(parallel::Groups<usize, Acc>, Duration)> {
+    let width = aggs.len();
+    let fold = |range: std::ops::Range<usize>, ids: &mut M| {
+        let rows = parallel::rows(t, &range);
+        let args: Vec<Option<Column>> = aggs
+            .iter()
+            .map(|a| a.arg.as_ref().map(|e| e.eval(&rows, &ctx.eval_ctx())).transpose())
+            .collect::<Result<_>>()?;
+        let open = |accs: &mut Vec<Acc>| {
+            accs.extend(
+                aggs.iter().zip(&args).map(|(a, c)| Acc::new(a, c.as_ref().map(Column::data_type))),
+            )
+        };
+        let mut local = parallel::Groups::default();
+        for row in range.clone() {
+            if row % CHECK_STRIDE == 0 {
+                ctx.check()?;
+            }
+            let accs = local.group(ids, key(row), row, width, open);
+            for (acc, col) in accs.iter_mut().zip(&args) {
+                acc.update(col.as_ref().map(|c| c.value(row - range.start)).as_ref())?;
+            }
         }
-        for (ai, acc) in accs[g].iter().enumerate() {
-            let field = schema.field(group.len() + ai);
-            cols[group.len() + ai].push(acc.finish(field.data_type))?;
-        }
-    }
-    Ok((Table::new(schema.clone(), cols)?, path))
+        Ok(local)
+    };
+    parallel::fold_groups(ctx, ranges, width, &key, new_ids, fold, Acc::merge)
 }
 
 #[cfg(test)]
@@ -1262,7 +1202,6 @@ mod tests {
             let (catalog, udfs, ops, mut config) = ctx_parts();
             config.parallelism = parallelism;
             config.morsel_rows = 64;
-            config.min_parallel_rows = 0;
             catalog.create_table("t", big.clone(), false).unwrap();
             let ctx = ExecContext {
                 catalog: &catalog,
@@ -1304,53 +1243,28 @@ mod tests {
                 Field::new("c", DataType::Int64),
                 Field::new("mn", DataType::Float64),
             ]);
-            let grouped = if parallelism > 1 {
-                parallel::aggregate(
-                    &big,
-                    &[BoundExpr::Column(0)],
-                    &[
-                        AggExpr {
-                            func: AggFunc::Count,
-                            arg: None,
-                            distinct: false,
-                            output_name: "c".into(),
-                        },
-                        AggExpr {
-                            func: AggFunc::Min,
-                            arg: Some(BoundExpr::Column(1)),
-                            distinct: false,
-                            output_name: "mn".into(),
-                        },
-                    ],
-                    &agg_schema,
-                    &ctx,
-                )
-                .unwrap()
-                .0
-            } else {
-                aggregate(
-                    &big,
-                    &[BoundExpr::Column(0)],
-                    &[
-                        AggExpr {
-                            func: AggFunc::Count,
-                            arg: None,
-                            distinct: false,
-                            output_name: "c".into(),
-                        },
-                        AggExpr {
-                            func: AggFunc::Min,
-                            arg: Some(BoundExpr::Column(1)),
-                            distinct: false,
-                            output_name: "mn".into(),
-                        },
-                    ],
-                    &agg_schema,
-                    &ctx,
-                )
-                .unwrap()
-                .0
-            };
+            let grouped = aggregate(
+                &big,
+                &[BoundExpr::Column(0)],
+                &[
+                    AggExpr {
+                        func: AggFunc::Count,
+                        arg: None,
+                        distinct: false,
+                        output_name: "c".into(),
+                    },
+                    AggExpr {
+                        func: AggFunc::Min,
+                        arg: Some(BoundExpr::Column(1)),
+                        distinct: false,
+                        output_name: "mn".into(),
+                    },
+                ],
+                &agg_schema,
+                &ctx,
+            )
+            .unwrap()
+            .0;
             (filtered, joined, grouped)
         };
 

@@ -1,155 +1,157 @@
-//! Morsel-driven parallel operator implementations.
+//! Range-driven operator execution.
 //!
-//! Each operator partitions its input into fixed-size row ranges
-//! ("morsels", [`ExecConfig::morsel_rows`]) and fans them out over the
-//! shared [`taskpool`] scoped worker pool. Per-morsel results are
-//! concatenated in morsel order, so the output row order — and for the
-//! hash join, the exact match emission order — is identical to the serial
-//! path and independent of worker scheduling. GroupBy computes partial
-//! aggregates per morsel and merges them in morsel order, so its result
-//! depends only on the morsel decomposition, never on the worker count.
+//! Filter, Project, GroupBy, the hash-join probe and the fused fold each
+//! have one implementation: a fold over a list of row ranges, run through
+//! the shared [`taskpool`] scoped worker pool. [`ranges`] picks the list —
+//! the single range `0..n` at `parallelism = 1` or when the input fits one
+//! morsel, fixed-size morsels ([`ExecConfig::morsel_rows`]) otherwise —
+//! and the pool runs a single range inline on the calling thread. So the
+//! worker count picks the row ranges, never the code path.
 //!
-//! These paths engage only when `parallelism > 1` and the input clears
-//! [`ExecConfig::min_parallel_rows`]; `parallelism == 1` always takes the
-//! untouched serial code, which is the bit-for-bit reference behavior.
+//! Per-range outputs are concatenated in range order, so the output row
+//! order — and for the hash join, the exact match emission order — does
+//! not depend on worker scheduling. Grouped folds ([`fold_groups`])
+//! compute partial aggregates per range and merge them in range order, so
+//! a result depends only on the range list, never on the worker count;
+//! one range's partials are the result.
 //!
-//! Every function returns the summed per-worker busy time next to its
-//! result so the executor can record it as the operator's busy time.
+//! Every range starts at a governance checkpoint (cancel, deadline and the
+//! `exec.morsel` failpoint), and the pool turns a panic inside a range
+//! into [`govern::QueryError::WorkerPanic`] at any parallelism.
 
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::column::{Column, Key};
+use crate::column::Column;
 use crate::error::Result;
 use crate::expr::BoundExpr;
-use crate::plan::logical::AggExpr;
 use crate::table::{Schema, Table};
+use crate::value::{DataType, Value};
 
-use super::dense::{self, DenseGroupIds, DenseLayout, GroupIds, KeyPath};
-use super::{coerce_column, Acc, ExecConfig, ExecContext};
+use super::dense::GroupIds;
+use super::{coerce_column, ExecConfig, ExecContext, CHECK_STRIDE};
 
-/// Records one morsel batch as a worker span under the operator's span
-/// (no-op when untraced). `t0` is the tracer timestamp taken when the
-/// morsel started; the executing pool worker tags the span.
-pub(crate) fn note_morsel(
-    ctx: &ExecContext<'_>,
-    range: &std::ops::Range<usize>,
-    t0: u64,
-    rows_out: u64,
-) {
-    if ctx.span.is_none() {
-        return;
-    }
-    ctx.tracer.add_complete(
-        ctx.span,
-        obs::SpanKind::Worker,
-        "morsel",
-        &format!("rows {}..{}", range.start, range.end),
-        t0,
-        ctx.tracer.now_ns(),
-        taskpool::current_worker(),
-        rows_out,
-    );
-}
-
-/// Tracer timestamp for a morsel about to run, or 0 when untraced.
-#[inline]
-pub(crate) fn morsel_t0(ctx: &ExecContext<'_>) -> u64 {
-    if ctx.span.is_some() {
-        ctx.tracer.now_ns()
+/// The row ranges an operator over `rows` input rows folds: `0..rows`
+/// when it runs on one worker or fits one morsel, else morsels of
+/// [`ExecConfig::morsel_rows`].
+pub(crate) fn ranges(config: &ExecConfig, rows: usize) -> Vec<Range<usize>> {
+    if config.parallelism <= 1 || rows <= config.morsel_rows {
+        std::iter::once(0..rows).collect()
     } else {
-        0
+        taskpool::split_ranges(rows, config.morsel_rows)
     }
 }
 
-/// Whether the morsel-parallel path should run for an input of `rows`.
-pub(crate) fn active(config: &ExecConfig, rows: usize) -> bool {
-    config.parallelism > 1 && rows > 0 && rows >= config.min_parallel_rows
-}
-
-fn morsels(config: &ExecConfig, rows: usize) -> Vec<std::ops::Range<usize>> {
-    taskpool::split_ranges(rows, config.morsel_rows)
-}
-
-/// Governance prologue shared by every morsel closure: the cooperative
-/// cancel/deadline check plus the `exec.morsel` failpoint (a no-op in
-/// release builds). Injected panics unwind here on purpose — the pool's
-/// `try_run_*` entry points catch them and return a typed error.
-#[inline]
-pub(crate) fn morsel_checkpoint(ctx: &ExecContext<'_>) -> Result<()> {
-    ctx.check()?;
-    govern::failpoints::fire("exec.morsel")
-        .map_err(|f| crate::error::Error::Exec(format!("injected fault: {f:?}")))
-}
-
-/// Concatenates per-morsel tables in morsel order, summing busy time.
-fn concat(parts: Vec<Result<(Table, Duration)>>, schema: &Schema) -> Result<(Table, Duration)> {
-    let mut busy = Duration::ZERO;
-    let mut out: Option<Table> = None;
-    for part in parts {
-        let (t, elapsed) = part?;
-        busy += elapsed;
-        match &mut out {
-            None => out = Some(t),
-            Some(acc) => acc.append(&t)?,
+/// Runs `f` once per range on the pool and returns the results in range
+/// order, with the worker busy time beyond the region's wall time (zero
+/// for a single range, which runs inline). Each range starts at a
+/// governance checkpoint; an operator split over several ranges records
+/// one worker span per range, carrying `rows_out` of its result.
+fn run<T: Send>(
+    ctx: &ExecContext<'_>,
+    ranges: &[Range<usize>],
+    rows_out: impl Fn(&T) -> usize + Sync,
+    f: impl Fn(Range<usize>) -> Result<T> + Sync,
+) -> Result<(Vec<T>, Duration)> {
+    // One range runs inline: its busy time is the operator's own.
+    let split = ranges.len() > 1;
+    let traced = split && ctx.span.is_some();
+    let start = split.then(Instant::now);
+    let parts = taskpool::try_run_ranges(ctx.config.parallelism, ranges, |range| {
+        ctx.check()?;
+        govern::failpoints::fire("exec.morsel")
+            .map_err(|f| crate::error::Error::Exec(format!("injected fault: {f:?}")))?;
+        let t0 = if traced { ctx.tracer.now_ns() } else { 0 };
+        let begin = split.then(Instant::now);
+        let out = f(range.clone())?;
+        let busy = begin.map_or(Duration::ZERO, |b| b.elapsed());
+        if traced {
+            ctx.tracer.add_complete(
+                ctx.span,
+                obs::SpanKind::Worker,
+                "morsel",
+                &format!("rows {}..{}", range.start, range.end),
+                t0,
+                ctx.tracer.now_ns(),
+                taskpool::current_worker(),
+                rows_out(&out) as u64,
+            );
         }
+        Ok::<_, crate::error::Error>((out, busy))
+    })?;
+    let wall = start.map_or(Duration::ZERO, |s| s.elapsed());
+    let mut busy = Duration::ZERO;
+    let mut outs = Vec::with_capacity(parts.len());
+    for part in parts {
+        let (out, b) = part?;
+        busy += b;
+        outs.push(out);
     }
-    Ok((out.unwrap_or_else(|| Table::empty(schema.clone())), busy))
+    Ok((outs, busy.saturating_sub(wall)))
 }
 
-/// Parallel `Filter`: evaluates the predicate per morsel and keeps rows in
-/// morsel order.
+/// The rows of `range`: the input itself when the range covers it, else
+/// a copy of the range.
+pub(crate) fn rows<'t>(t: &'t Table, range: &Range<usize>) -> Cow<'t, Table> {
+    if range.len() == t.num_rows() {
+        Cow::Borrowed(t)
+    } else {
+        Cow::Owned(t.slice(range.clone()))
+    }
+}
+
+/// Concatenates per-range tables in range order; one part is moved, not
+/// copied.
+fn concat(parts: Vec<Table>, schema: &Schema) -> Result<Table> {
+    let mut parts = parts.into_iter();
+    let Some(mut out) = parts.next() else { return Ok(Table::empty(schema.clone())) };
+    for part in parts {
+        out.append(&part)?;
+    }
+    Ok(out)
+}
+
+/// `Filter`: evaluates the predicate per range and keeps rows in range
+/// order. Returns the output and the extra worker busy time.
 pub(crate) fn filter(
     t: &Table,
     predicate: &BoundExpr,
     ctx: &ExecContext<'_>,
 ) -> Result<(Table, Duration)> {
-    let ranges = morsels(ctx.config, t.num_rows());
-    let parts = taskpool::try_run_ranges(ctx.config.parallelism, &ranges, |range| {
-        morsel_checkpoint(ctx)?;
-        let t0 = morsel_t0(ctx);
-        let start = Instant::now();
-        let morsel = t.slice(range.clone());
-        let mask_col = predicate.eval(&morsel, &ctx.eval_ctx())?;
-        let mask = mask_col.as_bool_slice()?;
-        let out = morsel.filter(mask);
-        let elapsed = start.elapsed();
-        note_morsel(ctx, &range, t0, out.num_rows() as u64);
-        Ok((out, elapsed))
+    let ranges = ranges(ctx.config, t.num_rows());
+    let (parts, extra_busy) = run(ctx, &ranges, Table::num_rows, |range| {
+        let rows = rows(t, &range);
+        let mask = predicate.eval(&rows, &ctx.eval_ctx())?;
+        Ok(rows.filter(mask.as_bool_slice()?))
     })?;
-    concat(parts, t.schema())
+    Ok((concat(parts, t.schema())?, extra_busy))
 }
 
-/// Parallel `Project`: evaluates the expression list per morsel.
+/// `Project`: evaluates the expression list per range.
 pub(crate) fn project(
     t: &Table,
     exprs: &[BoundExpr],
     schema: &Schema,
     ctx: &ExecContext<'_>,
 ) -> Result<(Table, Duration)> {
-    let ranges = morsels(ctx.config, t.num_rows());
-    let parts = taskpool::try_run_ranges(ctx.config.parallelism, &ranges, |range| {
-        morsel_checkpoint(ctx)?;
-        let t0 = morsel_t0(ctx);
-        let start = Instant::now();
-        let morsel = t.slice(range.clone());
+    let ranges = ranges(ctx.config, t.num_rows());
+    let (parts, extra_busy) = run(ctx, &ranges, Table::num_rows, |range| {
+        let rows = rows(t, &range);
         let cols: Vec<Column> = exprs
             .iter()
             .zip(schema.fields())
-            .map(|(e, f)| coerce_column(e.eval(&morsel, &ctx.eval_ctx())?, f.data_type))
+            .map(|(e, f)| coerce_column(e.eval(&rows, &ctx.eval_ctx())?, f.data_type))
             .collect::<Result<_>>()?;
-        let out = Table::new(schema.clone(), cols)?;
-        let elapsed = start.elapsed();
-        note_morsel(ctx, &range, t0, out.num_rows() as u64);
-        Ok((out, elapsed))
+        Table::new(schema.clone(), cols)
     })?;
-    concat(parts, schema)
+    Ok((concat(parts, schema)?, extra_busy))
 }
 
-/// Parallel hash-join probe over a pre-built (serial) hash table. Each
-/// morsel of probe rows emits its matches locally; concatenating the
-/// per-morsel vectors in morsel order reproduces the serial emission order
-/// exactly (probe rows ascending, build rows in build insertion order).
+/// Hash-join probe over a built index: each range of probe rows emits its
+/// `(build_row, probe_row)` matches, probe rows ascending and build rows
+/// in build insertion order, and the ranges concatenate in order.
 pub(crate) fn probe<'a, F>(
     n_probe: usize,
     lookup: F,
@@ -158,176 +160,155 @@ pub(crate) fn probe<'a, F>(
 where
     F: Fn(usize) -> &'a [usize] + Sync,
 {
-    let ranges = morsels(ctx.config, n_probe);
-    let parts = taskpool::try_run_ranges(ctx.config.parallelism, &ranges, |range| {
-        morsel_checkpoint(ctx)?;
-        let t0 = morsel_t0(ctx);
-        let start = Instant::now();
-        let mut build_rows = Vec::new();
-        let mut probe_rows = Vec::new();
-        for probe_row in range.clone() {
+    let ranges = ranges(ctx.config, n_probe);
+    let pairs = |(_, probe_rows): &(Vec<usize>, Vec<usize>)| probe_rows.len();
+    let (parts, extra_busy) = run(ctx, &ranges, pairs, |range| {
+        let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
+        for probe_row in range {
+            if probe_row % CHECK_STRIDE == 0 {
+                ctx.check()?;
+            }
             for &build_row in lookup(probe_row) {
                 build_rows.push(build_row);
                 probe_rows.push(probe_row);
             }
         }
-        let elapsed = start.elapsed();
-        note_morsel(ctx, &range, t0, probe_rows.len() as u64);
-        Ok::<_, crate::error::Error>((build_rows, probe_rows, elapsed))
+        Ok((build_rows, probe_rows))
     })?;
-    let mut build_rows = Vec::new();
-    let mut probe_rows = Vec::new();
-    let mut busy = Duration::ZERO;
-    for part in parts {
-        let (b, p, elapsed) = part?;
-        build_rows.extend_from_slice(&b);
-        probe_rows.extend_from_slice(&p);
-        busy += elapsed;
+    let mut parts = parts.into_iter();
+    let (mut build_rows, mut probe_rows) = parts.next().unwrap_or_default();
+    for (b, p) in parts {
+        build_rows.extend(b);
+        probe_rows.extend(p);
     }
-    Ok((build_rows, probe_rows, busy))
+    Ok((build_rows, probe_rows, extra_busy))
 }
 
-/// Parallel `GroupBy`: partial aggregates per morsel, merged in morsel
-/// order (so global group ids follow first occurrence across morsels,
-/// matching the serial path's group order). Group keys are evaluated once
-/// over the whole input; at most two `Int64` key columns with a small
-/// span are addressed by offset, anything else is hashed. Returns the key
-/// path taken.
-pub(crate) fn aggregate(
-    t: &Table,
-    group: &[BoundExpr],
-    aggs: &[AggExpr],
-    schema: &Schema,
+/// Group state of a grouped fold: each group's first item in
+/// first-occurrence order — the row (or join pair) its key values are read
+/// from — `width` accumulators per group at
+/// `accs[g * width..(g + 1) * width]`, and the number of items folded.
+pub(crate) struct Groups<I, A> {
+    pub firsts: Vec<I>,
+    pub accs: Vec<A>,
+    pub items: u64,
+}
+
+impl<I, A> Default for Groups<I, A> {
+    fn default() -> Self {
+        Groups { firsts: Vec::new(), accs: Vec::new(), items: 0 }
+    }
+}
+
+impl<I, A> Groups<I, A> {
+    /// Counts `item` and returns the accumulators of its group, keyed
+    /// `key` in `ids`; a new group records `item` as its first and gets
+    /// fresh accumulators from `open`.
+    #[inline]
+    pub(crate) fn group<K>(
+        &mut self,
+        ids: &mut impl GroupIds<K>,
+        key: K,
+        item: I,
+        width: usize,
+        open: impl FnOnce(&mut Vec<A>),
+    ) -> &mut [A] {
+        let next = self.firsts.len();
+        let id = ids.id(key, next);
+        if id == next {
+            self.firsts.push(item);
+            open(&mut self.accs);
+        }
+        self.items += 1;
+        &mut self.accs[id * width..(id + 1) * width]
+    }
+}
+
+/// A grouped fold over `ranges`: `fold` folds one range into local groups
+/// through a group-id table, and the partials merge in range order with
+/// `merge`, so group ids follow first occurrence across ranges. One
+/// range's partials are the result. A split fold reuses group-id tables
+/// across ranges — each range forgets the groups it opened — so a dense
+/// table is filled once per worker, not once per range. Returns the
+/// groups and the extra worker busy time.
+pub(crate) fn fold_groups<I, K, A, M>(
     ctx: &ExecContext<'_>,
-) -> Result<(Table, Duration, KeyPath)> {
-    use crate::hash::{fx_map_with_capacity, FxHashMap};
-
-    let n = t.num_rows();
-    let key_cols: Vec<Column> =
-        group.iter().map(|e| e.eval(t, &ctx.eval_ctx())).collect::<Result<_>>()?;
-    let ints: Option<Vec<&[i64]>> =
-        if group.len() > 2 { None } else { key_cols.iter().map(Column::as_i64_slice).collect() };
-    let dense = ints.and_then(|ints| Some((DenseLayout::choose(&ints, n)?, ints)));
-    if let Some((layout, ints)) = dense {
-        let span = layout.span();
-        let workers = ctx.config.parallelism as u64;
-        let _ids_mem = ctx.reserve("agg.groups", workers * DenseGroupIds::bytes(span))?;
-        let slot = |row| {
-            let (a, b) = dense::key_at(&ints, row);
-            layout.slot(a, b)
-        };
-        let new_ids = || DenseGroupIds::new(span);
-        let (out, busy) = fold_groups(t, &key_cols, slot, new_ids, aggs, schema, ctx)?;
-        return Ok((out, busy, KeyPath::Dense));
-    }
-    let key = |row| key_cols.iter().map(|c| c.key_at(row)).collect::<Vec<Key>>();
-    let new_ids =
-        || -> FxHashMap<Vec<Key>, usize> { fx_map_with_capacity(ctx.config.morsel_rows / 4 + 16) };
-    let (out, busy) = fold_groups(t, &key_cols, key, new_ids, aggs, schema, ctx)?;
-    Ok((out, busy, KeyPath::Hash))
-}
-
-/// The morsel fold behind [`aggregate`]: each morsel assigns local group
-/// ids through a group-id table (reused across morsels, forgetting the
-/// groups it opened) and records each local group's first row; the merge
-/// re-keys those rows in morsel order.
-fn fold_groups<K, M: GroupIds<K> + Send>(
-    t: &Table,
-    key_cols: &[Column],
-    key: impl Fn(usize) -> K + Sync,
+    ranges: &[Range<usize>],
+    width: usize,
+    key: impl Fn(I) -> K + Sync,
     new_ids: impl Fn() -> M + Sync,
-    aggs: &[AggExpr],
-    schema: &Schema,
-    ctx: &ExecContext<'_>,
-) -> Result<(Table, Duration)> {
+    fold: impl Fn(Range<usize>, &mut M) -> Result<Groups<I, A>> + Sync,
+    merge: impl Fn(&mut A, A) -> Result<()>,
+) -> Result<(Groups<I, A>, Duration)>
+where
+    I: Copy + Send,
+    A: Send,
+    M: GroupIds<K> + Send,
+{
+    let split = ranges.len() > 1;
     let tables: Mutex<Vec<M>> = Mutex::new(Vec::new());
     let take = || {
         let pooled = tables.lock().unwrap_or_else(PoisonError::into_inner).pop();
         pooled.unwrap_or_else(&new_ids)
     };
-
-    let ranges = morsels(ctx.config, t.num_rows());
-    let parts = taskpool::try_run_ranges(ctx.config.parallelism, &ranges, |range| {
-        morsel_checkpoint(ctx)?;
-        let t0 = morsel_t0(ctx);
-        let start = Instant::now();
-        let morsel = t.slice(range.clone());
-        let arg_cols: Vec<Option<Column>> = aggs
-            .iter()
-            .map(|a| a.arg.as_ref().map(|e| e.eval(&morsel, &ctx.eval_ctx())).transpose())
-            .collect::<Result<_>>()?;
+    let local_groups = |local: &Groups<I, A>| local.firsts.len();
+    let (parts, extra_busy) = run(ctx, ranges, local_groups, |range| {
         let mut ids = take();
-        let (mut firsts, mut accs): (Vec<usize>, Vec<Vec<Acc>>) = (Vec::new(), Vec::new());
-        for (i, row) in range.clone().enumerate() {
-            let id = ids.id(key(row), firsts.len());
-            if id == firsts.len() {
-                firsts.push(row);
-                accs.push(
-                    aggs.iter()
-                        .zip(&arg_cols)
-                        .map(|(a, c)| Acc::new(a, c.as_ref().map(Column::data_type)))
-                        .collect(),
-                );
+        let local = fold(range, &mut ids)?;
+        if split {
+            for &first in &local.firsts {
+                ids.forget(key(first));
             }
-            for (acc, col) in accs[id].iter_mut().zip(&arg_cols) {
-                acc.update(col.as_ref().map(|c| c.value(i)).as_ref())?;
-            }
+            tables.lock().unwrap_or_else(PoisonError::into_inner).push(ids);
         }
-        for &row in &firsts {
-            ids.forget(key(row));
-        }
-        tables.lock().unwrap_or_else(PoisonError::into_inner).push(ids);
-        let elapsed = start.elapsed();
-        note_morsel(ctx, &range, t0, firsts.len() as u64);
-        Ok::<_, crate::error::Error>((firsts, accs, elapsed))
+        Ok(local)
     })?;
-
-    // Merge partials in morsel order.
-    let _group_mem = ctx.reserve(
-        "agg.groups",
-        super::group_state_bytes(
-            parts.iter().map(|p| p.as_ref().map_or(0, |(firsts, _, _)| firsts.len())).sum(),
-            aggs.len(),
-        ),
-    )?;
-    let mut busy = Duration::ZERO;
+    let mut parts = parts.into_iter();
+    if !split {
+        return Ok((parts.next().unwrap_or_default(), extra_busy));
+    }
+    // A local group's key is recomputed from its first item.
     let mut ids = take();
-    let (mut firsts, mut accs): (Vec<usize>, Vec<Vec<Acc>>) = (Vec::new(), Vec::new());
-    for part in parts {
-        let (local_firsts, local_accs, elapsed) = part?;
-        busy += elapsed;
-        for (row, partials) in local_firsts.into_iter().zip(local_accs) {
-            let gid = ids.id(key(row), firsts.len());
-            if gid == firsts.len() {
-                firsts.push(row);
-                accs.push(partials);
+    let mut merged = Groups::default();
+    for local in parts {
+        merged.items += local.items;
+        let mut partials = local.accs.into_iter();
+        for first in local.firsts {
+            let next = merged.firsts.len();
+            let gid = ids.id(key(first), next);
+            let group = partials.by_ref().take(width);
+            if gid == next {
+                merged.firsts.push(first);
+                merged.accs.extend(group);
             } else {
-                for (acc, partial) in accs[gid].iter_mut().zip(partials) {
-                    acc.merge(partial)?;
+                for (acc, partial) in merged.accs[gid * width..].iter_mut().zip(group) {
+                    merge(acc, partial)?;
                 }
             }
         }
     }
-    // Global aggregate over empty input: one group of empty accumulators
-    // (argument types default from the aggregate's output field).
-    if key_cols.is_empty() && accs.is_empty() {
-        firsts.push(usize::MAX);
-        accs.push(
-            aggs.iter().zip(schema.fields()).map(|(a, f)| Acc::new(a, Some(f.data_type))).collect(),
-        );
-    }
+    Ok((merged, extra_busy))
+}
 
-    // Emit, mirroring the serial path.
+/// A grouped operator's output: per group, its `keys` key values read
+/// from the group's first item, then its finished accumulators.
+pub(crate) fn emit_groups<I: Copy, A>(
+    schema: &Schema,
+    groups: &Groups<I, A>,
+    keys: usize,
+    key_value: impl Fn(usize, I) -> Value,
+    finish: impl Fn(&A, DataType) -> Value,
+) -> Result<Table> {
+    let width = schema.len() - keys;
     let mut cols: Vec<Column> =
         schema.fields().iter().map(|f| Column::empty(f.data_type)).collect();
-    for (&row, group_accs) in firsts.iter().zip(&accs) {
-        for (ki, key_col) in key_cols.iter().enumerate() {
-            cols[ki].push(key_col.value(row))?;
+    for (g, &first) in groups.firsts.iter().enumerate() {
+        for (ki, col) in cols[..keys].iter_mut().enumerate() {
+            col.push(key_value(ki, first))?;
         }
-        for (ai, acc) in group_accs.iter().enumerate() {
-            let field = schema.field(key_cols.len() + ai);
-            cols[key_cols.len() + ai].push(acc.finish(field.data_type))?;
+        for (ai, acc) in groups.accs[g * width..(g + 1) * width].iter().enumerate() {
+            cols[keys + ai].push(finish(acc, schema.field(keys + ai).data_type))?;
         }
     }
-    Ok((Table::new(schema.clone(), cols)?, busy))
+    Table::new(schema.clone(), cols)
 }

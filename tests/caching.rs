@@ -124,7 +124,6 @@ fn collab_db(parallelism: usize) -> Arc<Database> {
             .exec_config(minidb::exec::ExecConfig {
                 parallelism,
                 morsel_rows: 16,
-                min_parallel_rows: 0,
                 ..Default::default()
             })
             .build(),

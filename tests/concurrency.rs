@@ -156,23 +156,24 @@ fn concurrent_dl2sql_inference_on_separate_databases() {
 // ---------------------------------------------------------------------------
 // Determinism suite: `parallelism` ∈ {1, 2, 8} must agree.
 //
-// The morsel-driven executor concatenates per-morsel outputs in morsel
-// order and merges partial aggregates in morsel order with first-occurrence
-// group ids, so results depend only on the morsel decomposition, never on
-// scheduling. Non-float columns must match exactly at every level; float
-// aggregates may differ from the serial reference only by partial-merge
-// rounding (compared at 1e-9 relative tolerance) and must be bit-identical
-// between the parallel levels themselves.
+// Every operator folds a list of row ranges with one implementation: the
+// single range `0..n` at p = 1 (a fold in row order), morsels at p > 1.
+// Per-range outputs concatenate in range order and partial aggregates merge
+// in range order with first-occurrence group ids, so results depend only on
+// the range list, never on scheduling. Non-float columns must match exactly
+// at every level; float aggregates at p > 1 may differ from p = 1 only by
+// partial-merge rounding (compared at 1e-9 relative tolerance) and must be
+// bit-identical between the parallel levels themselves, whose range lists
+// are the same.
 // ---------------------------------------------------------------------------
 
 /// A database whose fixtures are big enough for several morsels: tiny
-/// morsels and no row floor force the parallel operator paths.
+/// morsels split every operator at p > 1.
 fn parallel_db(parallelism: usize) -> Database {
     let db = Database::builder()
         .exec_config(minidb::exec::ExecConfig {
             parallelism,
             morsel_rows: 64,
-            min_parallel_rows: 0,
             ..Default::default()
         })
         .build();
@@ -250,6 +251,101 @@ fn parallelism_levels_agree_on_sql_corpus() {
     }
 }
 
+/// `n` rows of `(g, v)` with `g = i % 7` and `v = sin(i)`: values whose
+/// float sums depend on addition order, unlike the dyadic fixtures above.
+fn sine_rows(n: usize) -> Vec<(i64, f64)> {
+    (0..n).map(|i| (i as i64 % 7, (i as f64).sin())).collect()
+}
+
+/// A database at `parallelism` with 16-row morsels holding `sine_rows`
+/// as `t (g, v)` and a conv-layout `fm` / `kernel` pair of sines.
+fn sine_db(parallelism: usize, fuse: bool) -> Database {
+    let db = Database::builder()
+        .exec_config(minidb::exec::ExecConfig {
+            parallelism,
+            morsel_rows: 16,
+            ..Default::default()
+        })
+        .optimizer_config(minidb::optimizer::OptimizerConfig {
+            fuse_join_aggregates: fuse,
+            ..Default::default()
+        })
+        .build();
+    db.execute_script(
+        "CREATE TABLE t (g Int64, v Float64); \
+         CREATE TABLE fm (MatrixID Int64, OrderID Int64, Value Float64); \
+         CREATE TABLE kernel (KernelID Int64, OrderID Int64, Value Float64);",
+    )
+    .unwrap();
+    let rows: Vec<String> = sine_rows(300).iter().map(|(g, v)| format!("({g}, {v:?})")).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(","))).unwrap();
+    let fm: Vec<String> = (0..24 * 9)
+        .map(|i| format!("({}, {}, {:?})", i / 9, i % 9, (i as f64 * 0.7).sin()))
+        .collect();
+    db.execute(&format!("INSERT INTO fm VALUES {}", fm.join(","))).unwrap();
+    let kr: Vec<String> = (0..4 * 9)
+        .map(|i| format!("({}, {}, {:?})", i / 9, i % 9, (i as f64 * 1.3).cos()))
+        .collect();
+    db.execute(&format!("INSERT INTO kernel VALUES {}", kr.join(","))).unwrap();
+    db
+}
+
+#[test]
+fn parallelism_one_folds_in_row_order_on_order_sensitive_data() {
+    let sql = "SELECT g, SUM(v) AS s, AVG(v) AS a, stddevSamp(v) AS sd FROM t \
+               GROUP BY g ORDER BY g";
+    let conv = "SELECT B.KernelID AS KernelID, A.MatrixID AS TupleID, \
+                SUM(A.Value * B.Value) AS Value \
+                FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID \
+                GROUP BY B.KernelID, A.MatrixID ORDER BY KernelID, TupleID";
+    let p1 = sine_db(1, true);
+    let stored = p1.execute("SELECT v FROM t").unwrap();
+    for (r, (_, v)) in sine_rows(300).iter().enumerate() {
+        assert_eq!(stored.table().column(0).f64_at(r).to_bits(), v.to_bits(), "row {r} stored");
+    }
+
+    // p = 1 is one range: each group is a fold over its rows in row order.
+    let got = p1.execute(sql).unwrap();
+    for g in 0..7i64 {
+        let xs: Vec<f64> = sine_rows(300).iter().filter(|r| r.0 == g).map(|r| r.1).collect();
+        let sum = xs.iter().fold(0.0, |s, x| s + x);
+        let (mut n, mut mean, mut m2) = (0u64, 0.0f64, 0.0f64);
+        for &x in &xs {
+            n += 1;
+            let delta = x - mean;
+            mean += delta / n as f64;
+            m2 += delta * (x - mean);
+        }
+        let row = g as usize;
+        let t = got.table();
+        assert_eq!(t.column(0).i64_at(row), g);
+        assert_eq!(t.column(1).f64_at(row).to_bits(), sum.to_bits(), "g={g}: SUM");
+        let avg = sum / xs.len() as f64;
+        assert_eq!(t.column(2).f64_at(row).to_bits(), avg.to_bits(), "g={g}: AVG");
+        let sd = (m2 / (n as f64 - 1.0)).sqrt();
+        assert_eq!(t.column(3).f64_at(row).to_bits(), sd.to_bits(), "g={g}: stddevSamp");
+    }
+
+    // p > 1 merges 19 morsels: the same bits at 2 and 8 workers, within
+    // rounding of p = 1 — and on this data the merge order shows.
+    let (p2, p8) = (sine_db(2, true), sine_db(8, true));
+    let mut moved = false;
+    for q in [sql, conv] {
+        let (r1, r2, r8) = (p1.execute(q).unwrap(), p2.execute(q).unwrap(), p8.execute(q).unwrap());
+        assert_tables_agree(r2.table(), r8.table(), 0.0, &format!("p=8 vs p=2: {q}"));
+        assert_tables_agree(r1.table(), r2.table(), 1e-9, &format!("p=2 vs p=1: {q}"));
+        moved |= r1.table() != r2.table();
+    }
+    assert!(moved, "no float moved between p=1 and p=2: the fixture does not show addition order");
+
+    // The conv shape, fused and unfused, at p = 1: bit for bit.
+    assert!(p1.explain(conv).unwrap().contains("JoinAggregate"), "the conv query fuses");
+    let unfused = sine_db(1, false);
+    assert!(!unfused.explain(conv).unwrap().contains("JoinAggregate"));
+    let (fused, plain) = (p1.execute(conv).unwrap(), unfused.execute(conv).unwrap());
+    assert_tables_agree(fused.table(), plain.table(), 0.0, "fused vs unfused at p=1");
+}
+
 #[test]
 fn collab_strategies_agree_across_parallelism() {
     use collab::{CollabEngine, QueryType, StrategyKind};
@@ -277,7 +373,6 @@ fn collab_strategies_agree_across_parallelism() {
                 .exec_config(minidb::exec::ExecConfig {
                     parallelism,
                     morsel_rows: 16,
-                    min_parallel_rows: 0,
                     ..Default::default()
                 })
                 .build(),
@@ -422,11 +517,10 @@ fn type1_query_over_4096_keyframes_matches_serial_at_every_parallelism() {
     use collab::{CollabEngine, QueryType, StrategyKind};
     use workload::{build_dataset, DatasetConfig};
 
-    // 4096 video rows reach the executor's parallel threshold, and at
-    // p > 1 the filter's 16 morsels call the SQL-inference nUDF from
-    // several workers at once. A small classifier (one conv, pooling, FC and
-    // softmax: ten statements per inference) keeps the 3 × 4096 SQL
-    // inferences affordable.
+    // 4096 video rows split into 16 morsels at p > 1, so the filter calls
+    // the SQL-inference nUDF from several workers at once. A small
+    // classifier (one conv, pooling, FC and softmax: ten statements per
+    // inference) keeps the 3 × 4096 SQL inferences affordable.
     const KEYFRAMES: usize = 4096;
     let shape = vec![1usize, 8, 8];
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
@@ -520,7 +614,6 @@ fn four_strategies_run_concurrently_on_one_engine() {
                 .exec_config(minidb::exec::ExecConfig {
                     parallelism,
                     morsel_rows: 16,
-                    min_parallel_rows: 0,
                     ..Default::default()
                 })
                 .build(),

@@ -34,7 +34,6 @@ fn db(parallelism: usize, fuse: bool, budget: u64) -> Database {
         .exec_config(ExecConfig {
             parallelism,
             morsel_rows: 64,
-            min_parallel_rows: 0,
             plan_cache_capacity: 0,
             memory_budget: budget,
             ..Default::default()

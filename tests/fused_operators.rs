@@ -40,7 +40,6 @@ fn fixture_db(parallelism: usize, fuse: bool) -> Database {
         .exec_config(minidb::exec::ExecConfig {
             parallelism,
             morsel_rows: 16,
-            min_parallel_rows: 0,
             plan_cache_capacity: 0,
             ..Default::default()
         })
@@ -238,7 +237,6 @@ fn compiled_student_and_resnet_are_bit_identical_fused_and_unfused_at_every_para
                         .exec_config(minidb::exec::ExecConfig {
                             parallelism,
                             morsel_rows: 64,
-                            min_parallel_rows: 0,
                             ..Default::default()
                         })
                         .optimizer_config(OptimizerConfig {
@@ -278,7 +276,6 @@ fn collab_db(parallelism: usize, fuse: bool) -> Arc<Database> {
             .exec_config(minidb::exec::ExecConfig {
                 parallelism,
                 morsel_rows: 16,
-                min_parallel_rows: 0,
                 ..Default::default()
             })
             .optimizer_config(OptimizerConfig { fuse_join_aggregates: fuse, ..Default::default() })

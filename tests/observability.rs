@@ -12,16 +12,11 @@ use minidb::{Database, DefaultCostModel, Value};
 use obs::{Registry, SpanKind};
 use workload::{build_dataset, build_repo, DatasetConfig, RepoConfig};
 
-/// A database with enough rows to cross the parallel threshold, a join
+/// A database with enough rows for several morsels at p > 1, a join
 /// pair for the fused path, and indexes — the corpus the trace tests run.
 fn corpus_db(parallelism: usize) -> Database {
     let db = Database::builder()
-        .exec_config(ExecConfig {
-            parallelism,
-            morsel_rows: 256,
-            min_parallel_rows: 128,
-            ..Default::default()
-        })
+        .exec_config(ExecConfig { parallelism, morsel_rows: 256, ..Default::default() })
         .build();
     db.execute_script(
         "CREATE TABLE fm (MatrixID Int64, OrderID Int64, Value Float64); \
@@ -49,7 +44,7 @@ const CORPUS: &[&str] = &[
     // Fused join-aggregate (the paper's convolution shape).
     "SELECT MatrixID, SUM(a.Value * b.Value) AS Value \
      FROM fm a, kernel b WHERE a.OrderID = b.OrderID GROUP BY MatrixID",
-    // Filter + projection over the parallel threshold.
+    // Filter + projection split into morsels at p > 1.
     "SELECT MatrixID, Value * 2.0 AS v FROM fm WHERE Value > 3.0",
     // Plain aggregate.
     "SELECT COUNT(*), SUM(Value) FROM fm",

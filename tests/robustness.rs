@@ -73,12 +73,7 @@ fn counter(reg: &obs::Registry, name: &str) -> u64 {
 /// morsels), so parallel queries cross many `exec.morsel` checkpoints.
 fn morsel_db(parallelism: usize) -> Database {
     let db = Database::builder()
-        .exec_config(ExecConfig {
-            parallelism,
-            morsel_rows: 16,
-            min_parallel_rows: 0,
-            ..Default::default()
-        })
+        .exec_config(ExecConfig { parallelism, morsel_rows: 16, ..Default::default() })
         .build();
     db.execute_script(
         "CREATE TABLE fm (MatrixID Int64, OrderID Int64, Value Float64); \
@@ -108,12 +103,7 @@ const MORSEL_QUERY: &str = "SELECT MatrixID, OrderID, Value FROM fm WHERE Value 
 fn engine(parallelism: usize) -> CollabEngine {
     let db = Arc::new(
         Database::builder()
-            .exec_config(ExecConfig {
-                parallelism,
-                morsel_rows: 16,
-                min_parallel_rows: 0,
-                ..Default::default()
-            })
+            .exec_config(ExecConfig { parallelism, morsel_rows: 16, ..Default::default() })
             .build(),
     );
     let config =
@@ -323,7 +313,6 @@ fn budget_db(budget: u64) -> Database {
         .exec_config(ExecConfig {
             parallelism: 2,
             morsel_rows: 64,
-            min_parallel_rows: 0,
             memory_budget: budget,
             ..Default::default()
         })
@@ -450,6 +439,45 @@ fn worker_panic_is_caught_and_pool_stays_usable() {
     let reg = db.metrics_snapshot();
     assert_eq!(counter(&reg, "minidb_worker_panics_total"), 1);
     assert!(counter(&reg, "taskpool_caught_panics_total") >= 1);
+}
+
+#[test]
+fn udf_panic_is_a_typed_error_at_every_parallelism() {
+    let _g = lock();
+    for parallelism in [1usize, 2] {
+        let db = Database::builder()
+            .exec_config(ExecConfig { parallelism, morsel_rows: 16, ..Default::default() })
+            .build();
+        db.execute("CREATE TABLE t (k Int64, v Float64)").unwrap();
+        let rows: Vec<String> = (0..100).map(|i| format!("({i}, {i}.5)")).collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(","))).unwrap();
+        let poison = Arc::new(std::sync::atomic::AtomicI64::new(-1));
+        let armed = Arc::clone(&poison);
+        db.register_udf(ScalarUdf::new(
+            "checked",
+            vec![DataType::Int64],
+            DataType::Bool,
+            move |a| {
+                let k = a[0].as_i64()?;
+                assert_ne!(k, armed.load(std::sync::atomic::Ordering::Relaxed), "poisoned row");
+                Ok(Value::Bool(k % 3 == 0))
+            },
+        ));
+        let sql = "SELECT k, v FROM t WHERE checked(k) = TRUE";
+        let reference = db.execute(sql).unwrap();
+        let panics = counter(&db.metrics_snapshot(), "minidb_worker_panics_total");
+        poison.store(57, std::sync::atomic::Ordering::Relaxed);
+        let err = db.execute(sql).unwrap_err();
+        let Some(QueryError::WorkerPanic(msg)) = err.governance() else {
+            panic!("p={parallelism}: expected WorkerPanic, got {err}");
+        };
+        assert!(msg.contains("poisoned row"), "p={parallelism}: panic message lost: {msg}");
+        let reg = db.metrics_snapshot();
+        assert_eq!(counter(&reg, "minidb_worker_panics_total"), panics + 1, "p={parallelism}");
+        poison.store(-1, std::sync::atomic::Ordering::Relaxed);
+        let again = db.execute(sql).unwrap();
+        assert_tables_identical(reference.table(), again.table(), "after a UDF panic");
+    }
 }
 
 // ---------------------------------------------------------------------------
