@@ -213,21 +213,13 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Checks for a key without refreshing recency or touching counters.
-    pub fn peek<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.inner.lock().map.get(key).map(|(v, _)| v.clone())
-    }
-
     /// Inserts (or replaces) an entry, evicting the coldest entries while
-    /// over capacity. A no-op when the capacity is 0.
-    pub fn insert(&self, key: K, value: V) {
+    /// over capacity, and returns how many it evicted. A no-op when the
+    /// capacity is 0.
+    pub fn insert(&self, key: K, value: V) -> usize {
         let capacity = self.capacity();
         if capacity == 0 {
-            return;
+            return 0;
         }
         let mut inner = self.inner.lock();
         if let Some(dead) = self.dead {
@@ -241,9 +233,12 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
             inner.recency.remove(&old);
         }
         inner.recency.insert(tick, key);
+        let mut evicted = 0;
         while inner.map.len() > capacity {
             evict_coldest(&mut inner, &self.stats);
+            evicted += 1;
         }
+        evicted
     }
 
     /// Removes an entry, returning its value.
@@ -392,9 +387,9 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         self.shard(key).get(key)
     }
 
-    /// Inserts into the key's shard.
-    pub fn insert(&self, key: K, value: V) {
-        self.shard(&key).insert(key, value);
+    /// Inserts into the key's shard; returns how many entries it evicted.
+    pub fn insert(&self, key: K, value: V) -> usize {
+        self.shard(&key).insert(key, value)
     }
 
     /// Removes from the key's shard.
@@ -489,12 +484,13 @@ mod tests {
         c.insert(2, 20);
         // Touch 1 so 2 is the coldest.
         assert_eq!(c.get(&1), Some(10));
-        c.insert(3, 30);
+        assert_eq!(c.insert(3, 30), 1, "insert reports its eviction");
         assert_eq!(c.len(), 2);
-        assert_eq!(c.peek(&2), None, "coldest entry evicted");
-        assert_eq!(c.peek(&1), Some(10));
-        assert_eq!(c.peek(&3), Some(30));
+        assert_eq!(c.get(&2), None, "coldest entry evicted");
+        assert_eq!(c.get(&1), Some(10));
+        assert_eq!(c.get(&3), Some(30));
         assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.insert(3, 31), 0, "replacing evicts nothing");
     }
 
     #[test]
@@ -539,8 +535,8 @@ mod tests {
         let removed = c.retain(|k, _| k % 2 == 0);
         assert_eq!(removed, 3);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.peek(&1), None);
-        assert_eq!(c.peek(&2), Some(20));
+        assert_eq!(c.get(&1), None);
+        assert_eq!(c.get(&2), Some(20));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! This module memoizes inference *results* — not tensors, not plans — in
 //! a sharded LRU shared by all four strategies, keyed by
 //!
-//! * the nUDF's **generation id** (assigned by [`ModelRepo::register`];
+//! * the nUDF's **generation id** (assigned by
+//!   [`ModelRepo::register`](crate::nudf::ModelRepo::register);
 //!   swapping a model re-registers and gets a fresh generation, so stale
 //!   entries stop matching without an explicit flush),
 //! * the model-selection **condition** (paper Type 3 nUDFs pick a variant
@@ -21,6 +22,10 @@
 //! before a shard's map would grow, entries whose keyframe is gone are
 //! dropped.
 //!
+//! Every strategy scores keyframes through one method,
+//! [`InferenceCache::score`]: the strategies differ in where inference
+//! runs, never in how results are memoized or counted.
+//!
 //! The cache is disabled (capacity 0) by default: the Fig. 8 harnesses
 //! compare strategies on cold inference costs, and memoization would
 //! flatten exactly the differences they measure. Engines opt in via
@@ -32,7 +37,7 @@ use std::sync::{Arc, Weak};
 use cachekit::{ShardedLru, StatsSnapshot};
 use minidb::Value;
 
-use crate::nudf::ModelRepo;
+use crate::metrics::InferenceMeter;
 
 /// A keyframe blob as a cache key: hashes and compares the *contents*.
 /// The content hash is computed once, at construction. The blob is held
@@ -112,6 +117,10 @@ impl InferenceKey {
     }
 }
 
+/// One nUDF input: a keyframe blob and its model-selection condition
+/// (`None` when the nUDF is unconditional).
+pub type Keyframe<'a> = (&'a Value, Option<f64>);
+
 /// The shared, capacity-bounded nUDF result cache.
 pub struct InferenceCache {
     lru: ShardedLru<InferenceKey, Value>,
@@ -149,6 +158,66 @@ impl InferenceCache {
         self.lru.insert(key, value);
     }
 
+    /// Scores `items` for the nUDF of `generation`, handing one value per
+    /// item to `emit`, in item order. Memoized items are answered from the
+    /// cache; the misses go to `score` in item order, at most once and
+    /// never empty, and what it returns is memoized. The query's own hits,
+    /// misses and evictions are counted into `meter`. With the cache
+    /// disabled no key is built and every item goes to `score`.
+    pub fn score<'a>(
+        &self,
+        meter: &InferenceMeter,
+        generation: u64,
+        items: &[Keyframe<'a>],
+        score: impl FnOnce(&[Keyframe<'a>]) -> crate::Result<Vec<Value>>,
+        mut emit: impl FnMut(Value),
+    ) -> crate::Result<()> {
+        let enabled = self.enabled();
+        let (mut misses, mut keys) = (Vec::new(), Vec::new());
+        // Hits are emitted at once until the first miss; from there on
+        // each item waits here (`None` for a miss) so the order holds.
+        let mut pending = Vec::new();
+        for &(value, condition) in items {
+            let key =
+                enabled.then(|| InferenceKey::new(generation, condition, value)).transpose()?;
+            let hit = key.as_ref().and_then(|key| self.lru.get(key));
+            if hit.is_some() {
+                meter.memo.record_hit();
+            } else {
+                if key.is_some() {
+                    meter.memo.record_miss();
+                }
+                misses.push((value, condition));
+                keys.push(key);
+            }
+            match hit {
+                Some(v) if misses.is_empty() => emit(v),
+                hit => pending.push(hit),
+            }
+        }
+        if misses.is_empty() {
+            return Ok(());
+        }
+        let scored = score(&misses)?;
+        if scored.len() != misses.len() {
+            return Err(crate::Error::Coordinator(format!(
+                "scored {} values for {} keyframes",
+                scored.len(),
+                misses.len()
+            )));
+        }
+        for (key, v) in keys.into_iter().zip(&scored) {
+            if let Some(key) = key {
+                (0..self.lru.insert(key, v.clone())).for_each(|_| meter.memo.record_eviction());
+            }
+        }
+        let mut scored = scored.into_iter();
+        for v in pending {
+            emit(v.or_else(|| scored.next()).expect("one scored value per miss"));
+        }
+        Ok(())
+    }
+
     /// Drops every entry belonging to generations ≤ `generation` of no
     /// particular name — in practice unnecessary (stale generations age
     /// out via LRU), but exposed for deterministic teardown in tests.
@@ -179,15 +248,6 @@ impl InferenceCache {
     /// Zeroes the counters.
     pub fn reset_stats(&self) {
         self.lru.reset_stats();
-    }
-}
-
-/// Resolves the generation for `spec_name`, erroring on unknown names so a
-/// generation-0 key can never be created by accident.
-pub fn generation_for(repo: &ModelRepo, spec_name: &str) -> crate::Result<u64> {
-    match repo.generation(spec_name) {
-        0 => Err(crate::Error::UnknownNudf(spec_name.to_string())),
-        g => Ok(g),
     }
 }
 
@@ -261,6 +321,54 @@ mod tests {
         assert!(!off.enabled());
         off.insert(k.clone(), Value::Bool(true));
         assert_eq!(off.get(&k), None);
+    }
+
+    #[test]
+    fn score_answers_hits_scores_misses_in_order_and_counts_them() {
+        let (a, b, c) = (blob(b"a"), blob(b"b"), blob(b"c"));
+        let items: Vec<Keyframe> = vec![(&a, None), (&b, None), (&c, None)];
+        let class =
+            |v: &Value| Value::Int64(i64::from(matches!(v, Value::Blob(x) if x[0] == b'b')));
+        let cache = InferenceCache::new(64);
+        let meter = InferenceMeter::default();
+        cache.insert(InferenceKey::new(1, None, &a).unwrap(), Value::Int64(7));
+        let mut scored = Vec::new();
+        let mut values = Vec::new();
+        cache
+            .score(
+                &meter,
+                1,
+                &items,
+                |misses| {
+                    scored = misses.to_vec();
+                    Ok(misses.iter().map(|(v, _)| class(v)).collect())
+                },
+                |v| values.push(v),
+            )
+            .unwrap();
+        assert_eq!(values, [Value::Int64(7), Value::Int64(1), Value::Int64(0)]);
+        assert_eq!(scored, items[1..], "only the misses, in item order");
+        let counted = meter.cache().inference;
+        assert_eq!((counted.hits, counted.misses), (1, 2));
+        // A hit after a miss keeps its place; all hits never call `score`.
+        let mut again = Vec::new();
+        let mixed = [items[2], (&blob(b"d"), None), items[2]];
+        let fresh = |m: &[Keyframe]| Ok(m.iter().map(|_| Value::Int64(9)).collect());
+        cache.score(&meter, 1, &mixed, fresh, |v| again.push(v)).unwrap();
+        cache.score(&meter, 1, &items[2..], |_| unreachable!(), |v| again.push(v)).unwrap();
+        assert_eq!(again, [Value::Int64(0), Value::Int64(9), Value::Int64(0), Value::Int64(0)]);
+
+        // Disabled: every item goes through, nothing is counted, and a
+        // non-blob item is the closure's business.
+        let off = InferenceCache::new(0);
+        let meter = InferenceMeter::default();
+        let odd: Vec<Keyframe> = vec![(&Value::Int64(3), None)];
+        let mut values = Vec::new();
+        let echo = |m: &[Keyframe]| Ok(vec![m[0].0.clone()]);
+        off.score(&meter, 1, &odd, echo, |v| values.push(v)).unwrap();
+        assert_eq!(values, [Value::Int64(3)]);
+        assert_eq!(meter.cache(), crate::CacheActivity::default());
+        assert!(off.score(&meter, 1, &odd, |_| Ok(vec![]), |_| {}).is_err(), "one value per item");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::cache::InferenceCache;
 use crate::error::Result;
 use crate::independent::{DlServer, Independent};
 use crate::loose::LooseUdf;
-use crate::metrics::{CacheActivity, StrategyOutcome};
+use crate::metrics::StrategyOutcome;
 use crate::nudf::{ModelRepo, NudfSpec};
 use crate::tight::Tight;
 use crate::Strategy;
@@ -77,9 +77,6 @@ pub struct CollabEngine {
     /// Cumulative per-strategy run counters, exported by
     /// [`CollabEngine::metrics_snapshot`].
     totals: RwLock<HashMap<StrategyKind, StrategyTotals>>,
-    /// Retry/backoff policy for the independent strategy's DB↔DL
-    /// transfer.
-    retry_policy: RwLock<govern::RetryPolicy>,
     /// Graceful-degradation order: when a strategy fails for a
     /// recoverable reason, the engine retries the query under the next
     /// kind in this chain. Empty (the default) disables fallback.
@@ -122,22 +119,10 @@ impl CollabEngine {
             inference_cache: Arc::new(InferenceCache::new(0)),
             artifact_cache: Arc::new(ArtifactCache::new(0)),
             totals: RwLock::new(HashMap::new()),
-            retry_policy: RwLock::new(govern::RetryPolicy::default()),
             fallback_chain: RwLock::new(Vec::new()),
             fallbacks: std::sync::atomic::AtomicU64::new(0),
             transfer_retries: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Replaces the DB↔DL transfer retry policy, returning the previous
-    /// one. Applies to strategies instantiated afterwards.
-    pub fn set_retry_policy(&self, policy: govern::RetryPolicy) -> govern::RetryPolicy {
-        std::mem::replace(&mut *self.retry_policy.write(), policy)
-    }
-
-    /// The current transfer retry policy.
-    pub fn retry_policy(&self) -> govern::RetryPolicy {
-        self.retry_policy.read().clone()
     }
 
     /// Installs the graceful-degradation chain: when a prepared query
@@ -223,8 +208,7 @@ impl CollabEngine {
                     Arc::clone(&self.repo),
                     Arc::clone(&self.server),
                 )
-                .with_inference_cache(Arc::clone(&self.inference_cache))
-                .with_retry_policy(self.retry_policy()),
+                .with_inference_cache(Arc::clone(&self.inference_cache)),
             ),
             StrategyKind::LooseUdf => Box::new(
                 LooseUdf::new(Arc::clone(&self.db), Arc::clone(&self.repo))
@@ -267,15 +251,6 @@ impl CollabEngine {
     /// Executes one collaborative query under one strategy.
     pub fn execute(&self, sql: &str, kind: StrategyKind) -> Result<StrategyOutcome> {
         self.prepare(sql)?.run(kind)
-    }
-
-    /// Current cache counters at the three levels.
-    fn cache_activity(&self) -> CacheActivity {
-        CacheActivity {
-            plan: self.db.plan_cache_stats(),
-            inference: self.inference_cache.stats(),
-            artifact: self.artifact_cache.stats(),
-        }
     }
 
     fn note_run(&self, kind: StrategyKind, wall_nanos: u64, outcome: &StrategyOutcome) {
@@ -416,8 +391,8 @@ impl PreparedCollabQuery<'_> {
 
     /// Runs the query under `kind` without re-parsing: the strategy
     /// executes under a `strategy:<name>` root span (when the database's
-    /// tracer is enabled), and the outcome is annotated with per-level
-    /// cache deltas and the span tree.
+    /// tracer is enabled), and the outcome is annotated with the span
+    /// tree.
     ///
     /// When the engine has a [fallback chain](CollabEngine::set_fallback_chain)
     /// and the strategy fails for a recoverable cause, the query is re-run
@@ -451,8 +426,8 @@ impl PreparedCollabQuery<'_> {
         }
     }
 
-    /// One strategy execution with tracing, cache-delta annotation and
-    /// run accounting — no fallback.
+    /// One strategy execution with tracing and run accounting — no
+    /// fallback.
     fn run_once(&self, kind: StrategyKind) -> Result<StrategyOutcome> {
         let engine = self.engine;
         let tracer = engine.db.tracer();
@@ -461,13 +436,10 @@ impl PreparedCollabQuery<'_> {
         } else {
             obs::SpanId::NONE
         };
-        let before = engine.cache_activity();
         let start = Instant::now();
         let mut out = engine.strategy(kind).execute_query(&self.query);
         let wall = start.elapsed();
-        let cache = CacheActivity::delta(&before, &engine.cache_activity());
-        if let Ok(o) = out.as_mut() {
-            o.cache = cache;
+        if let Ok(o) = out.as_ref() {
             engine.note_run(kind, wall.as_nanos() as u64, o);
         }
         if root.is_some() {
@@ -485,13 +457,11 @@ impl PreparedCollabQuery<'_> {
                     root,
                     "cache",
                     &format!(
-                        "plan={}h/{}m inference={}h/{}m artifact={}h/{}m",
-                        cache.plan.hits,
-                        cache.plan.misses,
-                        cache.inference.hits,
-                        cache.inference.misses,
-                        cache.artifact.hits,
-                        cache.artifact.misses
+                        "inference={}h/{}m artifact={}h/{}m",
+                        o.cache.inference.hits,
+                        o.cache.inference.misses,
+                        o.cache.artifact.hits,
+                        o.cache.artifact.misses
                     ),
                 );
                 tracer.event(

@@ -19,16 +19,17 @@
 //! 4. run the original query, rewritten over the intermediate table with
 //!    nUDF calls replaced by their prediction columns.
 
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use minidb::sql::ast::{Expr, FromItem, Query, SelectItem, TableFactor};
-use minidb::{Column, Database, Field, Schema, Table};
+use minidb::{Column, Database, Field, Schema, Table, Value};
 use neuro::serialize::tensor_from_bytes;
 
-use crate::cache::{BlobKey, InferenceCache, InferenceKey};
+use crate::cache::{InferenceCache, InferenceKey, Keyframe};
 use crate::error::{Error, Result};
 use crate::metrics::{CostBreakdown, InferenceMeter, StrategyOutcome};
 use crate::nudf::ModelRepo;
@@ -69,16 +70,14 @@ impl DlServer {
         DlServer { tx, handle: Some(handle) }
     }
 
-    /// Sends a batch and waits for predictions, bounding the wait by
-    /// `timeout` when given. The `independent.transfer` failpoint sits in
-    /// front of the send so fault-injection tests can fail or delay the
-    /// cross-system hop deterministically.
+    /// Sends a batch and waits for predictions. The `independent.transfer`
+    /// failpoint sits in front of the send so fault-injection tests can
+    /// fail or delay the cross-system hop deterministically.
     fn infer(
         &self,
         nudf: &str,
         payload: Arc<[u8]>,
         meter: &Arc<InferenceMeter>,
-        timeout: Option<Duration>,
     ) -> Result<Vec<u8>> {
         govern::failpoints::fire("independent.transfer")
             .map_err(|f| Error::Channel(format!("injected transfer fault: {f:?}")))?;
@@ -87,19 +86,7 @@ impl DlServer {
         self.tx
             .send(InferRequest { nudf: nudf.to_string(), payload, meter, reply: reply_tx })
             .map_err(|_| Error::Channel("DL server is down".into()))?;
-        match timeout {
-            Some(limit) => reply_rx.recv_timeout(limit).map_err(|e| match e {
-                RecvTimeoutError::Timeout => {
-                    Error::Channel(format!("transfer timed out after {limit:?}"))
-                }
-                RecvTimeoutError::Disconnected => {
-                    Error::Channel("DL server dropped the request".into())
-                }
-            })?,
-            None => reply_rx
-                .recv()
-                .map_err(|_| Error::Channel("DL server dropped the request".into()))?,
-        }
+        reply_rx.recv().map_err(|_| Error::Channel("DL server dropped the request".into()))?
     }
 }
 
@@ -195,20 +182,13 @@ pub struct Independent {
     repo: Arc<ModelRepo>,
     server: Arc<DlServer>,
     inference: Arc<InferenceCache>,
-    retry: govern::RetryPolicy,
 }
 
 impl Independent {
     /// Builds the strategy over a shared database, repository and serving
     /// thread.
     pub fn new(db: Arc<Database>, repo: Arc<ModelRepo>, server: Arc<DlServer>) -> Self {
-        Independent {
-            db,
-            repo,
-            server,
-            inference: Arc::new(InferenceCache::new(0)),
-            retry: govern::RetryPolicy::default(),
-        }
+        Independent { db, repo, server, inference: Arc::new(InferenceCache::new(0)) }
     }
 
     /// Attaches a shared result-memoization cache. Memoized keyframes are
@@ -219,32 +199,27 @@ impl Independent {
         self
     }
 
-    /// Sets the retry/backoff policy for the DB↔DL transfer.
-    pub fn with_retry_policy(mut self, retry: govern::RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// One transfer with bounded retries: transient channel failures are
-    /// retried with exponential backoff under the policy's per-call
-    /// timeout; anything else propagates immediately. Returns the reply
-    /// and how many retries it took.
+    /// retried with the default exponential backoff; anything else
+    /// propagates immediately. Returns the reply and how many retries it
+    /// took.
     fn transfer(
         &self,
         nudf: &str,
         payload: &Arc<[u8]>,
         meter: &Arc<InferenceMeter>,
     ) -> Result<(Vec<u8>, u32)> {
-        let attempts = self.retry.max_attempts.max(1);
+        let retry = govern::RetryPolicy::default();
+        let attempts = retry.max_attempts;
         let mut last: Option<Error> = None;
         for attempt in 0..attempts {
             if attempt > 0 {
-                std::thread::sleep(self.retry.delay(attempt - 1));
+                std::thread::sleep(retry.delay(attempt - 1));
             }
-            match self.server.infer(nudf, Arc::clone(payload), meter, self.retry.call_timeout) {
+            match self.server.infer(nudf, Arc::clone(payload), meter) {
                 Ok(resp) => return Ok((resp, attempt)),
-                // Channel-level failures (server hiccup, per-call timeout,
-                // injected fault) are the transient class worth retrying.
+                // Channel-level failures (server hiccup, injected fault)
+                // are the transient class worth retrying.
                 Err(e @ Error::Channel(_)) => last = Some(e),
                 Err(e) => return Err(e),
             }
@@ -492,41 +467,17 @@ impl Strategy for Independent {
             // its own predicates. A conditional nUDF's model choice
             // depends on Q_db output ("Q_learning needs the output of
             // Q_db to determine which neural models should be used"), so
-            // it always gates by Q_db.
+            // it always gates by Q_db. Items are told apart by content
+            // (`InferenceKey`), and each base row records its item.
             let gate = gate_by_qdb || conditional;
+            let generation = self.repo.generation(name);
             let t_work = Instant::now();
-            let mut work_items: Vec<(std::sync::Arc<Vec<u8>>, Option<f64>)> = Vec::new();
-            let mut seen: std::collections::HashSet<Vec<u8>> = std::collections::HashSet::new();
-            let item_key = |bytes: &[u8], cond: Option<f64>| -> Vec<u8> {
-                let mut k = bytes.to_vec();
-                if let Some(c) = cond {
-                    k.extend_from_slice(&c.to_bits().to_le_bytes());
-                }
-                k
-            };
-            let mut push_item = |v: minidb::Value, cond: Option<f64>| -> Result<()> {
-                let minidb::Value::Blob(bytes) = v else {
-                    return Err(Error::Coordinator("keyframe column is not a blob".into()));
-                };
-                if seen.insert(item_key(&bytes, cond)) {
-                    work_items.push((bytes, cond));
-                }
-                Ok(())
-            };
-            if gate {
-                let arg_col = base.column_by_name(&format!("__arg_{i}"))?;
-                let cond_col = if conditional {
-                    Some(base.column_by_name(&format!("__cond_{i}"))?)
-                } else {
-                    None
-                };
-                for row in 0..base.num_rows() {
-                    let cond =
-                        cond_col.map(|c| c.value(row).as_f64()).transpose().map_err(Error::Db)?;
-                    push_item(arg_col.value(row), cond)?;
-                }
-                relational += t_work.elapsed();
-            } else {
+            let arg_col = base.column_by_name(&format!("__arg_{i}"))?;
+            let cond_col =
+                if conditional { Some(base.column_by_name(&format!("__cond_{i}"))?) } else { None };
+            let mut index: HashMap<InferenceKey, usize> = HashMap::new();
+            let mut items: Vec<(Value, Option<f64>)> = Vec::new();
+            if !gate {
                 let arg_binding = argument_binding(&args[0], &bindings)?;
                 let arg_factor = find_factor(q, &arg_binding)?;
                 let local_conjuncts: Vec<Expr> = db_conjuncts
@@ -551,52 +502,62 @@ impl Strategy for Independent {
                 let work = session.run_query(&learning_query)?;
                 let work_col = work.column_by_name("__arg")?;
                 for row in 0..work.num_rows() {
-                    push_item(work_col.value(row), None)?;
+                    let value = work_col.value(row);
+                    index.entry(InferenceKey::new(generation, None, &value)?).or_insert_with(
+                        || {
+                            items.push((value, None));
+                            items.len() - 1
+                        },
+                    );
                 }
-                relational += t_work.elapsed();
             }
-
-            // Answer memoized keyframes at the coordinator: they never
-            // cross the channel; only misses are serialized and shipped.
-            let generation = self.inference.enabled().then(|| self.repo.generation(name));
-            let cache_key = |blob: &std::sync::Arc<Vec<u8>>, cond: Option<f64>| InferenceKey {
-                generation: generation.unwrap_or(0),
-                condition_bits: cond.map(f64::to_bits),
-                blob: BlobKey::new(blob),
-            };
-            let mut by_item: std::collections::HashMap<Vec<u8>, minidb::Value> =
-                std::collections::HashMap::with_capacity(work_items.len());
-            let mut misses: Vec<(std::sync::Arc<Vec<u8>>, Option<f64>)> = Vec::new();
-            let t_partition = Instant::now();
-            for (blob, cond) in work_items {
-                if generation.is_some() {
-                    if let Some(v) = self.inference.get(&cache_key(&blob, cond)) {
-                        by_item.insert(item_key(&blob, cond), v);
-                        continue;
+            // Each base row's item. The local work list is a superset of
+            // the base's keyframes, so an ungated lookup cannot miss.
+            let rows = (0..base.num_rows())
+                .map(|row| {
+                    let cond = cond_col.map(|c| c.value(row).as_f64()).transpose()?;
+                    let value = arg_col.value(row);
+                    let key = InferenceKey::new(generation, cond, &value)?;
+                    match index.get(&key) {
+                        Some(&item) => Ok(item),
+                        None if gate => {
+                            index.insert(key, items.len());
+                            items.push((value, cond));
+                            Ok(items.len() - 1)
+                        }
+                        None => Err(Error::Coordinator(
+                            "base row's keyframe missing from the DL work list".into(),
+                        )),
                     }
-                }
-                misses.push((blob, cond));
-            }
-            loading += t_partition.elapsed();
+                })
+                .collect::<Result<Vec<usize>>>()?;
+            relational += t_work.elapsed();
 
-            if !misses.is_empty() {
+            // Memoized keyframes are answered at the coordinator and never
+            // cross the channel; only misses are serialized and shipped.
+            // Everything here but the transfer itself is loading.
+            let t_score = Instant::now();
+            let mut shipped = Duration::ZERO;
+            let items: Vec<Keyframe> = items.iter().map(|(value, cond)| (value, *cond)).collect();
+            let mut values = Vec::with_capacity(items.len());
+            let score = |misses: &[Keyframe]| {
                 // Per-query model loading: the serving system receives the
                 // model's script file and deserializes it ("the neural
                 // model corresponding to a collaborative query is
                 // integrated into the system on the fly").
-                let t_model = Instant::now();
                 let script = neuro::serialize::save_model(&spec.model);
                 let _loaded = neuro::serialize::load_model(&script)?;
                 meter.add_cross_bytes(script.len() as u64);
-                loading += t_model.elapsed();
 
-                // Serialize the work list (loading: data transformation +
+                // Serialize the work list (data transformation +
                 // cross-system I/O). Keyframe blobs already hold the tensor
                 // wire format; conditions travel as raw f64 bits.
-                let t_ser = Instant::now();
                 let mut payload = vec![conditional as u8];
                 payload.extend_from_slice(&(misses.len() as u32).to_le_bytes());
-                for (blob, cond) in &misses {
+                for &(value, cond) in misses {
+                    let Value::Blob(blob) = value else {
+                        return Err(Error::Coordinator("keyframe column is not a blob".into()));
+                    };
                     payload.extend_from_slice(&(blob.len() as u32).to_le_bytes());
                     payload.extend_from_slice(blob);
                     if let Some(c) = cond {
@@ -604,56 +565,29 @@ impl Strategy for Independent {
                     }
                 }
                 let payload: Arc<[u8]> = payload.into();
-                let request_bytes = payload.len();
-                loading += t_ser.elapsed();
 
+                let t_transfer = Instant::now();
                 let (response, retries) = self.transfer(name, &payload, &meter)?;
+                shipped = t_transfer.elapsed();
                 transfer_retries += retries;
-                meter.add_cross_bytes((request_bytes + response.len()) as u64);
+                meter.add_cross_bytes((payload.len() + response.len()) as u64);
 
-                // Decode predictions and key them by their (keyframe,
-                // condition) item (loading).
-                let t_de = Instant::now();
+                // Decode predictions, one per item in request order.
                 let mut pos = 0usize;
                 let count = read_u32(&response, &mut pos)? as usize;
-                if count != misses.len() {
-                    return Err(Error::Channel(format!(
-                        "server returned {count} predictions for {} items",
-                        misses.len()
-                    )));
-                }
-                for (blob, cond) in &misses {
-                    let class = read_u32(&response, &mut pos)? as usize;
-                    let value = spec.output.to_value(class);
-                    if generation.is_some() {
-                        self.inference.insert(cache_key(blob, *cond), value.clone());
-                    }
-                    by_item.insert(item_key(blob, *cond), value);
-                }
-                loading += t_de.elapsed();
-            }
+                (0..count)
+                    .map(|_| Ok(spec.output.to_value(read_u32(&response, &mut pos)? as usize)))
+                    .collect()
+            };
+            self.inference.score(&meter, generation, &items, score, |v| values.push(v))?;
 
-            // Attach predictions to the joined base rows. The gated work
-            // list came from the base itself; the local work list is a
-            // superset of the base's keyframes — the lookup cannot miss.
-            let t_attach = Instant::now();
-            let arg_col = base.column_by_name(&format!("__arg_{i}"))?;
-            let cond_col =
-                if conditional { Some(base.column_by_name(&format!("__cond_{i}"))?) } else { None };
-            let mut col = Column::empty(spec.output.data_type());
-            for row in 0..base.num_rows() {
-                let minidb::Value::Blob(bytes) = arg_col.value(row) else {
-                    return Err(Error::Coordinator("keyframe column is not a blob".into()));
-                };
-                let cond =
-                    cond_col.map(|c| c.value(row).as_f64()).transpose().map_err(Error::Db)?;
-                let v = by_item.get(&item_key(&bytes, cond)).ok_or_else(|| {
-                    Error::Coordinator("base row's keyframe missing from the DL work list".into())
-                })?;
-                col.push(v.clone())?;
-            }
+            // Attach predictions to the joined base rows.
+            let col = Column::from_values(
+                spec.output.data_type(),
+                rows.into_iter().map(|item| values[item].clone()),
+            )?;
             prediction_columns.push((format!("__nudf_{i}"), col));
-            loading += t_attach.elapsed();
+            loading += t_score.elapsed().saturating_sub(shipped);
         }
 
         // ---- phase 3: materialize the intermediate table ----------------
@@ -722,7 +656,7 @@ impl Strategy for Independent {
         relational += t_final.elapsed();
 
         Ok(StrategyOutcome {
-            cache: crate::metrics::CacheActivity::default(),
+            cache: meter.cache(),
             trace: None,
             table,
             breakdown: CostBreakdown { loading, inference: meter.total(), relational },

@@ -14,9 +14,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minidb::sql::ast::Query;
-use minidb::{Database, ScalarUdf, Value};
+use minidb::{Database, ScalarUdf};
 
-use crate::cache::{InferenceCache, InferenceKey};
+use crate::cache::{InferenceCache, Keyframe};
 use crate::error::Result;
 use crate::metrics::{CostBreakdown, InferenceMeter, StrategyOutcome};
 use crate::nudf::ModelRepo;
@@ -106,29 +106,23 @@ impl Strategy for LooseUdf {
                 spec.output.data_type(),
                 move |args| {
                     let condition = args.get(1).map(|v| v.as_f64()).transpose()?;
-                    let key = if memo.enabled() {
-                        let key = InferenceKey::new(generation, condition, &args[0])
-                            .map_err(|e| minidb::Error::Exec(e.to_string()))?;
-                        if let Some(v) = memo.get(&key) {
-                            // Memoized: no round trip to the device.
-                            return Ok(v);
-                        }
-                        Some(key)
-                    } else {
-                        None
+                    // Row-at-a-time UDF inference: every miss is a
+                    // synchronous round trip to the inference device; a
+                    // memoized keyframe skips it.
+                    let score = |misses: &[Keyframe]| {
+                        row_meter.clock.charge_round_trip();
+                        let t = Instant::now();
+                        let clock = Some(&row_meter.clock);
+                        let out = row_spec.invoke_with_condition(misses[0].0, condition, clock)?;
+                        row_meter.add(t.elapsed());
+                        Ok(vec![out])
                     };
-                    // Row-at-a-time UDF inference: every call is a
-                    // synchronous round trip to the inference device.
-                    row_meter.clock.charge_round_trip();
-                    let t = Instant::now();
-                    let out = row_spec
-                        .invoke_with_condition(&args[0], condition, Some(&row_meter.clock))
-                        .map_err(|e| minidb::Error::Exec(e.to_string()))?;
-                    row_meter.add(t.elapsed());
-                    if let Some(key) = key {
-                        memo.insert(key, out.clone());
-                    }
-                    Ok(out)
+                    let mut value = None;
+                    memo.score(&row_meter, generation, &[(&args[0], condition)], score, |v| {
+                        value = Some(v)
+                    })
+                    .map_err(|e| minidb::Error::Exec(e.to_string()))?;
+                    Ok(value.expect("one value per item"))
                 },
             );
             if self.batched {
@@ -137,28 +131,18 @@ impl Strategy for LooseUdf {
                 let memo = Arc::clone(&self.inference);
                 let output = spec.output.clone();
                 udf = udf.with_batch(move |cols| {
-                    let col = &cols[0];
-                    // Partition the batch into memoized rows and misses.
-                    let mut values: Vec<Option<Value>> = vec![None; col.len()];
-                    let mut misses: Vec<(usize, Value, Option<f64>, Option<InferenceKey>)> =
-                        Vec::new();
-                    for (row, slot) in values.iter_mut().enumerate() {
-                        let condition = cols.get(1).map(|c| c.value(row).as_f64()).transpose()?;
-                        let value = col.value(row);
-                        let key = if memo.enabled() {
-                            let key = InferenceKey::new(generation, condition, &value)
-                                .map_err(|e| minidb::Error::Exec(e.to_string()))?;
-                            if let Some(v) = memo.get(&key) {
-                                *slot = Some(v);
-                                continue;
-                            }
-                            Some(key)
-                        } else {
-                            None
-                        };
-                        misses.push((row, value, condition, key));
-                    }
-                    if !misses.is_empty() {
+                    let keyframes: Vec<_> = (0..cols[0].len()).map(|r| cols[0].value(r)).collect();
+                    let items = keyframes
+                        .iter()
+                        .enumerate()
+                        .map(|(row, value)| {
+                            let condition =
+                                cols.get(1).map(|c| c.value(row).as_f64()).transpose()?;
+                            Ok((value, condition))
+                        })
+                        .collect::<minidb::Result<Vec<_>>>()?;
+                    let mut values = Vec::with_capacity(items.len());
+                    let score = |misses: &[Keyframe]| {
                         // One round trip covers the whole batch of misses,
                         // which the task pool scores in parallel.
                         // `run_indexed` keeps results in row order, so the
@@ -167,23 +151,15 @@ impl Strategy for LooseUdf {
                         let t0 = Instant::now();
                         let workers = taskpool::default_parallelism();
                         let scored = taskpool::run_indexed(workers, misses.len(), |i| {
-                            let (_, value, condition, _) = &misses[i];
-                            batch_spec.invoke_with_condition(value, *condition, Some(&meter.clock))
+                            let (value, condition) = misses[i];
+                            batch_spec.invoke_with_condition(value, condition, Some(&meter.clock))
                         });
                         meter.add(t0.elapsed());
-                        for ((row, _, _, key), scored) in misses.into_iter().zip(scored) {
-                            let v = scored.map_err(|e| minidb::Error::Exec(e.to_string()))?;
-                            if let Some(key) = key {
-                                memo.insert(key, v.clone());
-                            }
-                            values[row] = Some(v);
-                        }
-                    }
-                    let mut out = minidb::Column::empty(output.data_type());
-                    for v in values {
-                        out.push(v.expect("every row memoized or scored"))?;
-                    }
-                    Ok(out)
+                        scored.into_iter().collect()
+                    };
+                    memo.score(&meter, generation, &items, score, |v| values.push(v))
+                        .map_err(|e| minidb::Error::Exec(e.to_string()))?;
+                    minidb::Column::from_values(output.data_type(), values)
                 });
             }
             session.bind_udf(udf);
@@ -197,7 +173,7 @@ impl Strategy for LooseUdf {
         let inference = meter.total();
 
         Ok(StrategyOutcome {
-            cache: crate::metrics::CacheActivity::default(),
+            cache: meter.cache(),
             trace: None,
             table,
             breakdown: CostBreakdown {

@@ -4,6 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use cachekit::CacheStats;
 use neuro::{DeviceProfile, SimClock};
 
 /// Measured costs of one collaborative-query execution, split the way the
@@ -28,34 +29,15 @@ impl CostBreakdown {
     }
 }
 
-/// Per-query cache-lookup deltas at the three cache levels, recorded by
-/// [`crate::engine::PreparedCollabQuery::run`] around each execution.
+/// One query's own cache lookups, at the two levels a strategy consults.
+/// Each query counts into its own [`InferenceMeter`], so the numbers are
+/// exact however many queries share the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheActivity {
-    /// The database's plan cache.
-    pub plan: cachekit::StatsSnapshot,
     /// nUDF result memoization.
     pub inference: cachekit::StatsSnapshot,
     /// Compiled-artifact reuse (tight strategies).
     pub artifact: cachekit::StatsSnapshot,
-}
-
-impl CacheActivity {
-    /// Level-wise difference `after - before` (saturating).
-    pub fn delta(before: &CacheActivity, after: &CacheActivity) -> CacheActivity {
-        fn sub(a: cachekit::StatsSnapshot, b: cachekit::StatsSnapshot) -> cachekit::StatsSnapshot {
-            cachekit::StatsSnapshot {
-                hits: a.hits.saturating_sub(b.hits),
-                misses: a.misses.saturating_sub(b.misses),
-                evictions: a.evictions.saturating_sub(b.evictions),
-            }
-        }
-        CacheActivity {
-            plan: sub(after.plan, before.plan),
-            inference: sub(after.inference, before.inference),
-            artifact: sub(after.artifact, before.artifact),
-        }
-    }
 }
 
 /// Governance activity observed while producing one outcome.
@@ -79,9 +61,7 @@ pub struct StrategyOutcome {
     /// Simulated device work accumulated during the run (inference flops,
     /// host↔device transfer bytes) for cross-hardware projection.
     pub sim: SimSummary,
-    /// Cache hits/misses this query caused at each cache level (populated
-    /// by the engine's prepared-query path; zero when a strategy is driven
-    /// directly).
+    /// This query's own cache lookups at the memo and artifact levels.
     pub cache: CacheActivity,
     /// Strategy-level span tree, present when the database's tracer was
     /// enabled (populated by the engine's prepared-query path).
@@ -195,12 +175,16 @@ fn scale(d: Duration, factor: f64) -> Duration {
 }
 
 /// One query's accumulator, which its strategy threads through the nUDF
-/// closures (and the DL server): wall time spent inside inference, plus
-/// the simulated-work clock.
+/// closures (and the DL server): wall time spent inside inference, the
+/// simulated-work clock and the query's own cache lookups.
 #[derive(Debug, Default)]
 pub struct InferenceMeter {
     nanos: AtomicU64,
     cross_bytes: AtomicU64,
+    /// This query's own memo lookups.
+    pub memo: CacheStats,
+    /// This query's own compiled-artifact lookups.
+    pub artifacts: CacheStats,
     /// Simulated-work ledger (flops, transfers).
     pub clock: SimClock,
 }
@@ -229,6 +213,11 @@ impl InferenceMeter {
     /// Total cross-system bytes recorded.
     pub fn cross_bytes(&self) -> u64 {
         self.cross_bytes.load(Ordering::Relaxed)
+    }
+
+    /// The cache lookups counted so far.
+    pub fn cache(&self) -> CacheActivity {
+        CacheActivity { inference: self.memo.snapshot(), artifact: self.artifacts.snapshot() }
     }
 
     /// A [`SimSummary`] snapshot of this meter.

@@ -18,7 +18,7 @@ use dl2sql::{hints, ArtifactCache, NeuralRegistry, PreJoinStrategy, Runner};
 use minidb::sql::ast::Query;
 use minidb::{Database, ScalarUdf};
 
-use crate::cache::{InferenceCache, InferenceKey};
+use crate::cache::{InferenceCache, Keyframe};
 use crate::error::Result;
 use crate::metrics::{CostBreakdown, InferenceMeter, StrategyOutcome};
 use crate::nudf::{blob_to_tensor, ModelRepo};
@@ -103,7 +103,9 @@ impl Strategy for Tight {
             // tables per query. With the artifact cache enabled, a warm
             // query reuses the previous compilation instead.
             let make_runner = |m: &Arc<neuro::Model>| -> Result<Arc<Runner>> {
-                Ok(self.artifacts.runner_for(&self.db, &self.registry, m, PreJoinStrategy::None)?)
+                let (db, registry) = (&self.db, &self.registry);
+                let lookups = &meter.artifacts;
+                Ok(self.artifacts.lookup_runner(db, registry, m, PreJoinStrategy::None, lookups)?)
             };
             let default_runner = make_runner(&spec.model)?;
             let variant_runners: Vec<Arc<Runner>> =
@@ -125,34 +127,25 @@ impl Strategy for Tight {
                 spec.output.data_type(),
                 move |args| {
                     let condition = args.get(1).map(|v| v.as_f64()).transpose()?;
-                    let key = if memo.enabled() {
-                        let key = InferenceKey::new(generation, condition, &args[0])
-                            .map_err(|e| minidb::Error::Exec(e.to_string()))?;
-                        if let Some(v) = memo.get(&key) {
-                            // Memoized: no SQL program runs, no flops.
-                            return Ok(v);
-                        }
-                        Some(key)
-                    } else {
-                        None
+                    // A memoized keyframe runs no SQL program and no flops.
+                    let score = |misses: &[Keyframe]| {
+                        let tensor = blob_to_tensor(misses[0].0)?;
+                        // Condition-selected SQL program (paper Type 3).
+                        let runner = selector
+                            .select_variant(condition)
+                            .map_or(&default_runner, |i| &variant_runners[i]);
+                        let t = Instant::now();
+                        let out = runner.infer_with(&settings, &tensor)?;
+                        meter.add(t.elapsed());
+                        meter.clock.charge_flops(flops_per_inference);
+                        Ok(vec![output.to_value(out.predicted_class)])
                     };
-                    let tensor =
-                        blob_to_tensor(&args[0]).map_err(|e| minidb::Error::Exec(e.to_string()))?;
-                    // Condition-selected SQL program (paper Type 3).
-                    let runner = selector
-                        .select_variant(condition)
-                        .map_or(&default_runner, |i| &variant_runners[i]);
-                    let t = Instant::now();
-                    let out = runner
-                        .infer_with(&settings, &tensor)
-                        .map_err(|e| minidb::Error::Exec(e.to_string()))?;
-                    meter.add(t.elapsed());
-                    meter.clock.charge_flops(flops_per_inference);
-                    let value = output.to_value(out.predicted_class);
-                    if let Some(key) = key {
-                        memo.insert(key, value.clone());
-                    }
-                    Ok(value)
+                    let mut value = None;
+                    memo.score(&meter, generation, &[(&args[0], condition)], score, |v| {
+                        value = Some(v)
+                    })
+                    .map_err(|e| minidb::Error::Exec(e.to_string()))?;
+                    Ok(value.expect("one value per item"))
                 },
             )
             // Cost per row scales with model size (the customized model's
@@ -171,7 +164,7 @@ impl Strategy for Tight {
         let inference = meter.total();
 
         Ok(StrategyOutcome {
-            cache: crate::metrics::CacheActivity::default(),
+            cache: meter.cache(),
             trace: None,
             table,
             breakdown: CostBreakdown {

@@ -20,7 +20,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use cachekit::{LruCache, StatsSnapshot};
+use cachekit::{CacheStats, LruCache, StatsSnapshot};
 use minidb::Database;
 use neuro::Model;
 
@@ -81,31 +81,36 @@ impl ArtifactCache {
         model: &Arc<Model>,
         strategy: PreJoinStrategy,
     ) -> Result<Arc<Runner>> {
+        self.lookup_runner(db, registry, model, strategy, &CacheStats::default())
+    }
+
+    /// As [`ArtifactCache::runner_for`], also recording this lookup into
+    /// `lookups`: a hit when it reused a compilation, a miss and any
+    /// evictions when it compiled, nothing when the cache is disabled.
+    pub fn lookup_runner(
+        &self,
+        db: &Arc<Database>,
+        registry: &Arc<NeuralRegistry>,
+        model: &Arc<Model>,
+        strategy: PreJoinStrategy,
+        lookups: &CacheStats,
+    ) -> Result<Arc<Runner>> {
         let key = Self::key(model, strategy);
         if self.enabled() {
             if let Some(entry) = self.map.get(&key) {
+                lookups.record_hit();
                 return Ok(entry.runner);
             }
+            lookups.record_miss();
         }
         let compiled = Arc::new(compile_model_with_strategy(db, registry, model, strategy)?);
         let runner =
             Arc::new(Runner::new(Arc::clone(db), Arc::clone(registry), Arc::clone(&compiled))?);
         if self.enabled() {
-            self.map.insert(
-                key,
-                Entry { _model: Arc::clone(model), compiled, runner: Arc::clone(&runner) },
-            );
+            let entry = Entry { _model: Arc::clone(model), compiled, runner: Arc::clone(&runner) };
+            (0..self.map.insert(key, entry)).for_each(|_| lookups.record_eviction());
         }
         Ok(runner)
-    }
-
-    /// The cached compilation of `model` under `strategy`, if present.
-    pub fn compiled_for(
-        &self,
-        model: &Arc<Model>,
-        strategy: PreJoinStrategy,
-    ) -> Option<Arc<CompiledModel>> {
-        self.map.peek(&Self::key(model, strategy)).map(|e| e.compiled)
     }
 
     /// Explicitly invalidates every cached compilation of `model` (all
@@ -189,6 +194,10 @@ mod tests {
         assert!(Arc::ptr_eq(&r1, &r2), "compiled once, reused");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
+        let lookup = CacheStats::default();
+        let r = cache.lookup_runner(&db, &reg, &model, PreJoinStrategy::None, &lookup).unwrap();
+        assert!(Arc::ptr_eq(&r1, &r));
+        assert_eq!(lookup.snapshot(), StatsSnapshot { hits: 1, misses: 0, evictions: 0 });
         // Different strategy: a separate compilation.
         let r3 = cache.runner_for(&db, &reg, &model, PreJoinStrategy::FuseMapping).unwrap();
         assert!(!Arc::ptr_eq(&r1, &r3));
@@ -259,8 +268,10 @@ mod tests {
         let cache = ArtifactCache::new(0);
         assert!(!cache.enabled());
         let r1 = cache.runner_for(&db, &reg, &model, PreJoinStrategy::None).unwrap();
-        let r2 = cache.runner_for(&db, &reg, &model, PreJoinStrategy::None).unwrap();
+        let lookup = CacheStats::default();
+        let r2 = cache.lookup_runner(&db, &reg, &model, PreJoinStrategy::None, &lookup).unwrap();
         assert!(!Arc::ptr_eq(&r1, &r2));
+        assert_eq!(lookup.snapshot(), StatsSnapshot::default(), "a disabled cache counts nothing");
         assert!(cache.is_empty());
     }
 }

@@ -313,8 +313,7 @@ impl Drop for Reservation {
     }
 }
 
-/// Bounded exponential backoff for a fallible call, with an optional
-/// per-call timeout the caller enforces on each attempt.
+/// Bounded exponential backoff for a fallible call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts including the first (>= 1).
@@ -325,9 +324,6 @@ pub struct RetryPolicy {
     pub multiplier: f64,
     /// Ceiling on any single delay.
     pub max_delay: Duration,
-    /// Deadline for each individual attempt, enforced by the call site
-    /// (e.g. a channel `recv_timeout`).
-    pub call_timeout: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -337,17 +333,11 @@ impl Default for RetryPolicy {
             base_delay: Duration::from_millis(1),
             multiplier: 2.0,
             max_delay: Duration::from_millis(100),
-            call_timeout: None,
         }
     }
 }
 
 impl RetryPolicy {
-    /// A policy that never retries and never times out a call.
-    pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1, call_timeout: None, ..Default::default() }
-    }
-
     /// Backoff delay before retry number `retry` (0-based: the delay
     /// between the first failure and the second attempt is `delay(0)`).
     pub fn delay(&self, retry: u32) -> Duration {
@@ -680,7 +670,6 @@ mod tests {
             base_delay: Duration::from_millis(2),
             multiplier: 2.0,
             max_delay: Duration::from_millis(5),
-            call_timeout: None,
         };
         assert_eq!(p.delay(0), Duration::from_millis(2));
         assert_eq!(p.delay(1), Duration::from_millis(4));

@@ -190,6 +190,40 @@ fn memoized_strategies_match_uncached_at_every_parallelism() {
 }
 
 #[test]
+fn per_query_cache_counts_equal_engine_deltas_in_serial_runs() {
+    let repo = build_repo(&repo_config());
+    // A roomy memo, and one small enough to evict.
+    for memo_capacity in [4096, 8] {
+        let engine = CollabEngine::new(collab_db(1), Arc::clone(&repo));
+        engine.set_inference_cache_capacity(memo_capacity);
+        engine.set_artifact_cache_capacity(16);
+        let levels = || [engine.inference_cache().stats(), engine.artifact_cache().stats()];
+        for kind in StrategyKind::all() {
+            for sql in &corpus() {
+                for run in ["cold", "warm"] {
+                    let before = levels();
+                    let out = engine.execute(sql, kind).unwrap();
+                    let after = levels();
+                    let got = [out.cache.inference, out.cache.artifact];
+                    for (level, ((b, a), got)) in
+                        ["inference", "artifact"].iter().zip(before.iter().zip(&after).zip(got))
+                    {
+                        assert_eq!(
+                            (got.hits, got.misses, got.evictions),
+                            (a.hits - b.hits, a.misses - b.misses, a.evictions - b.evictions),
+                            "{} {run} {level}: {sql}",
+                            kind.label()
+                        );
+                    }
+                }
+            }
+        }
+        let memo = engine.inference_cache().stats();
+        assert!(memo.hits > 0 && (memo_capacity > 8 || memo.evictions > 0), "{memo:?}");
+    }
+}
+
+#[test]
 fn model_swap_invalidates_memoized_results_and_artifacts() {
     let repo = build_repo(&repo_config());
     let sql = workload::queries::template(QueryType::Type1, 0.2, "").sql;
@@ -316,6 +350,75 @@ fn memo_keeps_warm_hits_while_rows_exist_and_never_pins_deleted_keyframes() {
         let got = engine.execute(&sql, kind).unwrap();
         let want = reference.execute(&sql, kind).unwrap();
         assert_tables_identical(&want.table, &got.table, kind.label());
+    }
+}
+
+/// `collab_db(1)` with every keyframe's contents on two video rows, each
+/// copy from its own `tensor_to_blob` call (rows 2k and 2k + 1 hold
+/// keyframe k).
+fn duplicated_keyframes_db() -> Arc<Database> {
+    let db = collab_db(1);
+    let video = db.catalog().table("video").unwrap();
+    let seed = DatasetConfig::default().seed;
+    let keyframes = minidb::Column::from_values(
+        minidb::DataType::Blob,
+        (0..video.num_rows() as u64).map(|row| {
+            collab::tensor_to_blob(&workload::dataset::keyframe(&KEYFRAME_SHAPE, seed, row / 2))
+        }),
+    )
+    .unwrap();
+    let columns = (0..video.num_columns())
+        .map(|c| match video.schema().field(c).name.as_str() {
+            "keyframe" => keyframes.clone(),
+            _ => video.column(c).clone(),
+        })
+        .collect();
+    let fresh = minidb::Table::new(video.schema().clone(), columns).unwrap();
+    drop(video);
+    db.catalog().create_table("video", fresh, true).unwrap();
+    db
+}
+
+#[test]
+fn db_pytorch_deduplicates_keyframes_by_content() {
+    use workload::dataset::{date_upper_bound_for_selectivity, DATE_EPOCH};
+    let repo = build_repo(&repo_config());
+    let hi = date_upper_bound_for_selectivity(0.5);
+    // (query, its nUDF, the video rows whose keyframes it admits).
+    let cases = [
+        // Type 1, ungated: every keyframe the video-local window admits.
+        (
+            workload::queries::template(QueryType::Type1, 0.5, "").sql,
+            "nUDF_classify",
+            format!("SELECT videoID FROM video WHERE date >= '{DATE_EPOCH}' and date < '{hi}'"),
+        ),
+        // Type 2, gated: the keyframes of the joined, filtered rows.
+        (
+            workload::queries::template(QueryType::Type2, 0.5, "").sql,
+            "nUDF_detect",
+            format!(
+                "SELECT V.videoID FROM fabric F, video V WHERE F.printdate >= '{DATE_EPOCH}' \
+                 and F.printdate < '{hi}' and F.transID = V.transID"
+            ),
+        ),
+    ];
+    let uncached = CollabEngine::new(duplicated_keyframes_db(), Arc::clone(&repo));
+    let memo = CollabEngine::new(duplicated_keyframes_db(), Arc::clone(&repo));
+    memo.set_inference_cache_capacity(4096);
+    for (sql, nudf, admitted_sql) in &cases {
+        let admitted = uncached.db().execute(admitted_sql).unwrap();
+        let ids = admitted.table().column(0);
+        let distinct: std::collections::HashSet<i64> =
+            (0..ids.len()).map(|row| ids.i64_at(row) / 2).collect();
+        assert!(distinct.len() > 1 && distinct.len() < ids.len(), "{nudf}: {}", ids.len());
+        let want_flops = repo.flops_per_inference(nudf).unwrap() * distinct.len() as u64;
+        let reference = uncached.execute(sql, StrategyKind::LooseUdf).unwrap();
+        for (mode, engine) in [("memo off", &uncached), ("memo on", &memo)] {
+            let out = engine.execute(sql, StrategyKind::Independent).unwrap();
+            let ctx = format!("{nudf} {mode}");
+            assert_eq!(out.sim.inference_flops, want_flops, "{ctx}: one inference per keyframe");
+            assert_tables_identical(&reference.table, &out.table, &ctx);
+        }
     }
 }
 

@@ -570,6 +570,64 @@ fn exhausted_fallback_chain_returns_last_error() {
     assert_eq!(counter(&reg, "collab_fallbacks_total"), 0);
 }
 
+#[test]
+fn per_query_cache_activity_is_the_querys_own_under_concurrency() {
+    // Holds the suite lock; the schedule is armed after the serial
+    // reference runs below and disarmed on drop.
+    let _armed = ArmedSchedule { _lock: lock() };
+    let memo_engine = || {
+        let engine = engine(1);
+        engine.set_inference_cache_capacity(4096);
+        engine
+    };
+    let serial = {
+        let a = memo_engine().execute(COLLAB_QUERY, StrategyKind::Independent).unwrap();
+        let b = memo_engine();
+        let b1 = b.execute(COLLAB_QUERY, StrategyKind::LooseUdf).unwrap();
+        let b2 = b.execute(COLLAB_QUERY, StrategyKind::LooseUdf).unwrap();
+        [a.cache, b1.cache, b2.cache]
+    };
+    assert!(serial[0].inference.misses > 0 && serial[2].inference.hits > 0, "{serial:?}");
+
+    // A's memo lookups finish before its transfer, which then stalls for
+    // 2 s; B runs both of its queries inside that window.
+    let engine = memo_engine();
+    failpoints::arm(Schedule::new(29).fail(
+        "independent.transfer",
+        1,
+        Fault::Latency(Duration::from_secs(2)),
+    ));
+    let (a, [b1, b2]) = std::thread::scope(|s| {
+        let a = s.spawn(|| engine.execute(COLLAB_QUERY, StrategyKind::Independent).unwrap());
+        let b = s.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while failpoints::hits("independent.transfer") < 1 {
+                assert!(Instant::now() < deadline, "A never reached its transfer");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let stalled = Instant::now();
+            let runs =
+                [(); 2].map(|_| engine.execute(COLLAB_QUERY, StrategyKind::LooseUdf).unwrap());
+            assert!(stalled.elapsed() < Duration::from_secs(2), "B outlasted A's stalled transfer");
+            runs
+        });
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    let got = [a.cache, b1.cache, b2.cache];
+    for (label, (want, got)) in ["A", "B1", "B2"].iter().zip(serial.iter().zip(&got)) {
+        assert_eq!(
+            (got.inference.hits, got.inference.misses),
+            (want.inference.hits, want.inference.misses),
+            "{label}: concurrent {got:?} vs serial {want:?}"
+        );
+    }
+    let total = engine.inference_cache().stats();
+    let sum = |f: fn(&collab::CacheActivity) -> u64| got.iter().map(f).sum::<u64>();
+    assert_eq!(total.hits, sum(|c| c.inference.hits), "hits: {total:?} vs {got:?}");
+    assert_eq!(total.misses, sum(|c| c.inference.misses), "misses: {total:?} vs {got:?}");
+    assert_eq!(total.evictions, sum(|c| c.inference.evictions), "evictions: {total:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Seeded latency injection
 // ---------------------------------------------------------------------------
