@@ -32,7 +32,7 @@ pub fn default_env() -> Env {
     env(2000, vec![1, 12, 12])
 }
 
-/// As [`env`], with the warm path enabled: nUDF inference memoization and
+/// As [`env()`], with the warm path enabled: nUDF inference memoization and
 /// compiled-artifact reuse opted in (the plan cache is on by default).
 /// The figure harnesses deliberately do NOT use this — they measure cold
 /// costs; it exists for the cache benchmark and ablations.

@@ -89,7 +89,7 @@ impl Hash for BlobKey {
 /// under which model-selection condition.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct InferenceKey {
-    /// The nUDF's generation id in the [`ModelRepo`].
+    /// The nUDF's generation id in the [`ModelRepo`](crate::nudf::ModelRepo).
     pub generation: u64,
     /// `f64::to_bits` of the condition argument, `None` when the nUDF is
     /// unconditional. Bits (not the float) so `NaN`/`-0.0` stay distinct

@@ -177,23 +177,3 @@ impl Strategy for Tight {
         })
     }
 }
-
-impl Tight {
-    /// The per-step SQL timing of one standalone inference — the data
-    /// behind paper Fig. 9. Compiles the nUDF's model and runs one
-    /// keyframe through the SQL program.
-    pub fn profile_inference(
-        &self,
-        nudf: &str,
-        keyframe: &neuro::Tensor,
-    ) -> Result<dl2sql::InferenceOutcome> {
-        let spec = self.repo.require(nudf)?;
-        let runner = self.artifacts.runner_for(
-            &self.db,
-            &self.registry,
-            &spec.model,
-            PreJoinStrategy::None,
-        )?;
-        Ok(runner.infer(keyframe)?)
-    }
-}

@@ -547,7 +547,6 @@ impl<'a> Compiler<'a> {
                     ],
                 )?;
                 self.db.catalog().create_table(&prejoined, table, true)?;
-                self.db.catalog().create_index(&prejoined, "TupleID")?;
                 self.registry.register(&prejoined, TableRole::Mapping { rows: n_rows as u64 });
                 self.persistent.push(prejoined.clone());
 

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use minidb::optimizer::OptimizerConfig;
-use minidb::{PlanSettings, Value};
+use minidb::PlanSettings;
 
 use crate::cost::Dl2SqlCostModel;
 use crate::registry::NeuralRegistry;
@@ -44,12 +44,6 @@ pub fn histogram_from_model(
     Ok(histogram_from_counts(&counts))
 }
 
-/// Pairs a class-name list with a histogram for
-/// [`minidb::ScalarUdf::with_class_probabilities`].
-pub fn labelled_histogram(labels: &[&str], probs: &[f64]) -> Vec<(Value, f64)> {
-    labels.iter().zip(probs).map(|(l, p)| (Value::Utf8(l.to_string()), *p)).collect()
-}
-
 /// **DL2SQL-OP**'s planning settings: the customized cost model over
 /// `registry`, join reordering and all hint rules on. Every other optimizer
 /// switch (join–aggregate fusion) is taken from `base`, the database's own
@@ -70,7 +64,6 @@ pub fn op_settings(registry: Arc<NeuralRegistry>, base: &OptimizerConfig) -> Pla
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minidb::{DataType, ScalarUdf};
 
     #[test]
     fn histogram_normalizes_counts() {
@@ -109,20 +102,5 @@ mod tests {
         let op = op_settings(NeuralRegistry::shared(), &unfused);
         assert!(!op.optimizer.fuse_join_aggregates);
         assert!(op.optimizer.udf_placement_hints && op.optimizer.symmetric_for_udf_joins);
-    }
-
-    #[test]
-    fn labelled_histogram_feeds_udf_metadata() {
-        let udfs = minidb::UdfRegistry::new();
-        let probs = labelled_histogram(&["Floral Pattern", "Stripe"], &[0.2, 0.8]);
-        udfs.register(
-            ScalarUdf::new("nudf_classify", vec![DataType::Blob], DataType::Utf8, |_| {
-                Ok(Value::Utf8("Stripe".into()))
-            })
-            .with_cost(1000.0)
-            .with_class_probabilities(probs),
-        );
-        let udf = udfs.get("nudf_classify").unwrap();
-        assert_eq!(udf.selectivity_eq(&Value::Utf8("Floral Pattern".into())), Some(0.2));
     }
 }

@@ -193,11 +193,6 @@ impl Runner {
             trace: None,
         })
     }
-
-    /// Runs a batch of inferences, returning each outcome.
-    pub fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<InferenceOutcome>> {
-        inputs.iter().map(|t| self.infer(t)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -286,7 +281,7 @@ mod tests {
         let (_db, runner) = prepared(&model);
         let a = deterministic_input(&[1, 8, 8], 0.0);
         let b = deterministic_input(&[1, 8, 8], 0.9);
-        let outs = runner.infer_batch(&[a.clone(), b.clone(), a.clone()]).unwrap();
+        let outs = [&a, &b, &a].map(|t| runner.infer(t).unwrap());
         assert_eq!(outs[0].predicted_class, outs[2].predicted_class);
         assert_eq!(outs[0].predicted_class, model.predict(&a).unwrap());
         assert_eq!(outs[1].predicted_class, model.predict(&b).unwrap());

@@ -381,7 +381,7 @@ fn float_field(name: &str) -> Field {
     Field::new(name, minidb::DataType::Float64)
 }
 
-/// Creates (or replaces) a kernel table and indexes its join columns.
+/// Creates (or replaces) a kernel table.
 #[allow(clippy::too_many_arguments)] // one argument per table column + geometry
 pub fn load_kernel_table(
     db: &Database,
@@ -398,8 +398,6 @@ pub fn load_kernel_table(
         vec![Column::Int64(kernel_id), Column::Int64(order_id), Column::Float64(value)],
     )?;
     db.catalog().create_table(name, table, true)?;
-    db.catalog().create_index(name, "OrderID")?;
-    db.catalog().create_index(name, "KernelID")?;
     registry.register(name, TableRole::Kernel { k_in, n_out });
     Ok(())
 }
@@ -427,7 +425,6 @@ pub fn load_mapping_table(
         ],
     )?;
     db.catalog().create_table(name, table, true)?;
-    db.catalog().create_index(name, "TupleID")?;
     registry.register(name, TableRole::Mapping { rows: n });
     Ok(())
 }
@@ -446,7 +443,6 @@ pub fn load_pool_mapping_table(
         vec![Column::Int64(matrix_id), Column::Int64(tuple_id)],
     )?;
     db.catalog().create_table(name, table, true)?;
-    db.catalog().create_index(name, "TupleID")?;
     registry.register(name, TableRole::Mapping { rows: n });
     Ok(())
 }
@@ -461,30 +457,6 @@ pub fn load_bias_table(db: &Database, name: &str, bias: &[f32]) -> Result<()> {
         ],
     )?;
     db.catalog().create_table(name, table, true)?;
-    db.catalog().create_index(name, "KernelID")?;
-    Ok(())
-}
-
-/// Creates (or replaces) a staged feature-map table.
-pub fn load_feature_map_table(
-    db: &Database,
-    registry: &NeuralRegistry,
-    name: &str,
-    rows: FeatureMapRows,
-    k_in: u64,
-) -> Result<()> {
-    let t_in = rows.matrix_id.len() as u64;
-    let table = Table::new(
-        Schema::new(vec![int_field("MatrixID"), int_field("OrderID"), float_field("Value")]),
-        vec![
-            Column::Int64(rows.matrix_id),
-            Column::Int64(rows.order_id),
-            Column::Float64(rows.value),
-        ],
-    )?;
-    db.catalog().create_table(name, table, true)?;
-    db.catalog().create_index(name, "OrderID")?;
-    registry.register(name, TableRole::StagedFeatureMap { t_in, k_in });
     Ok(())
 }
 

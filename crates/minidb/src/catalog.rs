@@ -1,4 +1,4 @@
-//! The catalog: tables, views and indices, behind a `parking_lot` lock.
+//! The catalog: tables and views, behind a `parking_lot` lock.
 //!
 //! A session's catalog is a private layer over the database's: lookups try
 //! the layer first and fall through to the shared catalog, writes go to
@@ -11,7 +11,6 @@ use cachekit::Epoch;
 use parking_lot::RwLock;
 
 use crate::error::{Error, Result};
-use crate::index::HashIndex;
 use crate::sql::ast::Query;
 use crate::stats::StatsCache;
 use crate::table::{Table, TableRef};
@@ -20,8 +19,6 @@ use crate::table::{Table, TableRef};
 struct Inner {
     tables: HashMap<String, TableRef>,
     views: HashMap<String, Arc<Query>>,
-    /// Indices keyed by lower-cased table name.
-    indexes: HashMap<String, Vec<Arc<HashIndex>>>,
     /// Per-table version counters, keyed by lower-cased name. Entries
     /// survive DROP so a later re-creation continues the sequence — a
     /// (name, epoch) cache key can never alias across the drop.
@@ -32,7 +29,7 @@ struct Inner {
 #[derive(Default)]
 pub struct Catalog {
     inner: RwLock<Inner>,
-    /// Bumped on every mutation (DDL, data replacement, index builds).
+    /// Bumped on every mutation (DDL, data replacement).
     /// Caches over planning artifacts key on this to stay coherent.
     epoch: Epoch,
     /// Distinct counts of this layer's tables, keyed by this layer's
@@ -75,9 +72,9 @@ impl Catalog {
     }
 
     /// The catalog-wide version counter. Any mutation — CREATE/DROP of
-    /// tables or views, INSERT/UPDATE data replacement, index builds —
-    /// bumps it, so a plan cached under one epoch is known valid iff the
-    /// epoch is unchanged.
+    /// tables or views, INSERT/UPDATE data replacement — bumps it, so a
+    /// plan cached under one epoch is known valid iff the epoch is
+    /// unchanged.
     pub fn epoch(&self) -> u64 {
         self.epoch.current()
     }
@@ -103,7 +100,6 @@ impl Catalog {
         if !or_replace && (inner.tables.contains_key(&k) || inner.views.contains_key(&k)) {
             return Err(Error::AlreadyExists(format!("table or view '{name}'")));
         }
-        inner.indexes.remove(&k);
         inner.views.remove(&k);
         inner.tables.insert(k.clone(), Arc::new(table));
         self.touch(&mut inner, &k);
@@ -151,8 +147,6 @@ impl Catalog {
         if !inner.tables.contains_key(&k) {
             return Err(Error::NotFound(format!("table '{name}'")));
         }
-        // Data changed: indices over the old snapshot are stale.
-        inner.indexes.remove(&k);
         inner.tables.insert(k.clone(), Arc::new(table));
         owner.touch(&mut inner, &k);
         Ok(())
@@ -163,7 +157,6 @@ impl Catalog {
         let owner = self.owner(name);
         let mut inner = owner.inner.write();
         let k = key(name);
-        inner.indexes.remove(&k);
         if inner.tables.remove(&k).is_some() {
             owner.touch(&mut inner, &k);
             Ok(true)
@@ -189,45 +182,9 @@ impl Catalog {
         }
     }
 
-    /// Builds (or rebuilds) a hash index on `table.column`.
-    pub fn create_index(&self, table_name: &str, column: &str) -> Result<()> {
-        let owner = self.owner(table_name);
-        let table = owner
-            .table(table_name)
-            .ok_or_else(|| Error::NotFound(format!("table '{table_name}'")))?;
-        let idx = Arc::new(HashIndex::build(&table, column)?);
-        let mut inner = owner.inner.write();
-        let list = inner.indexes.entry(key(table_name)).or_default();
-        list.retain(|i| !i.column.eq_ignore_ascii_case(column));
-        list.push(idx);
-        // A new index can change which plan the optimizer would pick, but
-        // leaves the table's data (and thus its stats) untouched: bump the
-        // catalog epoch only.
-        owner.epoch.bump();
-        Ok(())
-    }
-
-    /// A current (non-stale) index on `table.column`, if one exists.
-    pub fn index(&self, table_name: &str, column: &str) -> Option<Arc<HashIndex>> {
-        let inner = self.owner(table_name).inner.read();
-        let idx = inner
-            .indexes
-            .get(&key(table_name))?
-            .iter()
-            .find(|i| i.column.eq_ignore_ascii_case(column))?
-            .clone();
-        let table = inner.tables.get(&key(table_name))?;
-        (idx.rows() == table.num_rows()).then_some(idx)
-    }
-
     /// Names of all tables in this layer.
     pub fn table_names(&self) -> Vec<String> {
         self.inner.read().tables.keys().cloned().collect()
-    }
-
-    /// Names of all views in this layer.
-    pub fn view_names(&self) -> Vec<String> {
-        self.inner.read().views.keys().cloned().collect()
     }
 
     /// Total approximate bytes across this layer's tables (storage
@@ -269,16 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn index_staleness_after_replace() {
-        let c = Catalog::new();
-        c.create_table("t", t(vec![1, 2, 3]), false).unwrap();
-        c.create_index("t", "id").unwrap();
-        assert!(c.index("t", "id").is_some());
-        c.replace_table("t", t(vec![1, 2, 3, 4])).unwrap();
-        assert!(c.index("t", "id").is_none(), "index must be invalidated");
-    }
-
-    #[test]
     fn epochs_advance_on_mutation_and_survive_drop() {
         let c = Catalog::new();
         let e0 = c.epoch();
@@ -294,11 +241,6 @@ mod tests {
         c.drop_table("t", false).unwrap();
         c.create_table("t", t(vec![1]), false).unwrap();
         assert!(c.table_epoch("t") > te2);
-        // Index creation bumps the catalog epoch but not the table's.
-        let (ge, te) = (c.epoch(), c.table_epoch("t"));
-        c.create_index("t", "id").unwrap();
-        assert!(c.epoch() > ge);
-        assert_eq!(c.table_epoch("t"), te);
     }
 
     #[test]

@@ -756,10 +756,6 @@ impl Database {
             Statement::Update { table, assignments, predicate } => {
                 self.run_update(env, table, assignments, predicate.as_ref(), scope)
             }
-            Statement::CreateIndex { table, column } => {
-                env.catalog.create_index(table, column)?;
-                Ok(QueryResult::of(Table::empty(Schema::default()), 0))
-            }
             Statement::Explain(q) => {
                 let plan = self.plan_query_spanned(env, q, obs::SpanId::NONE)?;
                 let text = self.explain_plan_with_costs(env, &plan);
@@ -1559,16 +1555,6 @@ mod tests {
             .map(|r| out.table().column(0).value(r).to_string())
             .collect();
         assert!(rendered.iter().any(|l| l.contains("Join")), "{rendered:?}");
-    }
-
-    #[test]
-    fn create_index_statement_registers_an_index() {
-        let db = db_with_data();
-        db.execute("CREATE INDEX idx_trans ON fabric (transID)").unwrap();
-        assert!(db.catalog().index("fabric", "transID").is_some());
-        // Anonymous form too.
-        db.execute("CREATE INDEX ON video (transID)").unwrap();
-        assert!(db.catalog().index("video", "transID").is_some());
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl Cells {
 /// `loops` counts invocations; `self_ns` is wall time with children
 /// excluded; `busy_ns` sums per-worker time (equal to `self_ns` for serial
 /// invocations). Next to them, how many join builds and group-id tables
-/// took each [`KeyPath`].
+/// took each `KeyPath`.
 #[derive(Default)]
 pub struct OpCounters {
     kinds: [Cells; OperatorKind::ALL.len()],

@@ -1,27 +1,28 @@
 //! The fused join–aggregate operator.
 //!
-//! Executes [`LogicalPlan::JoinAggregate`]: a hash equi join whose probe
-//! folds aggregate partials directly into per-group accumulators, so the
-//! join output — one row per matched pair, the largest intermediate of
-//! the DL2SQL conv pipeline — is never materialized.
+//! Executes [`LogicalPlan::JoinAggregate`](crate::plan::LogicalPlan::JoinAggregate):
+//! a hash equi join whose probe folds aggregate partials directly into
+//! per-group accumulators, so the join output — one row per matched pair,
+//! the largest intermediate of the DL2SQL conv pipeline — is never
+//! materialized.
 //!
 //! Bit-identity with the unfused pair is by construction:
 //!
 //! * the build side is the smaller input and the probe walks the other
 //!   side in ascending row order, emitting matches in build insertion
 //!   order — exactly the unfused `hash_join`'s pair order;
-//! * each pair updates the same [`Acc`] accumulators the unfused
+//! * each pair updates the same `Acc` accumulators the unfused
 //!   group-by would, in the same order, with the same argument values
 //!   (the per-side column evaluation reproduces what expression
 //!   evaluation over the materialized join row would compute);
-//! * the fold runs over ranges of *probe* rows ([`parallel::fold_groups`]):
+//! * the fold runs over ranges of *probe* rows (`parallel::fold_groups`):
 //!   one range at `parallelism = 1`, whose partials are the result, and
 //!   morsels above it, whose partials merge in range order — so the
 //!   result depends only on the range list, never on worker scheduling,
 //!   the same discipline as the executor's GroupBy.
 //!
 //! Typed fast paths avoid per-pair heap traffic: small dense integer keys
-//! are addressed by offset ([`super::dense`]), sparse ones of up to two
+//! are addressed by offset (`exec::dense`), sparse ones of up to two
 //! `Int64` columns pack into `i128`s for the crate's fast non-SipHash
 //! hasher ([`crate::hash`]), aggregate arguments read `&[i64]`/`&[f64]`
 //! slices, and `SUM(f64 × f64)` folds into plain `f64`s.

@@ -2,7 +2,7 @@
 //!
 //! Fully materialized, operator-at-a-time execution over columnar tables.
 //! Every operator reports its own wall time (children excluded), busy time
-//! and row counts once, through [`ExecContext::record`]: the same numbers
+//! and row counts once, through `ExecContext::record`: the same numbers
 //! reach the statement's span (when traced) and its [`OpCounters`] — the
 //! data behind the paper's Fig. 10 clause breakdown.
 
@@ -85,8 +85,7 @@ impl Default for ExecConfig {
 pub struct ExecContext<'a> {
     pub catalog: &'a Catalog,
     pub udfs: &'a UdfRegistry,
-    /// The statement's operator counters; every [`record`](Self::record)
-    /// adds to them.
+    /// The statement's operator counters; every `record` adds to them.
     pub ops: &'a OpCounters,
     pub config: &'a ExecConfig,
     /// Span collector; [`obs::disabled`] when the session is untraced.

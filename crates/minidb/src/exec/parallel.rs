@@ -2,7 +2,7 @@
 //!
 //! Filter, Project, GroupBy, the hash-join probe and the fused fold each
 //! have one implementation: a fold over a list of row ranges, run through
-//! the shared [`taskpool`] scoped worker pool. [`ranges`] picks the list —
+//! the shared [`taskpool`] scoped worker pool. `ranges` picks the list —
 //! the single range `0..n` at `parallelism = 1` or when the input fits one
 //! morsel, fixed-size morsels ([`ExecConfig::morsel_rows`]) otherwise —
 //! and the pool runs a single range inline on the calling thread. So the
@@ -10,7 +10,7 @@
 //!
 //! Per-range outputs are concatenated in range order, so the output row
 //! order — and for the hash join, the exact match emission order — does
-//! not depend on worker scheduling. Grouped folds ([`fold_groups`])
+//! not depend on worker scheduling. Grouped folds (`fold_groups`)
 //! compute partial aggregates per range and merge them in range order, so
 //! a result depends only on the range list, never on the worker count;
 //! one range's partials are the result.

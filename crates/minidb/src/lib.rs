@@ -22,8 +22,7 @@
 //!   ([`exec`]),
 //! * scalar user-defined functions with optional selectivity and
 //!   per-row-cost metadata ([`udf`]) — the loose-integration strategy's
-//!   `nUDF`s and the hint rules both live on this interface,
-//! * hash indices ([`index`]).
+//!   `nUDF`s and the hint rules both live on this interface.
 //!
 //! Deliberate non-goals (nothing in the paper's evaluation needs them):
 //! NULL semantics, transactions, persistence, and distributed execution.
@@ -48,7 +47,6 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod hash;
-pub mod index;
 pub mod optimizer;
 pub mod plan;
 pub mod session;

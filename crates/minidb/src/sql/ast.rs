@@ -26,9 +26,6 @@ pub enum Statement {
     Update { table: String, assignments: Vec<(String, Expr)>, predicate: Option<Expr> },
     /// `DROP TABLE|VIEW [IF EXISTS] name`.
     Drop { kind: ObjectKind, name: String, if_exists: bool },
-    /// `CREATE INDEX ON table (column)` — builds a hash index (the paper
-    /// indexes MatrixID/OrderID/KernelID).
-    CreateIndex { table: String, column: String },
     /// `EXPLAIN <select>` — returns the optimized plan as text.
     Explain(Query),
     /// `EXPLAIN ANALYZE <statement>` — executes the statement under a

@@ -176,18 +176,6 @@ impl Parser {
     fn create(&mut self) -> Result<Statement> {
         self.expect_kw("create")?;
         let temp = self.eat_kw("temp") || self.eat_kw("temporary");
-        if self.eat_kw("index") {
-            // Optional index name, then ON table (column).
-            if !self.at_kw("on") {
-                let _name = self.ident()?;
-            }
-            self.expect_kw("on")?;
-            let table = self.ident()?;
-            self.expect(&TokenKind::LParen)?;
-            let column = self.ident()?;
-            self.expect(&TokenKind::RParen)?;
-            return Ok(Statement::CreateIndex { table, column });
-        }
         if self.eat_kw("view") {
             let name = self.ident()?;
             // `AS` is standard; the paper's listings also write
@@ -868,6 +856,8 @@ mod tests {
         let err = parse_statement("SELECT FROM").unwrap_err();
         assert!(matches!(err, Error::Parse { .. }));
         assert!(parse_statement("SELECT 1 extra garbage, ,").is_err());
+        let err = parse_statement("CREATE INDEX ON t (c)").unwrap_err();
+        assert!(matches!(err, Error::Parse { .. }), "{err:?}");
     }
 
     #[test]

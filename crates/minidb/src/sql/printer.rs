@@ -54,9 +54,6 @@ pub fn statement_to_sql(stmt: &Statement) -> String {
             let ie = if *if_exists { "IF EXISTS " } else { "" };
             format!("DROP {kw} {ie}{name}")
         }
-        Statement::CreateIndex { table, column } => {
-            format!("CREATE INDEX ON {table} ({column})")
-        }
         Statement::Explain(q) => format!("EXPLAIN {}", query_to_sql(q)),
         Statement::ExplainAnalyze(inner) => {
             format!("EXPLAIN ANALYZE {}", statement_to_sql(inner))
@@ -224,7 +221,6 @@ mod tests {
         roundtrip("UPDATE cb_output SET Value = 0 WHERE Value < 0");
         roundtrip("INSERT INTO t VALUES (1, 'x''y'), (2, 'z')");
         roundtrip("DROP TABLE IF EXISTS tmp");
-        roundtrip("CREATE INDEX ON fm (OrderID)");
         roundtrip("EXPLAIN SELECT a FROM t WHERE a IN (1, 2, 3)");
         roundtrip("SELECT DISTINCT a, b FROM t WHERE a BETWEEN 1 AND 5");
     }

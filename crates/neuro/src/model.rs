@@ -56,28 +56,9 @@ impl Model {
         Ok(x)
     }
 
-    /// Forward pass returning per-layer outputs, for layer-by-layer
-    /// cross-checking against the DL2SQL execution.
-    pub fn forward_trace(&self, input: &Tensor) -> Result<Vec<Tensor>> {
-        let mut x = input.clone();
-        let mut trace = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            x = layer.apply(&x, None)?;
-            trace.push(x.clone());
-        }
-        Ok(trace)
-    }
-
     /// Classifies a single sample: forward pass + argmax.
     pub fn predict(&self, input: &Tensor) -> Result<usize> {
         Ok(self.forward(input)?.argmax())
-    }
-
-    /// Classifies a batch of samples (the paper's nUDFs run "in a batch
-    /// manner"; the DL-serving and UDF strategies both use this entry
-    /// point).
-    pub fn predict_batch(&self, inputs: &[Tensor], clock: Option<&SimClock>) -> Result<Vec<usize>> {
-        inputs.iter().map(|t| Ok(self.forward_with_clock(t, clock)?.argmax())).collect()
     }
 }
 
@@ -127,24 +108,6 @@ mod tests {
         let sum: f32 = out.data().iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn trace_yields_one_output_per_layer() {
-        let m = tiny_classifier();
-        let trace = m.forward_trace(&Tensor::zeros(vec![1, 2, 2])).unwrap();
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace[0].shape(), &[4]);
-        assert_eq!(trace[2].shape(), &[2]);
-    }
-
-    #[test]
-    fn batch_prediction_matches_single() {
-        let m = tiny_classifier();
-        let a = Tensor::new(vec![1, 2, 2], vec![1.0; 4]).unwrap();
-        let b = Tensor::new(vec![1, 2, 2], vec![-1.0; 4]).unwrap();
-        let batch = m.predict_batch(&[a.clone(), b.clone()], None).unwrap();
-        assert_eq!(batch, vec![m.predict(&a).unwrap(), m.predict(&b).unwrap()]);
     }
 
     #[test]
