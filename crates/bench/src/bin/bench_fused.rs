@@ -4,11 +4,13 @@
 //! Each layer is the compiled conv shape — staged feature map ⋈ kernel on
 //! `OrderID`, `GROUP BY (KernelID, MatrixID)`, `SUM(A.Value * B.Value)` —
 //! where the unfused plan materializes `t_in·k_in·n_out` join rows and the
-//! fused plan folds them during the probe. Runs at parallelism 8 with the
-//! plan cache off, checks bit-identity per layer, and writes
-//! `BENCH_fused.json` (override with `BENCH_JSON_OUT`). Exits non-zero if
-//! fusion is not at least 2x faster overall or any fused plan materializes
-//! intermediate join rows.
+//! fused plan folds them during the probe. Runs every layer at parallelism
+//! 8 (the paper's multi-core deployment) and 1 (the setting of e2ebench)
+//! with the plan cache off, reports the fused time per join pair, checks
+//! bit-identity per layer, and writes `BENCH_fused.json` (override with
+//! `BENCH_JSON_OUT`). Exits non-zero if fusion is not at least 2x faster
+//! overall at parallelism 8 or any fused plan materializes intermediate
+//! join rows.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -20,8 +22,9 @@ use bench::Report;
 
 /// Timed repetitions per layer and configuration.
 const REPS: u32 = 5;
-/// Executor width (the paper's multi-core deployment).
-const PARALLELISM: usize = 8;
+/// Executor widths: the paper's multi-core deployment, whose overall
+/// speedup is gated, then serial execution.
+const PARALLELISM: [usize; 2] = [8, 1];
 
 /// Fig. 13-style conv layer geometries: (name, output positions t_in,
 /// kernel window k_in, output channels n_out).
@@ -34,10 +37,10 @@ const LAYERS: &[(&str, i64, i64, i64)] = &[
 /// A database holding one staged feature map + kernel pair per layer.
 /// All values are dyadic rationals, so f64 aggregation is exact under any
 /// morsel decomposition and fused/unfused outputs compare bit-for-bit.
-fn build_db(fuse: bool) -> Database {
+fn build_db(parallelism: usize, fuse: bool) -> Database {
     let db = Database::builder()
         .exec_config(minidb::exec::ExecConfig {
-            parallelism: PARALLELISM,
+            parallelism,
             plan_cache_capacity: 0,
             ..Default::default()
         })
@@ -111,15 +114,20 @@ fn rows_out(ops: &HashMap<String, obs::OpAgg>, name: &str) -> u64 {
     ops.get(name).map_or(0, |agg| agg.rows_out)
 }
 
-fn main() {
-    let out_path = std::env::var("BENCH_JSON_OUT").unwrap_or_else(|_| "BENCH_fused.json".into());
-    let fused_db = build_db(true);
-    let unfused_db = build_db(false);
+/// One parallelism setting's layers: the JSON record, the fused and
+/// unfused totals in seconds, whether every layer was bit-identical and
+/// the fused plans' peak intermediate rows.
+struct Run {
+    record: serde_json::Value,
+    total_fused: f64,
+    total_unfused: f64,
+    bit_identical: bool,
+    fused_peak_rows: u64,
+}
 
-    let mut report = Report::new(
-        "Fused join-aggregate: conv layers fused vs unfused (ms)",
-        &["Layer", "Pairs", "Unfused", "Fused", "Speedup", "Peak rows unfused", "fused"],
-    );
+fn run_layers(parallelism: usize, report: &mut Report) -> Run {
+    let fused_db = build_db(parallelism, true);
+    let unfused_db = build_db(parallelism, false);
     let mut layer_records = Vec::new();
     let (mut total_fused, mut total_unfused) = (0.0f64, 0.0f64);
     let mut bit_identical = true;
@@ -138,11 +146,14 @@ fn main() {
         total_unfused += unfused_s;
         let pairs = (t_in * k_in * n_out) as u64;
         let speedup = unfused_s / fused_s.max(1e-12);
+        let ns_per_pair = fused_s * 1e9 / pairs as f64;
         report.row(&[
             name.to_string(),
+            parallelism.to_string(),
             pairs.to_string(),
             format!("{:.2}", unfused_s * 1e3),
             format!("{:.2}", fused_s * 1e3),
+            format!("{ns_per_pair:.2}"),
             format!("{speedup:.1}x"),
             unfused_peak.to_string(),
             fused_peak.to_string(),
@@ -155,28 +166,60 @@ fn main() {
             "join_pairs": pairs,
             "unfused_ms": unfused_s * 1e3,
             "fused_ms": fused_s * 1e3,
+            "fused_ns_per_pair": ns_per_pair,
             "speedup": speedup,
             "peak_intermediate_rows_unfused": unfused_peak,
             "peak_intermediate_rows_fused": fused_peak,
             "bytes_not_materialized": fused_stats.bytes_not_materialized,
         }));
     }
-
-    let overall = total_unfused / total_fused.max(1e-12);
     let record = serde_json::json!({
-        "benchmark": "fused_join_aggregate_conv",
-        "parallelism": PARALLELISM,
-        "reps": REPS,
+        "parallelism": parallelism,
         "layers": serde_json::Value::Array(layer_records),
         "total_unfused_ms": total_unfused * 1e3,
         "total_fused_ms": total_fused * 1e3,
+        "overall_speedup": total_unfused / total_fused.max(1e-12),
+    });
+    Run { record, total_fused, total_unfused, bit_identical, fused_peak_rows }
+}
+
+fn main() {
+    let out_path = std::env::var("BENCH_JSON_OUT").unwrap_or_else(|_| "BENCH_fused.json".into());
+    let mut report = Report::new(
+        "Fused join-aggregate: conv layers fused vs unfused (ms)",
+        &[
+            "Layer",
+            "Par",
+            "Pairs",
+            "Unfused",
+            "Fused",
+            "Fused ns/pair",
+            "Speedup",
+            "Peak rows unfused",
+            "fused",
+        ],
+    );
+    let runs: Vec<Run> = PARALLELISM.iter().map(|&p| run_layers(p, &mut report)).collect();
+    let gated = &runs[0];
+    let overall = gated.total_unfused / gated.total_fused.max(1e-12);
+    let bit_identical = runs.iter().all(|r| r.bit_identical);
+    let fused_peak_rows = runs.iter().map(|r| r.fused_peak_rows).max().unwrap_or(0);
+    let record = serde_json::json!({
+        "benchmark": "fused_join_aggregate_conv",
+        "reps": REPS,
+        "gated_parallelism": PARALLELISM[0],
+        "runs": serde_json::Value::Array(runs.iter().map(|r| r.record.clone()).collect()),
         "overall_speedup": overall,
         "peak_intermediate_rows_fused": fused_peak_rows,
         "bit_identical": bit_identical,
     });
     report.json(record.clone());
     report.print();
-    println!("overall speedup: {overall:.2}x; fused peak intermediate rows: {fused_peak_rows}");
+    println!(
+        "overall speedup at parallelism {}: {overall:.2}x; fused peak intermediate rows: \
+         {fused_peak_rows}",
+        PARALLELISM[0]
+    );
     std::fs::write(&out_path, format!("{record}\n"))
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path}");

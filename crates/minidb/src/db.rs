@@ -8,7 +8,7 @@ use crate::catalog::Catalog;
 use crate::column::Column;
 use crate::cost::{CostContext, CostModel, PlanCost};
 use crate::error::{Error, Result};
-use crate::exec::{self, ExecConfig, ExecContext, OpCounters, OperatorKind};
+use crate::exec::{self, ExecConfig, ExecContext, KeyPath, OpCounters, OperatorKind};
 use crate::expr::EvalContext;
 use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::plan::logical::LogicalPlan;
@@ -997,12 +997,11 @@ impl Database {
                 );
             }
         }
-        let (dense, hash) = self.ops.key_paths();
-        for (path, n) in [("dense", dense), ("hash", hash)] {
+        for (path, n) in KeyPath::ALL.into_iter().zip(self.ops.key_paths()) {
             reg.counter(
                 "minidb_key_path_total",
-                "Join builds and group-id tables, by key structure",
-                &[("path", path)],
+                "Join builds, group-id tables and accumulator grids, by key structure",
+                &[("path", path.label())],
                 n,
             );
         }

@@ -104,7 +104,7 @@ impl Cells {
 pub struct OpCounters {
     kinds: [Cells; OperatorKind::ALL.len()],
     /// Key structures built, indexed by `KeyPath as usize`.
-    key_paths: [AtomicU64; 2],
+    key_paths: [AtomicU64; KeyPath::ALL.len()],
 }
 
 impl OpCounters {
@@ -130,12 +130,9 @@ impl OpCounters {
         self.key_paths[path as usize].fetch_add(1, Relaxed);
     }
 
-    /// Key structures built on each path: `(dense, hash)`.
-    pub(crate) fn key_paths(&self) -> (u64, u64) {
-        (
-            self.key_paths[KeyPath::Dense as usize].load(Relaxed),
-            self.key_paths[KeyPath::Hash as usize].load(Relaxed),
-        )
+    /// Key structures built on each path, in [`KeyPath::ALL`] order.
+    pub(crate) fn key_paths(&self) -> [u64; KeyPath::ALL.len()] {
+        KeyPath::ALL.map(|path| self.key_paths[path as usize].load(Relaxed))
     }
 
     /// The kinds that ran, with their counters, in declaration order.
@@ -209,8 +206,9 @@ mod tests {
         stmt.add_key_path(KeyPath::Dense);
         stmt.add_key_path(KeyPath::Hash);
         stmt.add_key_path(KeyPath::Dense);
+        stmt.add_key_path(KeyPath::Grid);
         total.absorb(&stmt);
-        assert_eq!(total.key_paths(), (2, 1));
+        assert_eq!(total.key_paths(), [2, 1, 1]);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! minimum instead of by hash:
 //!
 //! * [`DenseIndex`] — the build side of an equi-join as a CSR row list
-//!   (per-slot offsets, then rows in build insertion order);
+//!   (per-slot offsets, then rows in build insertion order), optionally
+//!   with [`Runs`]: each row's share of a group slot and its product
+//!   factors in the same order, for the fused operator's grid fold;
 //! * [`DenseGroupIds`] — slot → group id, in first-occurrence order.
 //!
 //! Both reproduce the iteration orders of the hash structures they stand
@@ -18,6 +20,7 @@
 //! min/max.
 
 use std::hash::Hash;
+use std::ops::Range;
 
 use crate::error::Result;
 use crate::hash::FxHashMap;
@@ -36,14 +39,21 @@ pub enum KeyPath {
     Dense,
     /// A hash table.
     Hash,
+    /// The fused operator's accumulator grid: groups addressed by offset,
+    /// one `f64` per slot and product.
+    Grid,
 }
 
 impl KeyPath {
-    /// `"dense"` or `"hash"`.
+    /// Every path, in discriminant order.
+    pub const ALL: [KeyPath; 3] = [KeyPath::Dense, KeyPath::Hash, KeyPath::Grid];
+
+    /// `"dense"`, `"hash"` or `"grid"`.
     pub fn label(self) -> &'static str {
         match self {
             KeyPath::Dense => "dense",
             KeyPath::Hash => "hash",
+            KeyPath::Grid => "grid",
         }
     }
 }
@@ -98,6 +108,15 @@ impl DenseLayout {
         (da * self.width[1] + db) as usize
     }
 
+    /// Column `col`'s term of a slot: [`slot`](Self::slot) is the sum of
+    /// its columns' terms, so keys split across tables add their shares.
+    #[inline]
+    pub(crate) fn term(&self, col: usize, v: i64) -> usize {
+        let d = v.wrapping_sub(self.min[col]) as u64;
+        debug_assert!(d < self.width[col], "key outside the dense layout");
+        (if col == 0 { d * self.width[1] } else { d }) as usize
+    }
+
     /// The slot of any key, `None` outside the ranges. Wrapping
     /// subtraction is a bijection on `i64`, so exactly the in-range values
     /// land below the width.
@@ -118,6 +137,54 @@ pub(crate) fn key_at<C: AsRef<[i64]>>(cols: &[C], row: usize) -> (i64, i64) {
     }
 }
 
+/// One table's share of a dense slot over another table's layout: the
+/// terms of the layout columns that live in this table. A (probe, build)
+/// pair's slot is the sum of its two rows' shares.
+pub(crate) struct SlotShare<'a> {
+    layout: DenseLayout,
+    cols: Vec<(usize, &'a [i64])>,
+}
+
+impl<'a> SlotShare<'a> {
+    /// The share of the layout columns `cols` — (layout column, values).
+    pub(crate) fn new(layout: DenseLayout, cols: Vec<(usize, &'a [i64])>) -> SlotShare<'a> {
+        SlotShare { layout, cols }
+    }
+
+    /// Row `row`'s share.
+    #[inline]
+    pub(crate) fn at(&self, row: usize) -> usize {
+        self.cols.iter().map(|&(col, values)| self.layout.term(col, values[row])).sum()
+    }
+}
+
+/// What a grid fold reads from each build row: its share of the group
+/// slot and, per product, its factor.
+pub(crate) struct RunPayload<'a> {
+    pub share: &'a SlotShare<'a>,
+    pub factors: Vec<&'a [f64]>,
+}
+
+impl RunPayload<'_> {
+    /// Bytes [`Runs`] allocates for `rows` build rows over `layout`.
+    pub(crate) fn bytes(&self, layout: &DenseLayout, rows: usize) -> u64 {
+        rows as u64 * (4 + 8 * self.factors.len() as u64) + layout.span() as u64
+    }
+}
+
+/// A [`RunPayload`] in the index's CSR order, so the build rows matching
+/// one probe key read as one run of each array.
+pub(crate) struct Runs {
+    /// Per CSR position, the build row's share of the group slot (group
+    /// slots fit a `u32`, see [`DenseLayout::choose`]).
+    pub shares: Vec<u32>,
+    /// Per product, per CSR position, the build row's factor.
+    pub factors: Vec<Vec<f64>>,
+    /// Per join slot, whether its run's shares ascend by one — the
+    /// matches land on consecutive group slots.
+    pub contiguous: Vec<bool>,
+}
+
 /// An equi-join's build side addressed by slot: the rows of slot `s` are
 /// `rows[offsets[s]..offsets[s + 1]]`, in build insertion order — the
 /// order a hash build's per-key row vectors hold.
@@ -125,6 +192,7 @@ pub(crate) struct DenseIndex {
     layout: DenseLayout,
     offsets: Vec<usize>,
     rows: Vec<usize>,
+    runs: Option<Runs>,
 }
 
 impl DenseIndex {
@@ -134,11 +202,13 @@ impl DenseIndex {
     }
 
     /// Counting-sorts the build rows by slot (stable, so rows keep their
-    /// insertion order within a slot).
+    /// insertion order within a slot), then lays `payload` out in the
+    /// same order.
     pub(crate) fn build(
         layout: DenseLayout,
         cols: &[&[i64]],
         n: usize,
+        payload: Option<&RunPayload<'_>>,
         ctx: &ExecContext<'_>,
     ) -> Result<DenseIndex> {
         let span = layout.span();
@@ -164,16 +234,41 @@ impl DenseIndex {
         }
         offsets.copy_within(0..span, 1);
         offsets[0] = 0;
-        Ok(DenseIndex { layout, offsets, rows })
+        let runs = payload.map(|p| {
+            let shares: Vec<u32> = rows.iter().map(|&row| p.share.at(row) as u32).collect();
+            let contiguous = offsets
+                .windows(2)
+                .map(|run| shares[run[0]..run[1]].windows(2).all(|w| w[1] == w[0] + 1))
+                .collect();
+            let factors = p.factors.iter().map(|f| rows.iter().map(|&row| f[row]).collect());
+            Runs { shares, factors: factors.collect(), contiguous }
+        });
+        Ok(DenseIndex { layout, offsets, rows, runs })
     }
 
     /// The build rows matching a probe key (empty outside the layout).
     #[inline]
     pub(crate) fn get(&self, a: i64, b: i64) -> &[usize] {
-        match self.layout.slot_checked(a, b) {
-            Some(s) => &self.rows[self.offsets[s]..self.offsets[s + 1]],
-            None => &[],
-        }
+        &self.rows[self.run(a, b).map_or(0..0, |(_, run)| run)]
+    }
+
+    /// The slot of a probe key and the CSR positions of its build rows;
+    /// `None` outside the layout.
+    #[inline]
+    pub(crate) fn run(&self, a: i64, b: i64) -> Option<(usize, Range<usize>)> {
+        let s = self.layout.slot_checked(a, b)?;
+        Some((s, self.offsets[s]..self.offsets[s + 1]))
+    }
+
+    /// The build row at CSR position `pos`.
+    #[inline]
+    pub(crate) fn row(&self, pos: usize) -> usize {
+        self.rows[pos]
+    }
+
+    /// The payload laid out in CSR order, when the build was given one.
+    pub(crate) fn runs(&self) -> Option<&Runs> {
+        self.runs.as_ref()
     }
 }
 
@@ -212,6 +307,25 @@ impl DenseGroupIds {
     /// Bytes the table allocates over `span` slots.
     pub(crate) fn bytes(span: usize) -> u64 {
         4 * span as u64
+    }
+
+    /// Whether any slot of `slots` has no group yet. Branch-free over the
+    /// run, so the common all-seen case costs a few vector compares.
+    #[inline]
+    pub(crate) fn any_unseen(&self, slots: Range<usize>) -> bool {
+        self.0[slots].iter().fold(false, |any, &id| any | (id == Self::EMPTY))
+    }
+
+    /// Gives `slot` the group id `next` when it has none; returns whether
+    /// it did.
+    #[inline]
+    pub(crate) fn open(&mut self, slot: usize, next: usize) -> bool {
+        let id = &mut self.0[slot];
+        let new = *id == Self::EMPTY;
+        if new {
+            *id = next as u32;
+        }
+        new
     }
 }
 

@@ -21,11 +21,41 @@
 //!   result depends only on the range list, never on worker scheduling,
 //!   the same discipline as the executor's GroupBy.
 //!
-//! Typed fast paths avoid per-pair heap traffic: small dense integer keys
-//! are addressed by offset (`exec::dense`), sparse ones of up to two
-//! `Int64` columns pack into `i128`s for the crate's fast non-SipHash
-//! hasher ([`crate::hash`]), aggregate arguments read `&[i64]`/`&[f64]`
-//! slices, and `SUM(f64 × f64)` folds into plain `f64`s.
+//! The conv shape gets its own fold. When every aggregate is
+//! `SUM(f64 × f64)` with one factor per join side, the group keys fit a
+//! dense layout (`exec::dense`) and the join build is dense, the accumulators are a
+//! flat `f64` grid indexed by group slot (one plane per aggregate). The
+//! layout puts the probe-side group key first, so the build-side key is
+//! the minor dimension, and the dense build stores each build row's share
+//! of the slot and its factor in CSR order (`dense::Runs`). One probe row's
+//! matches — one `OrderID`, `KernelID` ascending — then land on
+//! consecutive slots, `grid[base..base + n] += a[p] * w[s..e]`, with no
+//! group lookup per pair; a run whose shares do not ascend by one
+//! scatters, `grid[po + share[i]] += a[p] * w[i]`. The grid keeps the
+//! unfused sums bit for bit:
+//!
+//! * *operand order* — each product is computed as written in the source
+//!   (`a * b` or `b * a`), as the unfused evaluator computes it;
+//! * *order within a group* — every group starts at `0.0` and adds its
+//!   terms in probe-row order, then build insertion order: the loop walks
+//!   probe rows ascending and each run in CSR order, and a scattered run
+//!   adds one term at a time, so a group hit twice by one probe row adds
+//!   twice, in build order;
+//! * *no lane splitting* — the lanes of a run are distinct slots, so a
+//!   vectorized run never splits one group's sum across accumulators;
+//!   ranges merge in range order, as every grouped fold does;
+//! * *first occurrence* — a slot check per run (a branch-free scan of the
+//!   run's ids, then one check per pair only when a slot is new, or
+//!   always for a scattered run) opens groups in pair order and records
+//!   each group's first `(left, right)` pair, so groups come out in the
+//!   unfused group-by's order with key values read from that pair.
+//!
+//! The grid is emitted as typed `Int64`/`Float64` columns. Other shapes
+//! avoid per-pair heap traffic too: small dense integer keys are
+//! addressed by offset (`exec::dense`), sparse ones of up to two `Int64`
+//! columns pack into `i128`s for the crate's fast non-SipHash hasher
+//! ([`crate::hash`]), aggregate arguments read `&[i64]`/`&[f64]` slices,
+//! and `SUM(f64 × f64)` over hash-keyed groups folds into plain `f64`s.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -39,9 +69,11 @@ use crate::plan::logical::{AggExpr, AggFunc};
 use crate::table::{Schema, Table};
 use crate::value::{DataType, Value};
 
-use super::dense::{DenseGroupIds, DenseLayout, GroupIds, KeyPath};
+use super::dense::{
+    self, DenseGroupIds, DenseIndex, DenseLayout, GroupIds, KeyPath, RunPayload, Runs, SlotShare,
+};
 use super::parallel::{self, Groups};
-use super::{Acc, ExecContext, JoinIndex, CHECK_STRIDE};
+use super::{coerce_column, Acc, ExecContext, JoinIndex, CHECK_STRIDE};
 
 /// Counters the executor records for the fused operator.
 pub(crate) struct FusedMetrics {
@@ -163,7 +195,8 @@ trait Fold: Sync {
 /// The conv shape: every aggregate is a `SUM` over an `F64 × F64`
 /// product. One `f64` per aggregate and no `Value` per pair; the multiply
 /// and add are exactly `Acc::SumF`'s over the evaluated product, so the
-/// sums are bit-identical.
+/// sums are bit-identical. Folds pair by pair only over hash-keyed groups;
+/// dense ones take the [`Grid`].
 struct SumProducts<'a>(Vec<(Side, &'a [f64], Side, &'a [f64])>);
 
 impl<'a> SumProducts<'a> {
@@ -283,13 +316,24 @@ pub(crate) fn join_aggregate(
 
     // Build on the smaller input (the unfused rule).
     let build_left = lt.num_rows() <= rt.num_rows();
-    let index = JoinIndex::build(lt, rt, keys, build_left, "fused.build", ctx)?;
+    let probe_len = if build_left { rt.num_rows() } else { lt.num_rows() };
+    let sums = SumProducts::new(&args, aggs);
+    let grid = sums.as_ref().and_then(|s| Grid::new(s, &group_cols, build_left, probe_len));
+    let payload = grid.as_ref().map(Grid::payload);
+    let index = JoinIndex::build(lt, rt, keys, build_left, payload.as_ref(), "fused.build", ctx)?;
     let build_path = index.path();
     let build = setup_start.elapsed();
 
-    let emitted = match SumProducts::new(&args, aggs) {
-        Some(sums) => fold_and_emit(index, build_left, &group_cols, &sums, group, schema, ctx)?,
-        None => {
+    let dense_build = index.dense().is_some();
+    let emitted = match (&grid, &sums) {
+        (Some(grid), _) if dense_build => {
+            grid.fold_and_emit(index, &group_cols, group, schema, ctx)?
+        }
+        (None, Some(sums)) => {
+            fold_and_emit(index, build_left, &group_cols, sums, group, schema, ctx)?
+        }
+        // Dense groups over a hashed build, or another aggregate mix.
+        _ => {
             let fold = General { args: &args, aggs };
             fold_and_emit(index, build_left, &group_cols, &fold, group, schema, ctx)?
         }
@@ -329,17 +373,7 @@ fn fold_and_emit<F: Fold>(
     let (mut folded, extra_busy, group_path) =
         fold_grouped(&index, build_left, group_cols, fold, ctx)?;
     drop(index);
-
-    // The merged accumulator table is the fused operator's second big
-    // allocation; charge it once its size is known.
-    let _acc_mem =
-        ctx.reserve("fused.accs", super::group_state_bytes(folded.firsts.len(), fold.width()))?;
-
-    // Global aggregate over zero pairs still emits one group.
-    if group.is_empty() && folded.firsts.is_empty() {
-        folded.firsts.push((usize::MAX, usize::MAX));
-        fold.open(&mut folded.accs);
-    }
+    let _acc_mem = settle(&mut folded, fold.width(), group, |a| fold.open(a), ctx)?;
 
     let key_value = |ki: usize, (li, ri)| {
         let (side, col) = &group_cols[ki];
@@ -352,6 +386,284 @@ fn fold_and_emit<F: Fold>(
         pairs: folded.items,
         group_path,
     })
+}
+
+/// Charges the merged accumulator table — the fused operator's second big
+/// allocation — once its size is known, and gives a global aggregate over
+/// zero pairs its one group. Hold the returned reservation until emitted.
+fn settle<A>(
+    folded: &mut Folded<A>,
+    width: usize,
+    group: &[BoundExpr],
+    open: impl FnOnce(&mut Vec<A>),
+    ctx: &ExecContext<'_>,
+) -> Result<Option<govern::Reservation>> {
+    let mem = ctx.reserve("fused.accs", super::group_state_bytes(folded.firsts.len(), width))?;
+    if group.is_empty() && folded.firsts.is_empty() {
+        folded.firsts.push((usize::MAX, usize::MAX));
+        open(&mut folded.accs);
+    }
+    Ok(mem)
+}
+
+/// One `SUM` of the grid fold: the product's probe-side and build-side
+/// factors, and whether the probe factor comes first in the source.
+struct GridSum<'a> {
+    probe: &'a [f64],
+    build: &'a [f64],
+    probe_first: bool,
+}
+
+/// The conv shape over dense group keys: accumulators in a flat `f64`
+/// grid indexed by group slot (see the module docs). The layout orders
+/// the probe-side keys first, so a build-side key is the minor dimension
+/// and a pair's slot is its probe row's share plus its build row's.
+struct Grid<'a> {
+    layout: DenseLayout,
+    probe_share: SlotShare<'a>,
+    build_share: SlotShare<'a>,
+    sums: Vec<GridSum<'a>>,
+    build_left: bool,
+}
+
+impl<'a> Grid<'a> {
+    /// The grid for `sums` when the group keys are at most two `Int64`
+    /// columns that fit a dense layout over the probe side's rows — the
+    /// rule every fused group-id table follows.
+    fn new(
+        sums: &SumProducts<'a>,
+        group_cols: &'a [(Side, Column)],
+        build_left: bool,
+        probe_len: usize,
+    ) -> Option<Grid<'a>> {
+        let build_side = if build_left { Side::Left } else { Side::Right };
+        let mut keys: Vec<(Side, &[i64])> = group_cols
+            .iter()
+            .map(|(s, c)| c.as_i64_slice().map(|v| (*s, v)))
+            .collect::<Option<_>>()?;
+        keys.sort_by_key(|&(side, _)| side == build_side);
+        let cols: Vec<&[i64]> = keys.iter().map(|&(_, c)| c).collect();
+        let layout = DenseLayout::choose(&cols, probe_len)?;
+        let share = |build: bool| {
+            let on_side = keys.iter().enumerate().filter(|(_, (s, _))| (*s == build_side) == build);
+            SlotShare::new(layout, on_side.map(|(i, &(_, c))| (i, c)).collect())
+        };
+        let sums = sums
+            .0
+            .iter()
+            .map(|&(a_side, a, _, b)| {
+                if a_side == build_side {
+                    GridSum { probe: b, build: a, probe_first: false }
+                } else {
+                    GridSum { probe: a, build: b, probe_first: true }
+                }
+            })
+            .collect();
+        Some(Grid { layout, probe_share: share(false), build_share: share(true), sums, build_left })
+    }
+
+    /// What the dense build lays out beside its rows.
+    fn payload(&self) -> RunPayload<'_> {
+        RunPayload {
+            share: &self.build_share,
+            factors: self.sums.iter().map(|s| s.build).collect(),
+        }
+    }
+
+    /// Folds every matched pair into the grid through
+    /// [`parallel::fold_groups`] — one range at `parallelism = 1`, morsels
+    /// merged in range order above it — then releases the build and emits
+    /// typed columns. The caller checked that the build is dense.
+    fn fold_and_emit(
+        &self,
+        index: JoinIndex,
+        group_cols: &[(Side, Column)],
+        group: &[BoundExpr],
+        schema: &Schema,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Emitted> {
+        let (dense, probe_keys) = index.dense().expect("the grid folds a dense build");
+        let runs = dense.runs().expect("a grid build lays out its runs");
+        let ranges = parallel::ranges(ctx.config, index.probe_len());
+        let (span, width) = (self.layout.span(), self.sums.len());
+        // One grid per concurrently folding worker.
+        let tables = ctx.config.parallelism.min(ranges.len()) as u64;
+        let mem = ctx.reserve("fused.build", tables * GridAccs::bytes(span, width))?;
+        let fold = |range, accs: &mut GridAccs| {
+            fold_grid_range(range, self, dense, probe_keys, runs, accs, ctx)
+        };
+        let key = |(li, ri)| {
+            let (probe, build) = if self.build_left { (ri, li) } else { (li, ri) };
+            self.probe_share.at(probe) + self.build_share.at(build)
+        };
+        let merge = |acc: &mut f64, partial| {
+            *acc += partial;
+            Ok(())
+        };
+        let new_accs = || GridAccs::new(span, width);
+        let (mut folded, extra_busy) =
+            parallel::fold_groups(ctx, &ranges, width, key, new_accs, fold, merge)?;
+        drop((mem, index));
+        let _acc_mem =
+            settle(&mut folded, width, group, |a| a.extend(std::iter::repeat_n(0.0, width)), ctx)?;
+        Ok(Emitted {
+            table: emit_grid(schema, &folded, group_cols)?,
+            extra_busy,
+            pairs: folded.items,
+            group_path: KeyPath::Grid,
+        })
+    }
+}
+
+/// A grid fold's per-worker state: slot → group id in first-occurrence
+/// order, and one plane of `span` sums per aggregate. A range leaves every
+/// sum it touched back at zero, so the state serves the worker's next
+/// range.
+struct GridAccs {
+    ids: DenseGroupIds,
+    sums: Vec<f64>,
+}
+
+impl GridAccs {
+    fn new(span: usize, width: usize) -> GridAccs {
+        GridAccs { ids: DenseGroupIds::new(span), sums: vec![0.0; span * width] }
+    }
+
+    /// Bytes one state allocates.
+    fn bytes(span: usize, width: usize) -> u64 {
+        DenseGroupIds::bytes(span) + 8 * (span * width) as u64
+    }
+}
+
+impl GroupIds<usize> for GridAccs {
+    #[inline]
+    fn id(&mut self, slot: usize, next: usize) -> usize {
+        self.ids.id(slot, next)
+    }
+
+    fn forget(&mut self, slot: usize) {
+        self.ids.forget(slot);
+    }
+}
+
+/// The grid fold over one probe-row range: per probe row, opens the groups
+/// its run sees first, then adds each aggregate's products into the run's
+/// slots. Returns the range's groups with their sums, in first-occurrence
+/// order. A plain function for the same reason as [`fold_range`].
+fn fold_grid_range(
+    range: Range<usize>,
+    grid: &Grid<'_>,
+    index: &DenseIndex,
+    probe_keys: &[Vec<i64>],
+    runs: &Runs,
+    accs: &mut GridAccs,
+    ctx: &ExecContext<'_>,
+) -> Result<Folded<f64>> {
+    let span = grid.layout.span();
+    let mut local = Folded::default();
+    let mut slots = Vec::new();
+    for probe_row in range {
+        if probe_row % CHECK_STRIDE == 0 {
+            ctx.check()?;
+        }
+        let (a, b) = dense::key_at(probe_keys, probe_row);
+        let Some((join_slot, run)) = index.run(a, b) else { continue };
+        let shares = &runs.shares[run.clone()];
+        let Some(&first_share) = shares.first() else { continue };
+        let po = grid.probe_share.at(probe_row);
+        let contiguous = runs.contiguous[join_slot];
+        let base = po + first_share as usize;
+        let n = shares.len();
+        if !contiguous || accs.ids.any_unseen(base..base + n) {
+            for (pos, &share) in run.clone().zip(shares) {
+                let slot = po + share as usize;
+                if accs.ids.open(slot, slots.len()) {
+                    slots.push(slot);
+                    let build_row = index.row(pos);
+                    local.firsts.push(if grid.build_left {
+                        (build_row, probe_row)
+                    } else {
+                        (probe_row, build_row)
+                    });
+                }
+            }
+        }
+        local.items += n as u64;
+        for (plane, (sum, factors)) in
+            accs.sums.chunks_exact_mut(span).zip(grid.sums.iter().zip(&runs.factors))
+        {
+            let (x, ws) = (sum.probe[probe_row], &factors[run.clone()]);
+            if contiguous {
+                add_run(&mut plane[base..base + n], x, ws, sum.probe_first);
+            } else {
+                for (&share, &w) in shares.iter().zip(ws) {
+                    let acc = &mut plane[po + share as usize];
+                    *acc += product(x, w, sum.probe_first);
+                }
+            }
+        }
+    }
+    let width = grid.sums.len();
+    local.accs.reserve(slots.len() * width);
+    for &slot in &slots {
+        for plane in accs.sums.chunks_exact_mut(span) {
+            local.accs.push(std::mem::take(&mut plane[slot]));
+        }
+    }
+    Ok(local)
+}
+
+/// `x * w` or `w * x`, as the source wrote the product. IEEE
+/// multiplication commutes except in which NaN operand's payload a
+/// product of two NaNs carries, so the order is kept, not normalized.
+#[inline]
+#[allow(clippy::if_same_then_else)] // the operand order is the point
+fn product(x: f64, w: f64, probe_first: bool) -> f64 {
+    if probe_first {
+        x * w
+    } else {
+        w * x
+    }
+}
+
+/// Adds one probe factor's products with a run of build factors into
+/// consecutive accumulators, each product in source operand order (see
+/// [`product`]; the branch sits outside the loop). Every lane is a
+/// different group.
+#[inline]
+#[allow(clippy::if_same_then_else)] // the operand order is the point
+fn add_run(accs: &mut [f64], x: f64, factors: &[f64], probe_first: bool) {
+    if probe_first {
+        for (acc, &w) in accs.iter_mut().zip(factors) {
+            *acc += x * w;
+        }
+    } else {
+        for (acc, &w) in accs.iter_mut().zip(factors) {
+            *acc += w * x;
+        }
+    }
+}
+
+/// The grid's output as typed columns: per group, its key values read from
+/// its first pair, then its sums — coerced to the schema like any row.
+fn emit_grid(
+    schema: &Schema,
+    folded: &Folded<f64>,
+    group_cols: &[(Side, Column)],
+) -> Result<Table> {
+    let width = schema.len() - group_cols.len();
+    let keys = group_cols.iter().map(|(side, col)| {
+        let values = col.as_i64_slice().expect("grid keys are Int64");
+        Column::Int64(folded.firsts.iter().map(|&(li, ri)| values[pick(*side, li, ri)]).collect())
+    });
+    let sums = (0..width)
+        .map(|j| Column::Float64(folded.accs.iter().skip(j).step_by(width).copied().collect()));
+    let cols = keys
+        .chain(sums)
+        .zip(schema.fields())
+        .map(|(col, field)| coerce_column(col, field.data_type))
+        .collect::<Result<_>>()?;
+    Table::new(schema.clone(), cols)
 }
 
 /// Evaluates a single-sided expression on its side's table.

@@ -16,7 +16,8 @@ use std::time::{Duration, Instant};
 
 pub use counters::{OpCounters, OperatorKind};
 
-use dense::{DenseGroupIds, DenseIndex, DenseLayout, GroupIds, KeyPath};
+pub(crate) use dense::KeyPath;
+use dense::{DenseGroupIds, DenseIndex, DenseLayout, GroupIds, RunPayload};
 
 use crate::catalog::Catalog;
 use crate::column::{Column, Key};
@@ -581,12 +582,14 @@ enum IndexKind {
 
 impl JoinIndex {
     /// Builds on the left input when `build_left`, else on the right,
-    /// charging the structure to the memory budget under `site`.
+    /// charging the structure to the memory budget under `site`. A dense
+    /// build also lays `payload` out in its row order ([`DenseIndex::runs`]).
     pub(crate) fn build(
         lt: &Table,
         rt: &Table,
         keys: &[(BoundExpr, BoundExpr)],
         build_left: bool,
+        payload: Option<&RunPayload<'_>>,
         site: &str,
         ctx: &ExecContext<'_>,
     ) -> Result<JoinIndex> {
@@ -604,9 +607,10 @@ impl JoinIndex {
                     Some(layout) => {
                         // Charged at least what the hash build would be,
                         // so budgets hold whichever path runs.
-                        let bytes = build_bytes(n, 16).max(DenseIndex::bytes(&layout, n));
+                        let bytes = build_bytes(n, 16).max(DenseIndex::bytes(&layout, n))
+                            + payload.map_or(0, |p| p.bytes(&layout, n));
                         let mem = ctx.reserve(site, bytes)?;
-                        let index = DenseIndex::build(layout, &cols, n, ctx)?;
+                        let index = DenseIndex::build(layout, &cols, n, payload, ctx)?;
                         (IndexKind::Dense { index, probe }, mem)
                     }
                     None => {
@@ -655,6 +659,15 @@ impl JoinIndex {
         }
     }
 
+    /// The dense build and the probe side's key columns, when the build
+    /// went dense.
+    pub(crate) fn dense(&self) -> Option<(&DenseIndex, &[Vec<i64>])> {
+        match &self.kind {
+            IndexKind::Dense { index, probe } => Some((index, probe)),
+            _ => None,
+        }
+    }
+
     /// The build rows matching probe row `row`, in build insertion order.
     #[inline]
     pub(crate) fn matches(&self, row: usize) -> &[usize] {
@@ -696,7 +709,7 @@ fn hash_join(
     ctx: &ExecContext<'_>,
 ) -> Result<(Table, Duration, KeyPath)> {
     let build_left = lt.num_rows() <= rt.num_rows();
-    let index = JoinIndex::build(lt, rt, keys, build_left, "join.build", ctx)?;
+    let index = JoinIndex::build(lt, rt, keys, build_left, None, "join.build", ctx)?;
     let path = index.path();
     let (build_rows, probe_rows, extra_busy) =
         parallel::probe(index.probe_len(), |row| index.matches(row), ctx)?;

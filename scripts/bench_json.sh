@@ -7,9 +7,10 @@
 #     mix is not at least 2x faster than cold or any cached result diverges
 #     from the uncached reference. Emits BENCH_cache.json.
 #   bench_fused — fused join-aggregate vs. forced-unfused on fig-13-style
-#     conv layers (parallelism 8, caches off). Exits non-zero if fusion is
-#     not at least 2x faster overall, any fused plan materializes join
-#     output, or results diverge. Emits BENCH_fused.json.
+#     conv layers (parallelism 8 and 1, caches off; fused ns per join pair
+#     per layer). Exits non-zero if fusion is not at least 2x faster
+#     overall at parallelism 8, any fused plan materializes join output, or
+#     results diverge. Emits BENCH_fused.json.
 #   obs_overhead — tracing overhead on the fig-13 conv workload. Exits
 #     non-zero if the disabled-collector path drifts more than 3% between
 #     interleaved passes (zero-cost-when-off guard); records the

@@ -7,7 +7,9 @@
 //! preserves key equality and first-occurrence order, so the two results
 //! must agree cell for cell once the key columns are mapped back, but it
 //! makes every span enormous and so forces the hash path. The
-//! `minidb_key_path_total` counter shows which path each run took.
+//! `minidb_key_path_total` counter shows which path each run took; the
+//! fused operator's `SUM(f64 × f64)` shape over dense group keys counts
+//! its groups as `grid`.
 //!
 //! The dense rule is `span ≤ 4 · rows + 1024`, where `rows` is the build
 //! side for a join, the input for a group-by, and the probe side for the
@@ -50,22 +52,22 @@ fn put(db: &Database, name: &str, cols: Vec<(&str, Column)>) {
     db.catalog().create_table(name, table, true).unwrap();
 }
 
-/// Key structures built so far, `(dense, hash)`.
-fn paths(db: &Database) -> (u64, u64) {
+/// Key structures built so far, `(dense, hash, grid)`.
+fn paths(db: &Database) -> (u64, u64, u64) {
     let reg = db.metrics_snapshot();
     let get = |path| match reg.get("minidb_key_path_total", &[("path", path)]).map(|m| &m.value) {
         Some(obs::MetricValue::Counter(v)) => *v,
         other => panic!("minidb_key_path_total{{path={path}}}: {other:?}"),
     };
-    (get("dense"), get("hash"))
+    (get("dense"), get("hash"), get("grid"))
 }
 
 /// Runs `sql`, returning the result and the key structures it built.
-fn run(db: &Database, sql: &str) -> (Table, (u64, u64)) {
+fn run(db: &Database, sql: &str) -> (Table, (u64, u64, u64)) {
     let before = paths(db);
     let out = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).table().clone();
     let after = paths(db);
-    (out, (after.0 - before.0, after.1 - before.1))
+    (out, (after.0 - before.0, after.1 - before.1, after.2 - before.2))
 }
 
 /// A small deterministic generator (no shared RNG state between cases).
@@ -96,7 +98,7 @@ fn stretched(keys: &[i64]) -> Column {
 }
 
 /// Asserts `dense` equals `hash` cell for cell, with the columns in
-/// `key_cols` compared through [`stretch`].
+/// `key_cols` compared through [`stretch`] and floats by their bits.
 fn assert_parity(dense: &Table, hash: &Table, key_cols: &[usize], ctx: &str) {
     assert_eq!(dense.num_rows(), hash.num_rows(), "{ctx}: row count");
     assert_eq!(dense.num_columns(), hash.num_columns(), "{ctx}: column count");
@@ -107,7 +109,12 @@ fn assert_parity(dense: &Table, hash: &Table, key_cols: &[usize], ctx: &str) {
                 Value::Int64(k) if key_cols.contains(&c) => Value::Int64(stretch(k)),
                 other => other,
             };
-            assert_eq!(want, hash.column(c).value(r), "{ctx}: col {c} row {r}");
+            let got = hash.column(c).value(r);
+            let same = match (&want, &got) {
+                (Value::Float64(a), Value::Float64(b)) => a.to_bits() == b.to_bits(),
+                _ => want == got,
+            };
+            assert!(same, "{ctx}: col {c} row {r}: {want:?} vs {got:?}");
         }
     }
 }
@@ -135,7 +142,7 @@ fn join_build_paths_agree_around_the_threshold() {
             put(&dense, "r", vec![("k", Column::Int64(r_keys.clone())), ("w", dyadic(500, 4))]);
             let sql = "SELECT L.k, L.v, R.w FROM l L, r R WHERE L.k = R.k";
             let (got, used) = run(&dense, sql);
-            assert_eq!(used, if want_dense { (1, 0) } else { (0, 1) }, "{ctx}: key path");
+            assert_eq!(used, if want_dense { (1, 0, 0) } else { (0, 1, 0) }, "{ctx}: key path");
             assert!(got.num_rows() > 300, "{ctx}: the join matched too little");
 
             // The stretched copy is sparse; extreme bases would overflow it,
@@ -145,7 +152,7 @@ fn join_build_paths_agree_around_the_threshold() {
                 put(&hash, "l", vec![("k", stretched(&probe)), ("v", dyadic(3_000, 3))]);
                 put(&hash, "r", vec![("k", stretched(&r_keys)), ("w", dyadic(500, 4))]);
                 let (want, used) = run(&hash, sql);
-                assert_eq!(used, (0, 1), "{ctx}: stretched keys hash");
+                assert_eq!(used, (0, 1, 0), "{ctx}: stretched keys hash");
                 assert_parity(&got, &want, &[0], &ctx);
             } else {
                 let pairs = probe
@@ -168,9 +175,9 @@ fn extreme_spans_fall_back_instead_of_wrapping() {
     let (join, used) = run(&d, "SELECT count(*) AS n FROM l L, r R WHERE L.k = R.k");
     assert_eq!(join.column(0).value(0), Value::Int64(2 * 2 + 2 * 2 + 1 + 1));
     // The build hashes; the global aggregate's single group is one dense slot.
-    assert_eq!(used, (1, 1), "the full-range key must hash");
+    assert_eq!(used, (1, 1, 0), "the full-range key must hash");
     let (groups, used) = run(&d, "SELECT k, count(*) AS n FROM l GROUP BY k");
-    assert_eq!(used, (0, 1));
+    assert_eq!(used, (0, 1, 0));
     let got: Vec<(Value, Value)> = (0..groups.num_rows())
         .map(|r| (groups.column(0).value(r), groups.column(1).value(r)))
         .collect();
@@ -188,7 +195,7 @@ fn extreme_spans_fall_back_instead_of_wrapping() {
     let b = vec![0i64, 1 << 40, 0];
     put(&d, "t2", vec![("a", Column::Int64(a)), ("b", Column::Int64(b))]);
     let (two, used) = run(&d, "SELECT a, b, count(*) AS n FROM t2 GROUP BY a, b");
-    assert_eq!(used, (0, 1));
+    assert_eq!(used, (0, 1, 0));
     assert_eq!(two.num_rows(), 2);
     assert_eq!(two.column(2).value(0), Value::Int64(2));
 }
@@ -215,7 +222,7 @@ fn group_ids_agree_around_the_threshold_with_two_column_keys() {
                     ],
                 );
                 let (got, used) = run(&dense, sql);
-                let want_path = if want_dense { (1, 0) } else { (0, 1) };
+                let want_path = if want_dense { (1, 0, 0) } else { (0, 1, 0) };
                 assert_eq!(used, want_path, "{ctx} p={p}: key path");
                 let hash = db(p, true, 0);
                 put(
@@ -284,11 +291,17 @@ fn fused_fold_paths_agree_around_the_threshold() {
             for q in [sql, conv] {
                 let ctx = format!("width {width} p={p}: {q}");
                 let (got, used) = run(&dense, q);
-                // Build (OrderID) is dense either way; the group ids
-                // follow the rule over the probe side at every p.
-                assert_eq!(used, (1 + want_dense as u64, !want_dense as u64), "{ctx}");
+                // Build (OrderID) is dense either way; the groups follow
+                // the rule over the probe side at every p, and dense ones
+                // of the pure SUM(f64 × f64) shape fold into the grid.
+                let (dense_ids, grid) = match want_dense {
+                    true if q == conv => (0, 1),
+                    true => (1, 0),
+                    false => (0, 0),
+                };
+                assert_eq!(used, (1 + dense_ids, !want_dense as u64, grid), "{ctx}");
                 let (want, used) = run(&hash, q);
-                assert_eq!(used, (0, 2), "{ctx}: stretched keys hash");
+                assert_eq!(used, (0, 2, 0), "{ctx}: stretched keys hash");
                 assert_parity(&got, &want, &[0, 1], &ctx);
                 let unfused = reference.execute(q).unwrap();
                 assert_parity(unfused.table(), &got, &[], &format!("{ctx} vs unfused"));
@@ -312,7 +325,7 @@ fn empty_inputs_and_global_aggregates() {
     assert_eq!(out.column(0).value(0), Value::Int64(0));
     // A global aggregate has one group: a one-slot dense table.
     let (out, used) = run(&d, "SELECT count(*) AS n, SUM(v) AS s FROM t");
-    assert_eq!((out.column(0).value(0), used), (Value::Int64(3), (1, 0)));
+    assert_eq!((out.column(0).value(0), used), (Value::Int64(3), (1, 0, 0)));
 }
 
 #[test]
@@ -328,18 +341,18 @@ fn float_and_string_keys_take_the_hash_path() {
         ],
     );
     let (out, used) = run(&d, "SELECT s, count(*) AS n FROM f GROUP BY s");
-    assert_eq!((out.num_rows(), used), (3, (0, 1)));
+    assert_eq!((out.num_rows(), used), (3, (0, 1, 0)));
     let (out, used) = run(&d, "SELECT A.s, B.s FROM f A, f B WHERE A.x = B.x");
-    assert_eq!((out.num_rows(), used), (6, (0, 1)));
+    assert_eq!((out.num_rows(), used), (6, (0, 1, 0)));
     // Int64 against Float64 still unifies through general keys.
     let (out, used) = run(&d, "SELECT A.k FROM f A, f B WHERE A.k = B.x");
-    assert_eq!((out.num_rows(), used), (2, (0, 1)));
+    assert_eq!((out.num_rows(), used), (2, (0, 1, 0)));
     // More than two integer key columns hash too.
     let (out, used) = run(
         &d,
         "SELECT k, k + 1 AS k1, k + 2 AS k2, count(*) AS n FROM f GROUP BY k, k + 1, k + 2",
     );
-    assert_eq!((out.num_rows(), used), (3, (0, 1)));
+    assert_eq!((out.num_rows(), used), (3, (0, 1, 0)));
 }
 
 #[test]
@@ -354,7 +367,7 @@ fn budget_rejection_on_a_dense_build_leaves_no_trace() {
     let roomy = db(1, false, 1 << 30);
     fill(&roomy);
     let (_, used) = run(&roomy, sql);
-    assert_eq!(used, (1, 0));
+    assert_eq!(used, (1, 0, 0));
     assert_eq!(roomy.catalog().table("joined").unwrap().num_rows(), 2_000);
 
     // 500 build rows are charged at least the hash build's 56 B a row.
@@ -371,6 +384,70 @@ fn budget_rejection_on_a_dense_build_leaves_no_trace() {
     after.sort();
     assert_eq!(after, tables, "catalog unchanged");
     assert!(tight.catalog().table("joined").is_none());
+    let budget = tight.memory_budget().unwrap();
+    assert_eq!(budget.in_use(), 0, "reservations leaked after rejection");
+    assert_eq!(budget.rejections(), 1);
+}
+
+#[test]
+fn budget_rejection_on_the_grid_leaves_no_trace() {
+    // 100 matrices × 40 kernels = 4,000 group slots over 1,000 probe rows:
+    // dense, so the conv statement folds into the accumulator grid, which
+    // charges a 4 B group id and an 8 B sum per slot.
+    let (matrices, orders, kernels) = (100i64, 10i64, 40i64);
+    let grid_bytes = (matrices * kernels * (4 + 8)) as u64;
+    let sql = "CREATE TEMP TABLE conv AS SELECT B.KernelID AS k, A.MatrixID AS m, \
+               SUM(A.Value * B.Value) AS v \
+               FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID \
+               GROUP BY B.KernelID, A.MatrixID";
+    let fill = |d: &Database| {
+        let grid = |keys: i64| -> (Vec<i64>, Vec<i64>) {
+            (0..keys).flat_map(|k| (0..orders).map(move |o| (k, o))).unzip()
+        };
+        let (m, o) = grid(matrices);
+        let n = m.len();
+        put(
+            d,
+            "fm",
+            vec![
+                ("MatrixID", Column::Int64(m)),
+                ("OrderID", Column::Int64(o)),
+                ("Value", dyadic(n, 20)),
+            ],
+        );
+        let (k, o) = grid(kernels);
+        let n = k.len();
+        put(
+            d,
+            "kernel",
+            vec![
+                ("KernelID", Column::Int64(k)),
+                ("OrderID", Column::Int64(o)),
+                ("Value", dyadic(n, 21)),
+            ],
+        );
+    };
+    let roomy = db(1, true, 1 << 30);
+    fill(&roomy);
+    let (_, used) = run(&roomy, sql);
+    assert_eq!(used, (1, 0, 1), "dense build, grid groups");
+    assert_eq!(roomy.catalog().table("conv").unwrap().num_rows(), 4_000);
+
+    // Just below the grid's bytes: the join build fits, the grid does not.
+    let tight = db(1, true, grid_bytes - 1);
+    fill(&tight);
+    let mut tables = tight.catalog().table_names();
+    tables.sort();
+    let err = tight.execute(sql).unwrap_err();
+    match err.governance() {
+        Some(QueryError::BudgetExceeded { requested, .. }) => {
+            assert_eq!(*requested, grid_bytes, "the grid is the rejected reservation")
+        }
+        _ => panic!("expected BudgetExceeded, got {err}"),
+    }
+    let mut after = tight.catalog().table_names();
+    after.sort();
+    assert_eq!(after, tables, "catalog unchanged");
     let budget = tight.memory_budget().unwrap();
     assert_eq!(budget.in_use(), 0, "reservations leaked after rejection");
     assert_eq!(budget.rejections(), 1);
@@ -414,7 +491,12 @@ fn operator_spans_name_the_key_path() {
         "SELECT B.KernelID, A.MatrixID, SUM(A.Value * B.Value) AS v \
          FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID",
     );
-    assert!(fused.contains("build=dense; groups=dense"), "{fused}");
+    assert!(fused.contains("build=dense; groups=grid"), "{fused}");
+    let counted = plan(
+        "SELECT B.KernelID, A.MatrixID, count(*) AS n \
+         FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID",
+    );
+    assert!(counted.contains("build=dense; groups=dense"), "{counted}");
     let join = plan("SELECT A.s FROM sparse A, sparse B WHERE A.k = B.k");
     assert!(join.contains("keys=hash"), "{join}");
     let grouped = plan("SELECT MatrixID, count(*) AS n FROM fm GROUP BY MatrixID");
@@ -464,7 +546,7 @@ fn two_column_join_keys_check_each_column_range() {
         ],
     );
     let (got, used) = run(&dense, sql);
-    assert_eq!(used, (1, 0));
+    assert_eq!(used, (1, 0, 0));
     assert_eq!(got.num_rows(), 2 * 40, "each build key matches its two probes, nothing else");
     let hash = db(1, true, 0);
     put(&hash, "b", vec![("k", stretched(&bk)), ("j", stretched(&bj)), ("w", dyadic(40, 18))]);
@@ -474,6 +556,6 @@ fn two_column_join_keys_check_each_column_range() {
         vec![("k", stretched(&pk)), ("j", stretched(&pj)), ("v", dyadic(pk.len(), 19))],
     );
     let (want, used) = run(&hash, sql);
-    assert_eq!(used, (0, 1));
+    assert_eq!(used, (0, 1, 0));
     assert_parity(&got, &want, &[0, 1], "two-column join");
 }

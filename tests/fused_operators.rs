@@ -9,27 +9,31 @@
 //!
 //! All fixture values are dyadic rationals (x.5 / x.25), so float
 //! aggregation is exact under any morsel decomposition and "identical"
-//! really means bit-identical, not approximately equal.
+//! really means bit-identical, not approximately equal. The one
+//! non-dyadic fixture is compared at parallelism 1, where both plans fold
+//! a single range in the same order.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use collab::{CollabEngine, QueryType, StrategyKind};
 use minidb::optimizer::OptimizerConfig;
-use minidb::Database;
+use minidb::{Column, Database, Field, Schema, Table, Value};
 use workload::{build_dataset, build_repo, DatasetConfig, RepoConfig};
 
-/// Exact cell-by-cell comparison — floats included.
+/// Exact cell-by-cell comparison, floats by their bits: `-0.0` differs
+/// from `0.0`, and a NaN equals a NaN with the same payload.
 fn assert_tables_identical(reference: &minidb::Table, got: &minidb::Table, ctx: &str) {
     assert_eq!(reference.num_rows(), got.num_rows(), "{ctx}: row count");
     assert_eq!(reference.num_columns(), got.num_columns(), "{ctx}: column count");
     for c in 0..reference.num_columns() {
         for r in 0..reference.num_rows() {
-            assert_eq!(
-                reference.column(c).value(r),
-                got.column(c).value(r),
-                "{ctx}: col {c} row {r}"
-            );
+            let (want, have) = (reference.column(c).value(r), got.column(c).value(r));
+            let same = match (&want, &have) {
+                (Value::Float64(a), Value::Float64(b)) => a.to_bits() == b.to_bits(),
+                _ => want == have,
+            };
+            assert!(same, "{ctx}: col {c} row {r}: {want:?} vs {have:?}");
         }
     }
 }
@@ -144,6 +148,194 @@ fn explain_names_the_fused_operator_exactly_when_it_fires() {
     assert!(!plan.contains("JoinAggregate"), "no join, nothing to fuse:\n{plan}");
 }
 
+// ---------------------------------------------------------------------------
+// The accumulator grid: shapes its fold must get right
+// ---------------------------------------------------------------------------
+
+/// Feature-map matrices, orders and kernels of the grid fixtures.
+const MATRICES: i64 = 48;
+const ORDERS: i64 = 9;
+const KERNELS: i64 = 6;
+
+/// One `(key, OrderID, Value)` row of a feature map or kernel.
+type Row = (i64, i64, f64);
+
+/// Registers `rows` as table `name` with columns `(key, OrderID, Value)`.
+fn put_rows(db: &Database, name: &str, key: &str, rows: &[Row]) {
+    let schema = Schema::new(vec![
+        Field::new(key, minidb::DataType::Int64),
+        Field::new("OrderID", minidb::DataType::Int64),
+        Field::new("Value", minidb::DataType::Float64),
+    ]);
+    let cols = vec![
+        Column::Int64(rows.iter().map(|r| r.0).collect()),
+        Column::Int64(rows.iter().map(|r| r.1).collect()),
+        Column::Float64(rows.iter().map(|r| r.2).collect()),
+    ];
+    db.catalog().create_table(name, Table::new(schema, cols).unwrap(), true).unwrap();
+}
+
+/// A database holding feature map `fm` and kernel `kernel`.
+fn grid_db(parallelism: usize, fuse: bool, fm: &[Row], kernel: &[Row]) -> Database {
+    let db = Database::builder()
+        .exec_config(minidb::exec::ExecConfig {
+            parallelism,
+            morsel_rows: 16,
+            plan_cache_capacity: 0,
+            ..Default::default()
+        })
+        .optimizer_config(OptimizerConfig { fuse_join_aggregates: fuse, ..Default::default() })
+        .build();
+    put_rows(&db, "fm", "MatrixID", fm);
+    put_rows(&db, "kernel", "KernelID", kernel);
+    db
+}
+
+/// `keys` × [`ORDERS`] rows in (key, order) order, valued by `value`.
+fn conv_rows(keys: i64, value: impl Fn(i64, i64) -> f64) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for k in 0..keys {
+        for o in 0..ORDERS {
+            rows.push((k, o, value(k, o)));
+        }
+    }
+    rows
+}
+
+/// A dyadic value: sums of these are exact in any order.
+fn dyadic(k: i64, o: i64, salt: i64) -> f64 {
+    ((k * 31 + o * 7 + salt * 13) % 19 - 9) as f64 + 0.25 * salt as f64
+}
+
+/// A value whose sums round differently in another order.
+fn non_dyadic(k: i64, o: i64, salt: i64) -> f64 {
+    ((k * 37 + o * 11 + salt * 5) % 101) as f64 / 7.3 - 6.1
+}
+
+/// Fixture variants over `value`: (name, feature map, kernel).
+fn grid_fixtures(value: fn(i64, i64, i64) -> f64) -> Vec<(&'static str, Vec<Row>, Vec<Row>)> {
+    let fm = conv_rows(MATRICES, |m, o| value(m, o, 1));
+    let kernel = conv_rows(KERNELS, |k, o| value(k, o, 2));
+    // Kernel rows out of (OrderID, KernelID) order: one probe row's
+    // matches no longer land on consecutive group slots.
+    let mut shuffled = kernel.clone();
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    for i in (1..shuffled.len()).rev() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        shuffled.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    // Repeated (KernelID, OrderID) rows: one probe row adds two terms to
+    // one group, in build insertion order.
+    let mut duplicated = kernel.clone();
+    duplicated.insert(10, (1, 1, value(7, 7, 3)));
+    duplicated.push((4, 0, value(8, 8, 3)));
+    duplicated.push((4, 0, value(9, 9, 3)));
+    vec![
+        ("in order", fm.clone(), kernel),
+        ("shuffled kernel", fm.clone(), shuffled),
+        ("duplicated kernel rows", fm, duplicated),
+    ]
+}
+
+/// IEEE special values: `-0.0` feature-map values, a kernel of `-0.0`
+/// weights and one `inf`, `-inf` or NaN weight in three others. Matrix 5
+/// is all positive, so its group with the `-0.0` kernel adds only `-0.0`
+/// products and must come out `+0.0`, the sum from `0.0`. Every NaN is
+/// the platform's default one (what `inf - inf` and `0 · inf` give), so
+/// no sum depends on which NaN came first.
+fn special_fixture() -> (Vec<Row>, Vec<Row>) {
+    let (inf, neg_inf) = std::hint::black_box((f64::INFINITY, f64::NEG_INFINITY));
+    let nan = inf + neg_inf;
+    assert!(nan.is_nan());
+    let fm = conv_rows(MATRICES, |m, o| match m {
+        5 => 1.5,
+        _ if (m + o) % 5 == 0 => -0.0,
+        _ => dyadic(m, o, 1),
+    });
+    let kernel = conv_rows(KERNELS, |k, o| match (k, o) {
+        (0, 2) => inf,
+        (1, 4) => neg_inf,
+        (2, 6) => nan,
+        (3, _) => -0.0,
+        _ => dyadic(k, o, 2),
+    });
+    (fm, kernel)
+}
+
+/// Statements of the grid's shape: every aggregate is `SUM(f64 × f64)`
+/// with a factor on each side, over dense group keys. No ORDER BY, so the
+/// first-occurrence group order is compared too.
+const GRID_CORPUS: &[&str] = &[
+    // The conv shape.
+    "SELECT B.KernelID AS k, A.MatrixID AS m, SUM(A.Value * B.Value) AS v \
+     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID",
+    // The product's operands the other way round.
+    "SELECT B.KernelID AS k, A.MatrixID AS m, SUM(B.Value * A.Value) AS v \
+     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID",
+    // Two products: two planes of the grid.
+    "SELECT A.MatrixID AS m, B.KernelID AS k, SUM(A.Value * B.Value) AS v, \
+     SUM(B.Value * A.Value) AS w \
+     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY A.MatrixID, B.KernelID",
+    // The smaller input on the left: the build is the left side.
+    "SELECT B.KernelID AS k, A.MatrixID AS m, SUM(A.Value * B.Value) AS v \
+     FROM kernel B INNER JOIN fm A ON B.OrderID = A.OrderID GROUP BY B.KernelID, A.MatrixID",
+    // Both group keys on the probe side: each run adds into one slot.
+    "SELECT A.MatrixID AS m, A.OrderID AS o, SUM(A.Value * B.Value) AS v \
+     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY A.MatrixID, A.OrderID",
+    // A build-side key only.
+    "SELECT B.KernelID AS k, SUM(A.Value * B.Value) AS v \
+     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID",
+    // A keyless global sum.
+    "SELECT SUM(A.Value * B.Value) AS dot FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID",
+];
+
+/// Accumulator grids `db` has folded into.
+fn grid_folds(db: &Database) -> u64 {
+    let reg = db.metrics_snapshot();
+    match reg.get("minidb_key_path_total", &[("path", "grid")]).map(|m| &m.value) {
+        Some(obs::MetricValue::Counter(v)) => *v,
+        other => panic!("minidb_key_path_total{{path=grid}}: {other:?}"),
+    }
+}
+
+/// Runs every grid statement fused and unfused over `fm` ⋈ `kernel` at
+/// each parallelism: the fused run takes the grid and matches bit for bit.
+fn assert_grid_matches_unfused(name: &str, fm: &[Row], kernel: &[Row], parallelism: &[usize]) {
+    for &p in parallelism {
+        let fused = grid_db(p, true, fm, kernel);
+        let unfused = grid_db(p, false, fm, kernel);
+        for sql in GRID_CORPUS {
+            let ctx = format!("{name} p={p}: {sql}");
+            let reference = unfused.execute(sql).unwrap_or_else(|e| panic!("unfused {ctx}: {e}"));
+            let before = grid_folds(&fused);
+            let got = fused.execute(sql).unwrap_or_else(|e| panic!("fused {ctx}: {e}"));
+            assert_eq!(grid_folds(&fused) - before, 1, "{ctx}: folds into the grid");
+            assert_eq!(grid_folds(&unfused), 0, "{ctx}: the unfused plan has no grid");
+            assert_tables_identical(reference.table(), got.table(), &ctx);
+        }
+    }
+}
+
+#[test]
+fn grid_fold_matches_unfused_on_every_shape() {
+    for (name, fm, kernel) in grid_fixtures(dyadic) {
+        assert_grid_matches_unfused(name, &fm, &kernel, &[1, 2, 8]);
+    }
+    let (fm, kernel) = special_fixture();
+    assert_grid_matches_unfused("special values", &fm, &kernel, &[1, 2, 8]);
+}
+
+#[test]
+fn grid_fold_adds_in_the_unfused_order() {
+    // Non-dyadic values round differently under any reassociation. At
+    // parallelism 1 both plans fold one range, so their sums agree to the
+    // bit only if every group adds the same terms in the same order from
+    // one accumulator.
+    for (name, fm, kernel) in grid_fixtures(non_dyadic) {
+        assert_grid_matches_unfused(&format!("non-dyadic, {name}"), &fm, &kernel, &[1]);
+    }
+}
+
 #[test]
 fn fused_profiler_counters_report_late_materialization() {
     let db = fixture_db(1, true);
@@ -189,29 +381,50 @@ fn profiler_attribution_stays_exclusive_with_fusion() {
 #[test]
 fn compiled_conv_sql_triggers_the_rewrite() {
     // The compiler's conv layer SQL (staged fm ⋈ kernel, GROUP BY
-    // (KernelID, MatrixID), SUM(A.Value * B.Value)) must be shaped so the
-    // fusion fires on the real DL2SQL hot path, not just the test corpus.
-    let db = Arc::new(
-        Database::builder()
-            .optimizer_config(OptimizerConfig::default()) // fusion on by default
-            .build(),
-    );
-    let registry = dl2sql::NeuralRegistry::shared();
-    let model = neuro::zoo::student(vec![1, 8, 8], 3, 5);
-    let compiled =
-        Arc::new(dl2sql::compile_model(&db, &registry, &model).expect("student compiles"));
-    let runner = dl2sql::Runner::new(Arc::clone(&db), Arc::clone(&registry), compiled)
-        .expect("runner builds");
-    // Every statement of the inference is its own traced root; fold them all.
-    let ops: Arc<Mutex<HashMap<String, obs::OpAgg>>> = Arc::default();
-    let sink = Arc::clone(&ops);
-    db.tracer().set_sink(Some(Arc::new(move |tree: &obs::SpanTree| {
-        tree.fold_operators(&mut sink.lock().unwrap());
-    })));
-    db.tracer().enable();
-    runner.infer(&workload::dataset::keyframe(&[1, 8, 8], 5, 0)).expect("inference runs");
-    let loops = ops.lock().unwrap().get("JoinAggregate").map_or(0, |agg| agg.loops);
-    assert!(loops >= 1, "compiled conv SQL did not trigger the fused operator");
+    // (KernelID, MatrixID), SUM(A.Value * B.Value)) and its FC SQL must be
+    // shaped so the fusion fires on the real DL2SQL hot path, not just the
+    // test corpus — and every one of those statements folds into the
+    // accumulator grid.
+    let shape = [1usize, 8, 8];
+    for model in
+        [neuro::zoo::student(shape.to_vec(), 3, 5), neuro::zoo::resnet(4, shape.to_vec(), 3, 7)]
+    {
+        let name = &model.name;
+        let db = Arc::new(
+            Database::builder()
+                .optimizer_config(OptimizerConfig::default()) // fusion on by default
+                .build(),
+        );
+        let registry = dl2sql::NeuralRegistry::shared();
+        let compiled = Arc::new(dl2sql::compile_model(&db, &registry, &model).expect("compiles"));
+        let conv_and_fc = compiled
+            .steps
+            .iter()
+            .filter(|s| matches!(s.kind, dl2sql::StepKind::Conv | dl2sql::StepKind::Fc))
+            .count();
+        let runner = dl2sql::Runner::new(Arc::clone(&db), Arc::clone(&registry), compiled)
+            .expect("runner builds");
+        // Every statement of the inference is its own traced root; collect
+        // the details of their fused operators.
+        let details: Arc<Mutex<Vec<String>>> = Arc::default();
+        let sink = Arc::clone(&details);
+        db.tracer().set_sink(Some(Arc::new(move |tree: &obs::SpanTree| {
+            let fused = tree.records().iter().filter(|r| r.name == "JoinAggregate");
+            sink.lock().unwrap().extend(fused.map(|r| r.detail.clone()));
+        })));
+        db.tracer().enable();
+        runner.infer(&workload::dataset::keyframe(&shape, 5, 0)).expect("inference runs");
+        let details = details.lock().unwrap();
+        assert!(conv_and_fc >= 2, "{name}: the model has conv and FC layers");
+        assert_eq!(
+            details.len(),
+            conv_and_fc,
+            "{name}: one fused operator per conv/FC layer: {details:?}"
+        );
+        for detail in details.iter() {
+            assert!(detail.ends_with("build=dense; groups=grid"), "{name}: {detail}");
+        }
+    }
 }
 
 #[test]
