@@ -1,38 +1,25 @@
 //! The fused join–aggregate operator.
 //!
-//! Executes [`LogicalPlan::JoinAggregate`](crate::plan::LogicalPlan::JoinAggregate):
-//! a hash equi join whose probe folds aggregate partials directly into
-//! per-group accumulators, so the join output — one row per matched pair,
-//! the largest intermediate of the DL2SQL conv pipeline — is never
-//! materialized.
+//! Executes [`LogicalPlan::JoinAggregate`](crate::plan::LogicalPlan::JoinAggregate),
+//! the conv shape the optimizer fuses (`optimizer::fuse`): every aggregate
+//! is `SUM(a * b)` of an `f64` factor per join side, grouped by at most
+//! two `Int64` keys. Its probe adds the products into an accumulator grid,
+//! so the join output — one row per matched pair, the largest
+//! intermediate of the DL2SQL conv pipeline — is never materialized.
 //!
-//! Bit-identity with the unfused pair is by construction:
-//!
-//! * the build side is the smaller input and the probe walks the other
-//!   side in ascending row order, emitting matches in build insertion
-//!   order — exactly the unfused `hash_join`'s pair order;
-//! * each pair updates the same `Acc` accumulators the unfused
-//!   group-by would, in the same order, with the same argument values
-//!   (the per-side column evaluation reproduces what expression
-//!   evaluation over the materialized join row would compute);
-//! * the fold runs over ranges of *probe* rows (`parallel::fold_groups`):
-//!   one range at `parallelism = 1`, whose partials are the result, and
-//!   morsels above it, whose partials merge in range order — so the
-//!   result depends only on the range list, never on worker scheduling,
-//!   the same discipline as the executor's GroupBy.
-//!
-//! The conv shape gets its own fold. When every aggregate is
-//! `SUM(f64 × f64)` with one factor per join side, the group keys fit a
-//! dense layout (`exec::dense`) and the join build is dense, the accumulators are a
+//! The build side is the smaller input, and the probe walks the other
+//! side in ascending row order, meeting matches in build insertion order:
+//! exactly the unfused `hash_join`'s pair order. The accumulators are a
 //! flat `f64` grid indexed by group slot (one plane per aggregate). The
-//! layout puts the probe-side group key first, so the build-side key is
-//! the minor dimension, and the dense build stores each build row's share
-//! of the slot and its factor in CSR order (`dense::Runs`). One probe row's
-//! matches — one `OrderID`, `KernelID` ascending — then land on
-//! consecutive slots, `grid[base..base + n] += a[p] * w[s..e]`, with no
-//! group lookup per pair; a run whose shares do not ascend by one
-//! scatters, `grid[po + share[i]] += a[p] * w[i]`. The grid keeps the
-//! unfused sums bit for bit:
+//! dense layout (`exec::dense`) puts the probe-side group key first, so
+//! the build-side key is the minor dimension, and the dense join build
+//! stores each build row's share of the slot and its factor in CSR order
+//! (`dense::Runs`). One probe row's matches — one `OrderID`, `KernelID`
+//! ascending — then land on consecutive slots,
+//! `grid[base..base + n] += a[p] * w[s..e]`, with no group lookup per
+//! pair; a run whose shares do not ascend by one scatters,
+//! `grid[po + share[i]] += a[p] * w[i]`. The grid keeps the unfused sums
+//! bit for bit:
 //!
 //! * *operand order* — each product is computed as written in the source
 //!   (`a * b` or `b * a`), as the unfused evaluator computes it;
@@ -43,246 +30,75 @@
 //!   twice, in build order;
 //! * *no lane splitting* — the lanes of a run are distinct slots, so a
 //!   vectorized run never splits one group's sum across accumulators;
-//!   ranges merge in range order, as every grouped fold does;
+//! * *ranges* — the fold runs over ranges of probe rows
+//!   (`parallel::fold_groups`): one range at `parallelism = 1`, whose sums
+//!   are the result, and morsels above it, whose sums merge in range
+//!   order — the same discipline as the GroupBy's, so the result depends
+//!   only on the range list, never on worker scheduling;
 //! * *first occurrence* — a slot check per run (a branch-free scan of the
 //!   run's ids, then one check per pair only when a slot is new, or
 //!   always for a scattered run) opens groups in pair order and records
 //!   each group's first `(left, right)` pair, so groups come out in the
 //!   unfused group-by's order with key values read from that pair.
 //!
-//! The grid is emitted as typed `Int64`/`Float64` columns. Other shapes
-//! avoid per-pair heap traffic too: small dense integer keys are
-//! addressed by offset (`exec::dense`), sparse ones of up to two `Int64`
-//! columns pack into `i128`s for the crate's fast non-SipHash hasher
-//! ([`crate::hash`]), aggregate arguments read `&[i64]`/`&[f64]` slices,
-//! and `SUM(f64 × f64)` over hash-keyed groups folds into plain `f64`s.
+//! The grid is emitted as typed `Int64`/`Float64` columns.
+//!
+//! When the data refuses the grid — the group keys are too sparse for a
+//! dense layout over the probe side's rows, or the join build came out
+//! hashed — the operator runs the unfused pair's own code on the join it
+//! already built: the hash join's probe and glue, then the GroupBy, with
+//! the budget charged at `join.build` and `agg.groups` as for the unfused
+//! plan. Its span detail ends in `fold=unfused`. That path *is* the
+//! reference plan's code, so its results are the reference's by
+//! construction.
 
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use crate::column::{Column, Key};
-use crate::error::Result;
+use crate::column::Column;
+use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
-use crate::hash::{fx_map_with_capacity, FxHashMap};
-use crate::optimizer::fuse::{decompose_arg, side_of, ArgShape, Side};
-use crate::plan::logical::{AggExpr, AggFunc};
-use crate::table::{Schema, Table};
-use crate::value::{DataType, Value};
+use crate::optimizer::fuse::{product_factors, rebind, side_of, Side};
+use crate::plan::logical::AggExpr;
+use crate::table::{Field, Schema, Table};
+use crate::value::DataType;
 
 use super::dense::{
     self, DenseGroupIds, DenseIndex, DenseLayout, GroupIds, KeyPath, RunPayload, Runs, SlotShare,
 };
 use super::parallel::{self, Groups};
-use super::{coerce_column, Acc, ExecContext, JoinIndex, CHECK_STRIDE};
+use super::{coerce_column, ExecContext, JoinIndex, CHECK_STRIDE};
 
 /// Counters the executor records for the fused operator.
 pub(crate) struct FusedMetrics {
     /// Worker busy time beyond the operator's own wall time (zero when
     /// the probe ran as one range).
     pub extra_busy: Duration,
-    /// Serial setup time — argument/key evaluation plus hash-table build —
-    /// before the range-driven probe starts. The executor records
-    /// this as its own invocation so effective parallelism reflects only
-    /// the probe.
+    /// Serial setup time — key and factor evaluation plus the join build —
+    /// before the range-driven probe starts. The executor records this as
+    /// its own invocation so effective parallelism reflects only the probe.
     pub build: Duration,
     /// Rows consumed across both join inputs.
     pub rows_in: usize,
-    /// Estimated bytes of join output the fusion avoided building
-    /// (matched pairs × bytes per unfused join row).
+    /// Estimated bytes of join output the grid avoided building (matched
+    /// pairs × bytes per unfused join row); zero on the unfused path.
     pub bytes_not_materialized: u64,
     /// Key structure of the join build.
     pub build_path: KeyPath,
-    /// Key structure of the group-id table.
+    /// [`KeyPath::Grid`], or the unfused GroupBy's key structure when the
+    /// grid refused.
     pub group_path: KeyPath,
 }
 
-/// A numeric column unwrapped for slice access.
-enum NumCol {
-    I64(Vec<i64>),
-    F64(Vec<f64>),
-}
+/// One `SUM(a * b)`: its two factors, each evaluated on its join side, in
+/// source operand order.
+type Factors = [(Side, Column); 2];
 
-impl NumCol {
-    fn from_column(c: Column) -> Result<NumCol> {
-        match c {
-            Column::Int64(v) => Ok(NumCol::I64(v)),
-            other => Ok(NumCol::F64(other.as_f64_vec()?)),
-        }
-    }
-
-    #[inline]
-    fn f64_at(&self, row: usize) -> f64 {
-        match self {
-            NumCol::I64(v) => v[row] as f64,
-            NumCol::F64(v) => v[row],
-        }
-    }
-}
-
-/// How one aggregate's argument is computed per matched (left, right) pair.
-enum FusedArg {
-    /// `COUNT(*)`.
-    CountStar,
-    /// Evaluated entirely on one join side.
-    Single { side: Side, col: Column },
-    /// A product of one factor per side, operands in source order (the
-    /// conv `SUM(A.Value * B.Value)` shape). `int` mirrors the binary
-    /// evaluator's type rule: Int64 only when both factors are Int64.
-    Product { a_side: Side, a: NumCol, b_side: Side, b: NumCol, int: bool },
-}
-
-#[inline]
-fn pick(side: Side, li: usize, ri: usize) -> usize {
-    match side {
-        Side::Left => li,
-        Side::Right => ri,
-    }
-}
-
-impl FusedArg {
-    /// The argument's column type — what evaluating it over the
-    /// materialized join output would produce (drives SumI vs SumF).
-    fn data_type(&self) -> Option<DataType> {
-        match self {
-            FusedArg::CountStar => None,
-            FusedArg::Single { col, .. } => Some(col.data_type()),
-            FusedArg::Product { int, .. } => {
-                Some(if *int { DataType::Int64 } else { DataType::Float64 })
-            }
-        }
-    }
-
-    #[inline]
-    fn value(&self, li: usize, ri: usize) -> Option<Value> {
-        match self {
-            FusedArg::CountStar => None,
-            FusedArg::Single { side, col } => Some(col.value(pick(*side, li, ri))),
-            FusedArg::Product { a_side, a, b_side, b, int } => {
-                let ar = pick(*a_side, li, ri);
-                let br = pick(*b_side, li, ri);
-                if *int {
-                    let (NumCol::I64(av), NumCol::I64(bv)) = (a, b) else { unreachable!() };
-                    // Same wrapping semantics as the vectorized evaluator.
-                    Some(Value::Int64(av[ar].wrapping_mul(bv[br])))
-                } else {
-                    Some(Value::Float64(a.f64_at(ar) * b.f64_at(br)))
-                }
-            }
-        }
-    }
-}
-
-/// Group state after a fold: per group, its first matched (left row,
+/// Group state after a grid fold: per group, its first matched (left row,
 /// right row) pair — the rows group-key output values are read from — and
-/// its flat accumulators; `items` counts the matched pairs.
-type Folded<A> = Groups<(usize, usize), A>;
-
-/// How matched pairs fold into a group's flat accumulators.
-trait Fold: Sync {
-    type Acc: Send;
-    /// Accumulators per group (one per aggregate).
-    fn width(&self) -> usize;
-    /// Appends one group's fresh accumulators.
-    fn open(&self, accs: &mut Vec<Self::Acc>);
-    /// Folds the pair (`li`, `ri`) into one group's accumulators.
-    fn update(&self, group: &mut [Self::Acc], li: usize, ri: usize) -> Result<()>;
-    /// Folds a later range's partial into an accumulator.
-    fn merge(&self, acc: &mut Self::Acc, partial: Self::Acc) -> Result<()>;
-    /// The output value of a finished accumulator.
-    fn finish(&self, acc: &Self::Acc, output_type: DataType) -> Value;
-}
-
-/// The conv shape: every aggregate is a `SUM` over an `F64 × F64`
-/// product. One `f64` per aggregate and no `Value` per pair; the multiply
-/// and add are exactly `Acc::SumF`'s over the evaluated product, so the
-/// sums are bit-identical. Folds pair by pair only over hash-keyed groups;
-/// dense ones take the [`Grid`].
-struct SumProducts<'a>(Vec<(Side, &'a [f64], Side, &'a [f64])>);
-
-impl<'a> SumProducts<'a> {
-    fn new(args: &'a [FusedArg], aggs: &[AggExpr]) -> Option<SumProducts<'a>> {
-        args.iter()
-            .zip(aggs)
-            .map(|(arg, agg)| match (agg.func, arg) {
-                (
-                    AggFunc::Sum,
-                    FusedArg::Product {
-                        a_side,
-                        a: NumCol::F64(a),
-                        b_side,
-                        b: NumCol::F64(b),
-                        int: false,
-                    },
-                ) => Some((*a_side, a.as_slice(), *b_side, b.as_slice())),
-                _ => None,
-            })
-            .collect::<Option<_>>()
-            .map(SumProducts)
-    }
-}
-
-impl Fold for SumProducts<'_> {
-    type Acc = f64;
-
-    fn width(&self) -> usize {
-        self.0.len()
-    }
-
-    fn open(&self, accs: &mut Vec<f64>) {
-        accs.extend(std::iter::repeat_n(0.0, self.0.len()));
-    }
-
-    #[inline]
-    fn update(&self, group: &mut [f64], li: usize, ri: usize) -> Result<()> {
-        for (sum, &(a_side, a, b_side, b)) in group.iter_mut().zip(&self.0) {
-            *sum += a[pick(a_side, li, ri)] * b[pick(b_side, li, ri)];
-        }
-        Ok(())
-    }
-
-    fn merge(&self, acc: &mut f64, partial: f64) -> Result<()> {
-        *acc += partial;
-        Ok(())
-    }
-
-    fn finish(&self, acc: &f64, _: DataType) -> Value {
-        Value::Float64(*acc)
-    }
-}
-
-/// Any aggregate mix, through the executor's [`Acc`] accumulators.
-struct General<'a> {
-    args: &'a [FusedArg],
-    aggs: &'a [AggExpr],
-}
-
-impl Fold for General<'_> {
-    type Acc = Acc;
-
-    fn width(&self) -> usize {
-        self.aggs.len()
-    }
-
-    fn open(&self, accs: &mut Vec<Acc>) {
-        accs.extend(self.args.iter().zip(self.aggs).map(|(arg, a)| Acc::new(a, arg.data_type())));
-    }
-
-    #[inline]
-    fn update(&self, group: &mut [Acc], li: usize, ri: usize) -> Result<()> {
-        for (acc, arg) in group.iter_mut().zip(self.args) {
-            acc.update(arg.value(li, ri).as_ref())?;
-        }
-        Ok(())
-    }
-
-    fn merge(&self, acc: &mut Acc, partial: Acc) -> Result<()> {
-        acc.merge(partial)
-    }
-
-    fn finish(&self, acc: &Acc, output_type: DataType) -> Value {
-        acc.finish(output_type)
-    }
-}
+/// its sums; `items` counts the matched pairs.
+type Folded = Groups<(usize, usize), f64>;
 
 /// Executes the fused operator. Returns the aggregated table and the
 /// fused counters; the caller records wall time around this call.
@@ -299,51 +115,48 @@ pub(crate) fn join_aggregate(
     let l_width = lt.num_columns();
     let full_width = l_width + rt.num_columns();
 
-    // Side-resolved group-key columns, evaluated once per side.
+    // Side-resolved group-key and factor columns, evaluated once per side.
     let group_cols: Vec<(Side, Column)> = group
         .iter()
         .map(|g| eval_on_side(g, lt, rt, l_width, full_width, ctx))
         .collect::<Result<_>>()?;
-
-    // Per-aggregate argument evaluators.
-    let args: Vec<FusedArg> = aggs
+    let products: Vec<Factors> = aggs
         .iter()
-        .map(|a| match &a.arg {
-            None => Ok(FusedArg::CountStar),
-            Some(arg) => build_arg(arg, lt, rt, l_width, full_width, ctx),
+        .map(|a| {
+            let factors = a.arg.as_ref().and_then(|arg| product_factors(arg, l_width, full_width));
+            let Some(factors) = factors else {
+                return Err(Error::Plan("fused aggregate is not a product over the join".into()));
+            };
+            let eval = |(side, e): (Side, &BoundExpr)| -> Result<(Side, Column)> {
+                Ok((side, eval_side(e, side, lt, rt, l_width, full_width, ctx)?))
+            };
+            let [a, b] = factors;
+            Ok([eval(a)?, eval(b)?])
         })
         .collect::<Result<_>>()?;
 
     // Build on the smaller input (the unfused rule).
     let build_left = lt.num_rows() <= rt.num_rows();
     let probe_len = if build_left { rt.num_rows() } else { lt.num_rows() };
-    let sums = SumProducts::new(&args, aggs);
-    let grid = sums.as_ref().and_then(|s| Grid::new(s, &group_cols, build_left, probe_len));
+    let grid = Grid::new(&products, &group_cols, build_left, probe_len);
     let payload = grid.as_ref().map(Grid::payload);
-    let index = JoinIndex::build(lt, rt, keys, build_left, payload.as_ref(), "fused.build", ctx)?;
+    let index = JoinIndex::build(lt, rt, keys, build_left, payload.as_ref(), ctx)?;
     let build_path = index.path();
     let build = setup_start.elapsed();
 
-    let dense_build = index.dense().is_some();
-    let emitted = match (&grid, &sums) {
-        (Some(grid), _) if dense_build => {
+    let fields: Vec<&Field> = lt.schema().fields().iter().chain(rt.schema().fields()).collect();
+    let emitted = match grid {
+        Some(grid) if index.dense().is_some() => {
             grid.fold_and_emit(index, &group_cols, group, schema, ctx)?
         }
-        (None, Some(sums)) => {
-            fold_and_emit(index, build_left, &group_cols, sums, group, schema, ctx)?
-        }
-        // Dense groups over a hashed build, or another aggregate mix.
-        _ => {
-            let fold = General { args: &args, aggs };
-            fold_and_emit(index, build_left, &group_cols, &fold, group, schema, ctx)?
-        }
+        _ => unfused(lt, rt, index, &fields, group, aggs, schema, ctx)?,
     };
 
     let metrics = FusedMetrics {
         extra_busy: emitted.extra_busy,
         build,
         rows_in: lt.num_rows() + rt.num_rows(),
-        bytes_not_materialized: emitted.pairs * per_pair_bytes(group, aggs, lt, rt, l_width),
+        bytes_not_materialized: emitted.folded_pairs * per_pair_bytes(group, aggs, &fields),
         build_path,
         group_path: emitted.group_path,
     };
@@ -354,56 +167,36 @@ pub(crate) fn join_aggregate(
 struct Emitted {
     table: Table,
     extra_busy: Duration,
-    pairs: u64,
+    /// Matched pairs folded without being materialized.
+    folded_pairs: u64,
     group_path: KeyPath,
 }
 
-/// Folds every matched pair, releases the build, then emits group-key
-/// values from each group's first pair followed by the finished
-/// accumulators — the same order and coercions as the unfused path.
-fn fold_and_emit<F: Fold>(
+/// The unfused pair over the join already built: the hash join's probe
+/// and glue, gathering only the columns the aggregate reads, then the
+/// GroupBy over the joined rows — the reference plan's own code.
+#[allow(clippy::too_many_arguments)] // the operator's inputs plus the built join
+fn unfused(
+    lt: &Table,
+    rt: &Table,
     index: JoinIndex,
-    build_left: bool,
-    group_cols: &[(Side, Column)],
-    fold: &F,
+    fields: &[&Field],
     group: &[BoundExpr],
+    aggs: &[AggExpr],
     schema: &Schema,
     ctx: &ExecContext<'_>,
 ) -> Result<Emitted> {
-    let (mut folded, extra_busy, group_path) =
-        fold_grouped(&index, build_left, group_cols, fold, ctx)?;
-    drop(index);
-    let _acc_mem = settle(&mut folded, fold.width(), group, |a| fold.open(a), ctx)?;
-
-    let key_value = |ki: usize, (li, ri)| {
-        let (side, col) = &group_cols[ki];
-        col.value(pick(*side, li, ri))
-    };
-    let finish = |acc: &F::Acc, output_type| fold.finish(acc, output_type);
-    Ok(Emitted {
-        table: parallel::emit_groups(schema, &folded, group.len(), key_value, finish)?,
-        extra_busy,
-        pairs: folded.items,
-        group_path,
-    })
-}
-
-/// Charges the merged accumulator table — the fused operator's second big
-/// allocation — once its size is known, and gives a global aggregate over
-/// zero pairs its one group. Hold the returned reservation until emitted.
-fn settle<A>(
-    folded: &mut Folded<A>,
-    width: usize,
-    group: &[BoundExpr],
-    open: impl FnOnce(&mut Vec<A>),
-    ctx: &ExecContext<'_>,
-) -> Result<Option<govern::Reservation>> {
-    let mem = ctx.reserve("fused.accs", super::group_state_bytes(folded.firsts.len(), width))?;
-    if group.is_empty() && folded.firsts.is_empty() {
-        folded.firsts.push((usize::MAX, usize::MAX));
-        open(&mut folded.accs);
+    let read: Vec<usize> = read_columns(group, aggs).into_iter().collect();
+    let mut to_read = vec![usize::MAX; fields.len()];
+    for (pos, &c) in read.iter().enumerate() {
+        to_read[c] = pos;
     }
-    Ok(mem)
+    let joined_schema = Schema::new(read.iter().map(|&c| fields[c].clone()).collect());
+    let (joined, join_busy) =
+        super::probe_join(lt, rt, index, None, Some(&read), &joined_schema, ctx)?;
+    let (group, aggs) = rebind(group, aggs, &to_read);
+    let (table, agg_busy, group_path) = super::aggregate(&joined, &group, &aggs, schema, ctx)?;
+    Ok(Emitted { table, extra_busy: join_busy + agg_busy, folded_pairs: 0, group_path })
 }
 
 /// One `SUM` of the grid fold: the product's probe-side and build-side
@@ -427,11 +220,11 @@ struct Grid<'a> {
 }
 
 impl<'a> Grid<'a> {
-    /// The grid for `sums` when the group keys are at most two `Int64`
-    /// columns that fit a dense layout over the probe side's rows — the
-    /// rule every fused group-id table follows.
+    /// The grid for `products` when their factors are `f64` columns and
+    /// the group keys are at most two `Int64` columns that fit a dense
+    /// layout over the probe side's rows.
     fn new(
-        sums: &SumProducts<'a>,
+        products: &'a [Factors],
         group_cols: &'a [(Side, Column)],
         build_left: bool,
         probe_len: usize,
@@ -448,17 +241,17 @@ impl<'a> Grid<'a> {
             let on_side = keys.iter().enumerate().filter(|(_, (s, _))| (*s == build_side) == build);
             SlotShare::new(layout, on_side.map(|(i, &(_, c))| (i, c)).collect())
         };
-        let sums = sums
-            .0
+        let sums = products
             .iter()
-            .map(|&(a_side, a, _, b)| {
-                if a_side == build_side {
+            .map(|[(a_side, a), (_, b)]| {
+                let (a, b) = (a.as_f64_slice()?, b.as_f64_slice()?);
+                Some(if *a_side == build_side {
                     GridSum { probe: b, build: a, probe_first: false }
                 } else {
                     GridSum { probe: a, build: b, probe_first: true }
-                }
+                })
             })
-            .collect();
+            .collect::<Option<_>>()?;
         Some(Grid { layout, probe_share: share(false), build_share: share(true), sums, build_left })
     }
 
@@ -504,12 +297,18 @@ impl<'a> Grid<'a> {
         let (mut folded, extra_busy) =
             parallel::fold_groups(ctx, &ranges, width, key, new_accs, fold, merge)?;
         drop((mem, index));
+        // The merged sums are the operator's second big allocation. A
+        // global sum over zero pairs still has its one group.
         let _acc_mem =
-            settle(&mut folded, width, group, |a| a.extend(std::iter::repeat_n(0.0, width)), ctx)?;
+            ctx.reserve("fused.accs", super::group_state_bytes(folded.firsts.len(), width))?;
+        if group.is_empty() && folded.firsts.is_empty() {
+            folded.firsts.push((usize::MAX, usize::MAX));
+            folded.accs.extend(std::iter::repeat_n(0.0, width));
+        }
         Ok(Emitted {
             table: emit_grid(schema, &folded, group_cols)?,
             extra_busy,
-            pairs: folded.items,
+            folded_pairs: folded.items,
             group_path: KeyPath::Grid,
         })
     }
@@ -549,7 +348,9 @@ impl GroupIds<usize> for GridAccs {
 /// The grid fold over one probe-row range: per probe row, opens the groups
 /// its run sees first, then adds each aggregate's products into the run's
 /// slots. Returns the range's groups with their sums, in first-occurrence
-/// order. A plain function for the same reason as [`fold_range`].
+/// order. A plain function taking its inputs as arguments: a fold loop
+/// written inside the range closure reads them through the closure's
+/// captures, which measured ~10% slower at `parallelism = 1`.
 fn fold_grid_range(
     range: Range<usize>,
     grid: &Grid<'_>,
@@ -558,7 +359,7 @@ fn fold_grid_range(
     runs: &Runs,
     accs: &mut GridAccs,
     ctx: &ExecContext<'_>,
-) -> Result<Folded<f64>> {
+) -> Result<Folded> {
     let span = grid.layout.span();
     let mut local = Folded::default();
     let mut slots = Vec::new();
@@ -646,15 +447,12 @@ fn add_run(accs: &mut [f64], x: f64, factors: &[f64], probe_first: bool) {
 
 /// The grid's output as typed columns: per group, its key values read from
 /// its first pair, then its sums — coerced to the schema like any row.
-fn emit_grid(
-    schema: &Schema,
-    folded: &Folded<f64>,
-    group_cols: &[(Side, Column)],
-) -> Result<Table> {
+fn emit_grid(schema: &Schema, folded: &Folded, group_cols: &[(Side, Column)]) -> Result<Table> {
     let width = schema.len() - group_cols.len();
     let keys = group_cols.iter().map(|(side, col)| {
         let values = col.as_i64_slice().expect("grid keys are Int64");
-        Column::Int64(folded.firsts.iter().map(|&(li, ri)| values[pick(*side, li, ri)]).collect())
+        let row = |(li, ri)| if *side == Side::Left { li } else { ri };
+        Column::Int64(folded.firsts.iter().map(|&pair| values[row(pair)]).collect())
     });
     let sums = (0..width)
         .map(|j| Column::Float64(folded.accs.iter().skip(j).step_by(width).copied().collect()));
@@ -675,9 +473,8 @@ fn eval_on_side(
     full_width: usize,
     ctx: &ExecContext<'_>,
 ) -> Result<(Side, Column)> {
-    let side = side_of(expr, l_width, full_width).ok_or_else(|| {
-        crate::error::Error::Plan("fused expression straddles both join sides".into())
-    })?;
+    let side = side_of(expr, l_width, full_width)
+        .ok_or_else(|| Error::Plan("fused expression straddles both join sides".into()))?;
     Ok((side, eval_side(expr, side, lt, rt, l_width, full_width, ctx)?))
 }
 
@@ -707,215 +504,24 @@ fn right_map(l_width: usize, full_width: usize) -> Vec<usize> {
     (0..full_width).map(|c| c.wrapping_sub(l_width)).collect()
 }
 
-/// Builds the per-pair evaluator for one aggregate argument.
-fn build_arg(
-    arg: &BoundExpr,
-    lt: &Table,
-    rt: &Table,
-    l_width: usize,
-    full_width: usize,
-    ctx: &ExecContext<'_>,
-) -> Result<FusedArg> {
-    match decompose_arg(arg, l_width, full_width) {
-        Some(ArgShape::Single(side, e)) => {
-            let col = eval_side(e, side, lt, rt, l_width, full_width, ctx)?;
-            Ok(FusedArg::Single { side, col })
-        }
-        Some(ArgShape::Product { first: (a_side, a_e), second: (b_side, b_e) }) => {
-            let a_col = eval_side(a_e, a_side, lt, rt, l_width, full_width, ctx)?;
-            let b_col = eval_side(b_e, b_side, lt, rt, l_width, full_width, ctx)?;
-            let int = a_col.data_type() == DataType::Int64 && b_col.data_type() == DataType::Int64;
-            Ok(FusedArg::Product {
-                a_side,
-                a: NumCol::from_column(a_col)?,
-                b_side,
-                b: NumCol::from_column(b_col)?,
-                int,
-            })
-        }
-        None => Err(crate::error::Error::Plan(
-            "fused aggregate argument is not decomposable over the join sides".into(),
-        )),
-    }
-}
-
-/// Dispatches on the group-key representation and folds every matched
-/// pair. Up to two `Int64` key columns with a small span — next to the
-/// probe side's rows — are addressed by offset ([`DenseGroupIds`]);
-/// sparse ones pack into an `i128` hash key (the conv shape needs no
-/// per-pair allocation either way); anything else uses general composite
-/// keys. Every range and the range merge use the same choice.
-fn fold_grouped<F: Fold>(
-    index: &JoinIndex,
-    build_left: bool,
-    group_cols: &[(Side, Column)],
-    fold: &F,
-    ctx: &ExecContext<'_>,
-) -> Result<(Folded<F::Acc>, Duration, KeyPath)> {
-    let probe_len = index.probe_len();
-    let ranges = parallel::ranges(ctx.config, probe_len);
-    let ints: Option<Vec<(Side, &[i64])>> = if group_cols.len() <= 2 {
-        group_cols.iter().map(|(s, c)| c.as_i64_slice().map(|v| (*s, v))).collect()
-    } else {
-        None
-    };
-    let Some(ints) = ints else {
-        let keyer = |li, ri| -> Vec<Key> {
-            group_cols.iter().map(|(s, c)| c.key_at(pick(*s, li, ri))).collect()
-        };
-        let (folded, busy) = fold_all(index, &ranges, build_left, keyer, hash_ids, fold, ctx)?;
-        return Ok((folded, busy, KeyPath::Hash));
-    };
-    let cols: Vec<&[i64]> = ints.iter().map(|(_, c)| *c).collect();
-    if let Some(layout) = DenseLayout::choose(&cols, probe_len) {
-        // One table per concurrently folding worker.
-        let tables = ctx.config.parallelism.min(ranges.len()) as u64;
-        let _mem = ctx.reserve("fused.build", tables * DenseGroupIds::bytes(layout.span()))?;
-        let ids = || DenseGroupIds::new(layout.span());
-        let (folded, busy) = match *ints.as_slice() {
-            [] => fold_all(index, &ranges, build_left, |_, _| 0, ids, fold, ctx)?,
-            [(s0, c0)] => fold_all(
-                index,
-                &ranges,
-                build_left,
-                move |li, ri| layout.slot(c0[pick(s0, li, ri)], 0),
-                ids,
-                fold,
-                ctx,
-            )?,
-            [(s0, c0), (s1, c1)] => fold_all(
-                index,
-                &ranges,
-                build_left,
-                move |li, ri| layout.slot(c0[pick(s0, li, ri)], c1[pick(s1, li, ri)]),
-                ids,
-                fold,
-                ctx,
-            )?,
-            _ => unreachable!("at most two key columns"),
-        };
-        return Ok((folded, busy, KeyPath::Dense));
-    }
-    let (folded, busy) = match *ints.as_slice() {
-        [(s0, c0)] => fold_all(
-            index,
-            &ranges,
-            build_left,
-            move |li, ri| c0[pick(s0, li, ri)] as i128,
-            hash_ids,
-            fold,
-            ctx,
-        )?,
-        [(s0, c0), (s1, c1)] => fold_all(
-            index,
-            &ranges,
-            build_left,
-            move |li, ri| {
-                let a = c0[pick(s0, li, ri)];
-                let b = c1[pick(s1, li, ri)];
-                ((a as i128) << 64) | (b as u64 as i128)
-            },
-            hash_ids,
-            fold,
-            ctx,
-        )?,
-        _ => unreachable!("no key columns always fit the dense layout"),
-    };
-    Ok((folded, busy, KeyPath::Hash))
-}
-
-/// A fresh hash group-id table.
-fn hash_ids<K>() -> FxHashMap<K, usize> {
-    fx_map_with_capacity(64)
-}
-
-/// Probes every range of probe rows and folds each matched pair into its
-/// group ([`parallel::fold_groups`]); returns the group state plus worker
-/// busy time beyond wall time.
-fn fold_all<K, KF, M, F>(
-    index: &JoinIndex,
-    ranges: &[Range<usize>],
-    build_left: bool,
-    keyer: KF,
-    new_ids: impl Fn() -> M + Sync,
-    fold: &F,
-    ctx: &ExecContext<'_>,
-) -> Result<(Folded<F::Acc>, Duration)>
-where
-    KF: Fn(usize, usize) -> K + Sync,
-    M: GroupIds<K> + Send,
-    F: Fold,
-{
-    let fold_one =
-        |range, ids: &mut M| fold_range(range, index, build_left, &keyer, ids, fold, ctx);
-    let key = |(li, ri)| keyer(li, ri);
-    let merge = |acc: &mut F::Acc, partial| fold.merge(acc, partial);
-    parallel::fold_groups(ctx, ranges, fold.width(), key, new_ids, fold_one, merge)
-}
-
-/// The probe-and-fold inner loop over one probe-row range. A plain
-/// function taking its inputs as arguments: written inside the range
-/// closure, the loop read them through the closure's captures and the
-/// conv fold ran ~10% slower at `parallelism = 1`.
-fn fold_range<K, F: Fold>(
-    range: Range<usize>,
-    index: &JoinIndex,
-    build_left: bool,
-    keyer: &impl Fn(usize, usize) -> K,
-    ids: &mut impl GroupIds<K>,
-    fold: &F,
-    ctx: &ExecContext<'_>,
-) -> Result<Folded<F::Acc>> {
-    let width = fold.width();
-    let mut local = Folded::default();
-    for probe_row in range {
-        if probe_row % CHECK_STRIDE == 0 {
-            ctx.check()?;
-        }
-        for &build_row in index.matches(probe_row) {
-            let (li, ri) = if build_left { (build_row, probe_row) } else { (probe_row, build_row) };
-            let accs = local.group(ids, keyer(li, ri), (li, ri), width, |a| fold.open(a));
-            fold.update(accs, li, ri)?;
-        }
-    }
-    Ok(local)
+/// The `left ++ right` columns the group keys and aggregate arguments
+/// read, ascending.
+fn read_columns(group: &[BoundExpr], aggs: &[AggExpr]) -> BTreeSet<usize> {
+    let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+    group.iter().chain(args).flat_map(BoundExpr::referenced_columns).collect()
 }
 
 /// Estimated bytes per join-output row the unfused plan would have
 /// materialized: the distinct columns the aggregate reads, sized by type.
-fn per_pair_bytes(
-    group: &[BoundExpr],
-    aggs: &[AggExpr],
-    lt: &Table,
-    rt: &Table,
-    l_width: usize,
-) -> u64 {
-    let mut cols = std::collections::BTreeSet::new();
-    for g in group {
-        cols.extend(g.referenced_columns());
-    }
-    for a in aggs {
-        if let Some(arg) = &a.arg {
-            cols.extend(arg.referenced_columns());
-        }
-    }
-    let bytes: u64 = cols
+fn per_pair_bytes(group: &[BoundExpr], aggs: &[AggExpr], fields: &[&Field]) -> u64 {
+    let bytes: u64 = read_columns(group, aggs)
         .into_iter()
-        .map(|c| {
-            let dt = if c < l_width {
-                lt.schema().field(c).data_type
-            } else {
-                rt.schema().field(c - l_width).data_type
-            };
-            match dt {
-                DataType::Int64 | DataType::Float64 => 8,
-                DataType::Bool => 1,
-                DataType::Date => 4,
-                DataType::Utf8 | DataType::Blob => 24,
-            }
+        .map(|c| match fields[c].data_type {
+            DataType::Int64 | DataType::Float64 => 8,
+            DataType::Bool => 1,
+            DataType::Date => 4,
+            DataType::Utf8 | DataType::Blob => 24,
         })
         .sum();
-    // Even a COUNT(*)-only aggregate forces the unfused join to carry at
-    // least one column per row.
     bytes.max(8)
 }

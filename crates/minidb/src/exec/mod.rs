@@ -146,8 +146,9 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Counts the key structures an operator built and, when traced, names
-    /// them in its span's detail after the plan node's header.
-    fn note_keys(&self, plan: &LogicalPlan, paths: &[(&str, KeyPath)]) {
+    /// them in its span's detail after the plan node's header, followed by
+    /// `tail`.
+    fn note_keys(&self, plan: &LogicalPlan, paths: &[(&str, KeyPath)], tail: &str) {
         for (_, path) in paths {
             self.ops.add_key_path(*path);
         }
@@ -156,6 +157,7 @@ impl<'a> ExecContext<'a> {
             for (what, path) in paths {
                 detail.push_str(&format!("; {what}={}", path.label()));
             }
+            detail.push_str(tail);
             self.tracer.set_detail(self.span, &detail);
         }
     }
@@ -306,7 +308,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                     KeyPath::Hash,
                 ),
             };
-            ctx.note_keys(plan, &[("keys", path)]);
+            ctx.note_keys(plan, &[("keys", path)], "");
             ctx.record(OperatorKind::Join, ranged(start, extra_busy, out.num_rows()));
             Ok(out)
         }
@@ -337,13 +339,15 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let start = Instant::now();
             let (out, m) = fused::join_aggregate(&lt, &rt, keys, group, aggs, schema, ctx)?;
             let elapsed = start.elapsed();
-            // Build (serial argument/key evaluation + hash build) and
+            // Build (serial key/factor evaluation + join build) and
             // probe (range-driven fold + emit) are distinct recorded
             // invocations: lumping them made busy/wall meaningless as an
             // effective-parallelism ratio, since the serial build diluted
             // the parallel probe's busy time.
             let probe = elapsed.saturating_sub(m.build);
-            ctx.note_keys(plan, &[("build", m.build_path), ("groups", m.group_path)]);
+            let grid = m.group_path == KeyPath::Grid;
+            let paths = [("build", m.build_path), ("groups", m.group_path)];
+            ctx.note_keys(plan, &paths, if grid { "" } else { "; fold=unfused" });
             ctx.record(OperatorKind::JoinAggregate, parallel(m.build, m.build, 0));
             ctx.record(
                 OperatorKind::JoinAggregate,
@@ -359,7 +363,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                     ctx.span,
                     obs::SpanKind::Phase,
                     "build",
-                    "serial: eval keys/args, join build",
+                    "serial: eval keys/factors, join build",
                     span_t0,
                     build_end,
                     u32::MAX,
@@ -369,7 +373,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
                     ctx.span,
                     obs::SpanKind::Phase,
                     "probe",
-                    "fold probe + emit",
+                    if grid { "fold probe + emit" } else { "unfused: join probe, group-by" },
                     build_end,
                     ctx.tracer.now_ns(),
                     u32::MAX,
@@ -383,7 +387,7 @@ fn execute_node(plan: &LogicalPlan, ctx: &ExecContext<'_>) -> Result<Table> {
             let start = Instant::now();
             let (out, extra_busy, path) = aggregate(&t, group, aggs, schema, ctx)?;
             ctx.record(OperatorKind::GroupBy, ranged(start, extra_busy, out.num_rows()));
-            ctx.note_keys(plan, &[("keys", path)]);
+            ctx.note_keys(plan, &[("keys", path)], "");
             Ok(out)
         }
         LogicalPlan::Sort { input, keys } => {
@@ -564,6 +568,8 @@ fn pack<C: AsRef<[i64]>>(cols: &[C], row: usize) -> i128 {
 /// come back in build insertion order on every path.
 pub(crate) struct JoinIndex {
     kind: IndexKind,
+    /// Whether the left input is the build side.
+    build_left: bool,
     probe_len: usize,
     _mem: Option<govern::Reservation>,
 }
@@ -582,15 +588,16 @@ enum IndexKind {
 
 impl JoinIndex {
     /// Builds on the left input when `build_left`, else on the right,
-    /// charging the structure to the memory budget under `site`. A dense
-    /// build also lays `payload` out in its row order ([`DenseIndex::runs`]).
+    /// charging the structure to the memory budget. A dense build also lays
+    /// `payload` out in its row order ([`DenseIndex::runs`]) and is then
+    /// charged at `fused.build`; every other build is a hash join's, at
+    /// `join.build`.
     pub(crate) fn build(
         lt: &Table,
         rt: &Table,
         keys: &[(BoundExpr, BoundExpr)],
         build_left: bool,
         payload: Option<&RunPayload<'_>>,
-        site: &str,
         ctx: &ExecContext<'_>,
     ) -> Result<JoinIndex> {
         let l_exprs: Vec<BoundExpr> = keys.iter().map(|(l, _)| l.clone()).collect();
@@ -609,12 +616,13 @@ impl JoinIndex {
                         // so budgets hold whichever path runs.
                         let bytes = build_bytes(n, 16).max(DenseIndex::bytes(&layout, n))
                             + payload.map_or(0, |p| p.bytes(&layout, n));
+                        let site = if payload.is_some() { "fused.build" } else { "join.build" };
                         let mem = ctx.reserve(site, bytes)?;
                         let index = DenseIndex::build(layout, &cols, n, payload, ctx)?;
                         (IndexKind::Dense { index, probe }, mem)
                     }
                     None => {
-                        let mem = ctx.reserve(site, build_bytes(n, 16))?;
+                        let mem = ctx.reserve("join.build", build_bytes(n, 16))?;
                         let mut map: FxHashMap<i128, Vec<usize>> = fx_map_with_capacity(n);
                         for row in 0..n {
                             if row % CHECK_STRIDE == 0 {
@@ -632,7 +640,7 @@ impl JoinIndex {
                     Ok(ints) => ints.into_iter().map(Column::Int64).collect(),
                     Err(cols) => cols,
                 };
-                let mem = ctx.reserve(site, build_bytes(n, 32))?;
+                let mem = ctx.reserve("join.build", build_bytes(n, 32))?;
                 let mut map: FxHashMap<Vec<Key>, Vec<usize>> = fx_map_with_capacity(n);
                 for (row, k) in keys_of(&cols(build), n).into_iter().enumerate() {
                     if row % CHECK_STRIDE == 0 {
@@ -643,7 +651,7 @@ impl JoinIndex {
                 (IndexKind::General { map, probe: keys_of(&cols(probe), probe_len) }, mem)
             }
         };
-        Ok(JoinIndex { kind, probe_len, _mem: mem })
+        Ok(JoinIndex { kind, build_left, probe_len, _mem: mem })
     }
 
     /// Rows on the probe side.
@@ -694,11 +702,11 @@ pub(crate) fn group_state_bytes(groups: usize, aggs: usize) -> u64 {
     (groups as u64) * (48 + 48 * aggs as u64)
 }
 
-/// Equi-join: serial build on the smaller side ([`JoinIndex`]), then a
-/// range-driven probe ([`parallel::probe`]). Returns the joined table, the
-/// worker busy time the probe accrued beyond its own wall time (zero for
-/// one range), so the caller can record wall + extra as the join's busy
-/// time, and the key path the build took.
+/// Equi-join: serial build on the smaller side ([`JoinIndex`]), then
+/// [`probe_join`]. Returns the joined table, the worker busy time the probe
+/// accrued beyond its own wall time (zero for one range), so the caller
+/// can record wall + extra as the join's busy time, and the key path the
+/// build took.
 fn hash_join(
     lt: &Table,
     rt: &Table,
@@ -709,15 +717,33 @@ fn hash_join(
     ctx: &ExecContext<'_>,
 ) -> Result<(Table, Duration, KeyPath)> {
     let build_left = lt.num_rows() <= rt.num_rows();
-    let index = JoinIndex::build(lt, rt, keys, build_left, None, "join.build", ctx)?;
+    let index = JoinIndex::build(lt, rt, keys, build_left, None, ctx)?;
     let path = index.path();
+    let (out, extra_busy) = probe_join(lt, rt, index, residual, output, schema, ctx)?;
+    Ok((out, extra_busy, path))
+}
+
+/// A hash join's range-driven probe of its built `index`
+/// ([`parallel::probe`]), then [`glue_join`] of the matched rows. Releases
+/// the build before the glue. Returns the joined table and the probe's
+/// worker busy time beyond its wall time.
+fn probe_join(
+    lt: &Table,
+    rt: &Table,
+    index: JoinIndex,
+    residual: Option<&BoundExpr>,
+    output: Option<&[usize]>,
+    schema: &Schema,
+    ctx: &ExecContext<'_>,
+) -> Result<(Table, Duration)> {
     let (build_rows, probe_rows, extra_busy) =
         parallel::probe(index.probe_len(), |row| index.matches(row), ctx)?;
+    let build_left = index.build_left;
     drop(index);
     let (l_idx, r_idx) =
         if build_left { (build_rows, probe_rows) } else { (probe_rows, build_rows) };
     let out = glue_join(lt, &l_idx, rt, &r_idx, residual, output, schema, ctx)?;
-    Ok((out, extra_busy, path))
+    Ok((out, extra_busy))
 }
 
 // ---------------------------------------------------------------------------

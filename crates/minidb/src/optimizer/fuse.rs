@@ -1,35 +1,41 @@
 //! Join–aggregate fusion.
 //!
-//! The DL2SQL compiler's convolution statement is `GROUP BY` over an
-//! equi join — `SUM(A.Value * B.Value) ... A INNER JOIN B ON ... GROUP
-//! BY ...` — whose join output (one row per (pixel, kernel-weight) pair)
-//! is the largest intermediate in the whole system. This pass rewrites
-//! such an [`LogicalPlan::Aggregate`]-over-[`LogicalPlan::Join`] pair
-//! into the fused [`LogicalPlan::JoinAggregate`] operator, which folds
-//! aggregate partials directly during the probe so that intermediate is
-//! never materialized.
+//! The DL2SQL compiler's convolution and FC statements are a `GROUP BY`
+//! over an equi join — `SUM(A.Value * B.Value) ... A INNER JOIN B ON ...
+//! GROUP BY ...` — whose join output (one row per (pixel, kernel-weight)
+//! pair) is the largest intermediate in the whole system. This pass
+//! rewrites such an [`LogicalPlan::Aggregate`]-over-[`LogicalPlan::Join`]
+//! pair into the fused [`LogicalPlan::JoinAggregate`] operator, which adds
+//! the products into an accumulator grid during the probe
+//! (`exec::fused`) so that intermediate is never materialized.
 //!
-//! The rewrite fires only when the fused executor can reproduce the
-//! unfused pair bit-for-bit:
+//! The rewrite fires only on the shape the grid folds:
 //!
 //! * the join is a hash equi join with no residual predicate (a residual
 //!   would have to filter materialized pairs),
-//! * every aggregate is a non-DISTINCT `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`
-//!   (decomposable into mergeable partials; `stddevSamp` and DISTINCT
-//!   need the full row multiset),
-//! * every group key is computable from one join side alone, and
-//! * every aggregate argument is computable from one side, or is a
-//!   product of a left-side and a right-side factor (the conv kernel
-//!   dot-product shape).
+//! * every aggregate is a non-DISTINCT `SUM(a * b)` whose factors each
+//!   read one join side, one factor per side, both typed `Float64`, and
+//! * there are at most two group keys, each typed `Int64` and read from
+//!   one side,
 //!
-//! Anything else is left as the unfused pair. The pass runs after column
-//! pruning, so it also sees (and strips) the join's column-pruning
-//! `output` mask by remapping the aggregate's expressions back onto the
-//! full `left ++ right` column space.
+//! with no UDF call in any factor or key. The types are the ones the join
+//! inputs' schemas give at plan time. Everything else stays the unfused
+//! pair: a `COUNT`, `MAX` or single-side `SUM` has no grid to fold into,
+//! and an aggregate over a UDF must run after the join filtered the UDF's
+//! input, not over every row of one side. When the
+//! data refuses the grid at run time, the operator runs the unfused
+//! pair's own code (`exec::fused`).
+//!
+//! The pass runs after column pruning, so it also sees (and strips) the
+//! join's column-pruning `output` mask by remapping the aggregate's
+//! expressions onto the full `left ++ right` column space.
 
 use crate::expr::BoundExpr;
 use crate::plan::logical::{AggExpr, AggFunc, JoinAlgorithm, LogicalPlan};
 use crate::sql::ast::BinOp;
+use crate::table::Schema;
+use crate::udf::UdfRegistry;
+use crate::value::DataType;
 
 /// Rewrites every fusable Aggregate-over-Join pair in the plan.
 pub fn fuse_join_aggregates(plan: LogicalPlan) -> LogicalPlan {
@@ -97,110 +103,82 @@ type Fused =
     (Box<LogicalPlan>, Box<LogicalPlan>, Vec<(BoundExpr, BoundExpr)>, Vec<BoundExpr>, Vec<AggExpr>);
 type Unfused = Box<(LogicalPlan, Vec<BoundExpr>, Vec<AggExpr>)>;
 
-/// Attempts the fusion; returns the original parts untouched on any
-/// unsupported shape.
+/// Attempts the fusion; returns the original parts untouched on any other
+/// shape.
 fn try_fuse(
     input: LogicalPlan,
     group: Vec<BoundExpr>,
     aggs: Vec<AggExpr>,
 ) -> Result<Fused, Unfused> {
     // Only a plain hash equi join with no residual qualifies.
-    let fusable_join = matches!(
-        &input,
+    let rebound = match &input {
         LogicalPlan::Join {
+            left,
+            right,
+            keys,
             residual: None,
             algorithm: JoinAlgorithm::Hash,
-            keys,
+            output,
             ..
-        } if !keys.is_empty()
-    );
-    if !fusable_join || !aggs_decomposable(&aggs) {
-        return Err(Box::new((input, group, aggs)));
-    }
-    let LogicalPlan::Join { left, right, keys, output, .. } = input else { unreachable!() };
-
-    // Undo the join's column-pruning mask: rebind the aggregate's
-    // expressions over the full `left ++ right` space.
-    let l_width = left.schema().len();
-    let full_width = l_width + right.schema().len();
-    let unmask: Vec<usize> = match &output {
-        Some(mask) => mask.clone(),
-        None => (0..full_width).collect(),
+        } if !keys.is_empty() => {
+            grid_shape(left.schema(), right.schema(), output.as_deref(), &group, &aggs)
+        }
+        _ => None,
     };
-    let mut group = group;
-    let mut aggs = aggs;
-    for g in &mut group {
-        g.remap_columns(&unmask);
-    }
-    for a in &mut aggs {
-        if let Some(arg) = &mut a.arg {
-            arg.remap_columns(&unmask);
-        }
-    }
-
-    let supported = group.iter().all(|g| side_of(g, l_width, full_width).is_some())
-        && aggs.iter().all(|a| match &a.arg {
-            None => true,
-            Some(arg) => decompose_arg(arg, l_width, full_width).is_some(),
-        });
-    if !supported {
-        // Re-apply the mask so the caller can rebuild the original pair.
-        let mut remask = vec![usize::MAX; full_width];
-        for (pos, &c) in unmask.iter().enumerate() {
-            remask[c] = pos;
-        }
-        for g in &mut group {
-            g.remap_columns(&remask);
-        }
-        for a in &mut aggs {
-            if let Some(arg) = &mut a.arg {
-                arg.remap_columns(&remask);
-            }
-        }
-        let schema = {
-            // Reconstruct the join node exactly as it was.
-            let fields: Vec<crate::table::Field> = match &output {
-                Some(mask) => {
-                    let all: Vec<_> = left
-                        .schema()
-                        .fields()
-                        .iter()
-                        .chain(right.schema().fields())
-                        .cloned()
-                        .collect();
-                    mask.iter().map(|&i| all[i].clone()).collect()
-                }
-                None => {
-                    left.schema().fields().iter().chain(right.schema().fields()).cloned().collect()
-                }
-            };
-            crate::table::Schema::new(fields)
-        };
-        return Err(Box::new((
-            LogicalPlan::Join {
-                left,
-                right,
-                keys,
-                residual: None,
-                algorithm: JoinAlgorithm::Hash,
-                output,
-                schema,
-            },
-            group,
-            aggs,
-        )));
-    }
-    Ok((left, right, keys, group, aggs))
+    let Some((full_group, full_aggs)) = rebound else {
+        return Err(Box::new((input, group, aggs)));
+    };
+    let LogicalPlan::Join { left, right, keys, .. } = input else { unreachable!() };
+    Ok((left, right, keys, full_group, full_aggs))
 }
 
-fn aggs_decomposable(aggs: &[AggExpr]) -> bool {
-    aggs.iter().all(|a| {
-        !a.distinct
-            && matches!(
-                a.func,
-                AggFunc::Count | AggFunc::Sum | AggFunc::Avg | AggFunc::Min | AggFunc::Max
-            )
-    })
+/// The group keys and aggregates rebound over the join's full
+/// `left ++ right` columns (undoing its column-pruning `output` mask),
+/// when they have the grid's shape (see the module docs).
+fn grid_shape(
+    left: &Schema,
+    right: &Schema,
+    output: Option<&[usize]>,
+    group: &[BoundExpr],
+    aggs: &[AggExpr],
+) -> Option<(Vec<BoundExpr>, Vec<AggExpr>)> {
+    let schema = Schema::new(left.fields().iter().chain(right.fields()).cloned().collect());
+    let (l_width, full_width) = (left.len(), schema.len());
+    let unmask: Vec<usize> = output.map_or_else(|| (0..full_width).collect(), <[usize]>::to_vec);
+    // No UDF is called, so an empty registry types every expression.
+    let udfs = UdfRegistry::new();
+    let typed = |e: &BoundExpr, want: DataType| {
+        !e.contains_udf() && e.data_type(&schema, &udfs).is_ok_and(|t| t == want)
+    };
+    let (group, aggs) = rebind(group, aggs, &unmask);
+    let keys_fit = group.len() <= 2
+        && group
+            .iter()
+            .all(|g| side_of(g, l_width, full_width).is_some() && typed(g, DataType::Int64));
+    let sums_fit = !aggs.is_empty()
+        && aggs.iter().all(|a| {
+            let factors = a.arg.as_ref().and_then(|arg| product_factors(arg, l_width, full_width));
+            a.func == AggFunc::Sum
+                && !a.distinct
+                && factors.is_some_and(|f| f.iter().all(|(_, e)| typed(e, DataType::Float64)))
+        });
+    (keys_fit && sums_fit).then_some((group, aggs))
+}
+
+/// Copies of `group` and `aggs` with every column index sent through
+/// `map` (`new = map[old]`).
+pub(crate) fn rebind(
+    group: &[BoundExpr],
+    aggs: &[AggExpr],
+    map: &[usize],
+) -> (Vec<BoundExpr>, Vec<AggExpr>) {
+    let remap = |e: &BoundExpr| {
+        let mut e = e.clone();
+        e.remap_columns(map);
+        e
+    };
+    let aggs = aggs.iter().map(|a| AggExpr { arg: a.arg.as_ref().map(remap), ..a.clone() });
+    (group.iter().map(remap).collect(), aggs.collect())
 }
 
 /// Which join side an expression over `left ++ right` columns reads.
@@ -225,32 +203,16 @@ pub(crate) fn side_of(expr: &BoundExpr, l_width: usize, full_width: usize) -> Op
     }
 }
 
-/// How a fused aggregate argument is computed from the join sides.
-pub(crate) enum ArgShape<'a> {
-    /// Entirely on one side.
-    Single(Side, &'a BoundExpr),
-    /// A product of one factor per side, in source operand order.
-    Product { first: (Side, &'a BoundExpr), second: (Side, &'a BoundExpr) },
-}
-
-/// Decomposes an aggregate argument bound over `left ++ right`. `None`
-/// means the fused operator cannot compute it without the joined row.
-pub(crate) fn decompose_arg(
+/// The factors of an aggregate argument bound over `left ++ right` that is
+/// a product of one expression per join side, in source operand order.
+pub(crate) fn product_factors(
     arg: &BoundExpr,
     l_width: usize,
     full_width: usize,
-) -> Option<ArgShape<'_>> {
-    if let Some(side) = side_of(arg, l_width, full_width) {
-        return Some(ArgShape::Single(side, arg));
-    }
-    if let BoundExpr::Binary { left, op: BinOp::Mul, right } = arg {
-        let ls = side_of(left, l_width, full_width)?;
-        let rs = side_of(right, l_width, full_width)?;
-        if ls != rs {
-            return Some(ArgShape::Product { first: (ls, left), second: (rs, right) });
-        }
-    }
-    None
+) -> Option<[(Side, &BoundExpr); 2]> {
+    let BoundExpr::Binary { left, op: BinOp::Mul, right } = arg else { return None };
+    let (ls, rs) = (side_of(left, l_width, full_width)?, side_of(right, l_width, full_width)?);
+    (ls != rs).then_some([(ls, &**left), (rs, &**right)])
 }
 
 #[cfg(test)]
@@ -259,10 +221,14 @@ mod tests {
     use crate::table::{Field, Schema};
     use crate::value::DataType;
 
+    /// A scan whose `v` columns are `Float64` values and whose other
+    /// columns are `Int64` keys.
     fn scan(name: &str, cols: &[&str]) -> LogicalPlan {
+        let typed =
+            |c: &str| Field::new(c, if c == "v" { DataType::Float64 } else { DataType::Int64 });
         LogicalPlan::Scan {
             table: name.into(),
-            schema: Schema::new(cols.iter().map(|c| Field::new(*c, DataType::Int64)).collect()),
+            schema: Schema::new(cols.iter().map(|c| typed(c)).collect()),
         }
     }
 
@@ -403,8 +369,8 @@ mod tests {
             output: Some(vec![1, 2, 4]),
             schema: Schema::new(vec![
                 Field::new("m", DataType::Int64),
-                Field::new("v", DataType::Int64),
-                Field::new("v", DataType::Int64),
+                Field::new("v", DataType::Float64),
+                Field::new("v", DataType::Float64),
             ]),
         };
         let plan = agg_over(
@@ -418,6 +384,75 @@ mod tests {
             })],
         );
         assert_eq!(fuse_join_aggregates(plan.clone()), plan);
+    }
+
+    #[test]
+    fn masked_join_fuses_over_the_full_columns() {
+        // SUM(A.v * B.v) GROUP BY A.m over a join that passes on only
+        // (m, A.v, B.v): the fused node reads the unmasked positions.
+        let LogicalPlan::Join { left, right, keys, .. } =
+            join(scan("a", &["o", "m", "v"]), scan("b", &["o", "v"]))
+        else {
+            panic!()
+        };
+        let masked = LogicalPlan::Join {
+            left,
+            right,
+            keys,
+            residual: None,
+            algorithm: JoinAlgorithm::Hash,
+            output: Some(vec![1, 2, 4]),
+            schema: Schema::new(vec![
+                Field::new("m", DataType::Int64),
+                Field::new("v", DataType::Float64),
+                Field::new("v", DataType::Float64),
+            ]),
+        };
+        let plan = agg_over(masked, vec![BoundExpr::Column(0)], vec![sum_of(mul(1, 2))]);
+        let LogicalPlan::JoinAggregate { group, aggs, .. } = fuse_join_aggregates(plan) else {
+            panic!("the conv shape over a masked join fuses")
+        };
+        assert_eq!(group, vec![BoundExpr::Column(1)]);
+        assert_eq!(aggs[0].arg, Some(mul(2, 4)));
+    }
+
+    #[test]
+    fn only_the_grid_shape_fuses() {
+        // Over a (o, m, v) ⋈ (o, k, v) join: everything but SUM(f64 × f64)
+        // with one factor per side and at most two Int64 keys stays the
+        // unfused pair.
+        let count_star =
+            AggExpr { func: AggFunc::Count, arg: None, distinct: false, output_name: "n".into() };
+        let max_of = |arg| AggExpr { func: AggFunc::Max, ..sum_of(arg) };
+        let udf_factor = BoundExpr::Binary {
+            left: Box::new(BoundExpr::Udf { name: "f".into(), args: vec![BoundExpr::Column(2)] }),
+            op: BinOp::Mul,
+            right: Box::new(BoundExpr::Column(5)),
+        };
+        let keys = vec![BoundExpr::Column(4), BoundExpr::Column(1)];
+        let cases: Vec<(&str, Vec<BoundExpr>, Vec<AggExpr>)> = vec![
+            ("COUNT(*)", keys.clone(), vec![count_star.clone()]),
+            ("single-side SUM", keys.clone(), vec![sum_of(BoundExpr::Column(2))]),
+            ("MAX of a product", keys.clone(), vec![max_of(mul(2, 5))]),
+            ("Int64 product", keys.clone(), vec![sum_of(mul(1, 4))]),
+            ("product and COUNT(*)", keys.clone(), vec![sum_of(mul(2, 5)), count_star]),
+            ("UDF factor", keys.clone(), vec![sum_of(udf_factor)]),
+            (
+                "three keys",
+                vec![BoundExpr::Column(4), BoundExpr::Column(1), BoundExpr::Column(0)],
+                vec![sum_of(mul(2, 5))],
+            ),
+            ("Float64 key", vec![BoundExpr::Column(2)], vec![sum_of(mul(2, 5))]),
+            ("no aggregate", keys.clone(), vec![]),
+        ];
+        for (what, group, aggs) in cases {
+            let plan = agg_over(
+                join(scan("a", &["o", "m", "v"]), scan("b", &["o", "k", "v"])),
+                group,
+                aggs,
+            );
+            assert_eq!(fuse_join_aggregates(plan.clone()), plan, "{what} must stay unfused");
+        }
     }
 
     #[test]

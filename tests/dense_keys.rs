@@ -8,13 +8,12 @@
 //! must agree cell for cell once the key columns are mapped back, but it
 //! makes every span enormous and so forces the hash path. The
 //! `minidb_key_path_total` counter shows which path each run took; the
-//! fused operator's `SUM(f64 × f64)` shape over dense group keys counts
-//! its groups as `grid`.
+//! fused operator's grid over dense group keys counts as `grid`.
 //!
 //! The dense rule is `span ≤ 4 · rows + 1024`, where `rows` is the build
 //! side for a join, the input for a group-by, and the probe side for the
-//! fused operator's group ids. All values are dyadic rationals, so sums
-//! are exact in any order.
+//! fused operator's grid. All values are dyadic rationals, so sums are
+//! exact in any order.
 
 use minidb::exec::ExecConfig;
 use minidb::optimizer::OptimizerConfig;
@@ -239,10 +238,12 @@ fn group_ids_agree_around_the_threshold_with_two_column_keys() {
 
 #[test]
 fn fused_fold_paths_agree_around_the_threshold() {
-    // 32 feature-map matrices × 4 orders = 128 probe rows: the group-id
+    // 32 feature-map matrices × 4 orders = 128 probe rows: the grid's
     // limit is 4 · 128 + 1024 = 1536 slots = 8 kernels × 192 matrix ids.
+    // Past it the fused operator runs the unfused pair on its join, whose
+    // GroupBy applies the rule to the 1,024 joined rows (5,120 slots).
     let (matrices, orders, kernels) = (32i64, 4i64, 8i64);
-    for (width, want_dense) in [(192i64, true), (193, false)] {
+    for (width, grid_fits) in [(192i64, true), (193, false)] {
         let ids: Vec<i64> = (0..matrices).map(|m| m * (width - 1) / (matrices - 1)).collect();
         let (mut fm_m, mut fm_o) = (Vec::new(), Vec::new());
         for &m in &ids {
@@ -287,19 +288,17 @@ fn fused_fold_paths_agree_around_the_threshold() {
             fill(&dense, &|k| Column::Int64(k.to_vec()));
             let hash = db(p, true, 0);
             fill(&hash, &|k| stretched(k));
-            // Both the typed SUM(f64 × f64) fold and the general one.
+            // The conv shape, fused, and a COUNT(*) the rewrite leaves
+            // unfused.
             for q in [sql, conv] {
                 let ctx = format!("width {width} p={p}: {q}");
                 let (got, used) = run(&dense, q);
-                // Build (OrderID) is dense either way; the groups follow
-                // the rule over the probe side at every p, and dense ones
-                // of the pure SUM(f64 × f64) shape fold into the grid.
-                let (dense_ids, grid) = match want_dense {
-                    true if q == conv => (0, 1),
-                    true => (1, 0),
-                    false => (0, 0),
-                };
-                assert_eq!(used, (1 + dense_ids, !want_dense as u64, grid), "{ctx}");
+                // Build (OrderID) is dense either way. The conv shape
+                // folds into the grid while its groups fit over the probe
+                // side; otherwise, and for COUNT(*) always, a GroupBy
+                // groups the joined rows on dense ids.
+                let want = if grid_fits && q == conv { (1, 0, 1) } else { (2, 0, 0) };
+                assert_eq!(used, want, "{ctx}");
                 let (want, used) = run(&hash, q);
                 assert_eq!(used, (0, 2, 0), "{ctx}: stretched keys hash");
                 assert_parity(&got, &want, &[0, 1], &ctx);
@@ -482,6 +481,15 @@ fn operator_spans_name_the_key_path() {
             ("s", Column::Utf8(vec!["a".into(), "b".into()])),
         ],
     );
+    put(
+        &d,
+        "wide",
+        vec![
+            ("k", Column::Int64(vec![0, 1 << 40])),
+            ("o", Column::Int64(vec![0, 1])),
+            ("v", dyadic(2, 18)),
+        ],
+    );
     let plan = |sql: &str| -> String {
         let out = d.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
         let t = out.table();
@@ -492,11 +500,26 @@ fn operator_spans_name_the_key_path() {
          FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID",
     );
     assert!(fused.contains("build=dense; groups=grid"), "{fused}");
+    // A COUNT(*) over the join does not fuse: a Join and a GroupBy.
     let counted = plan(
         "SELECT B.KernelID, A.MatrixID, count(*) AS n \
          FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID, A.MatrixID",
     );
-    assert!(counted.contains("build=dense; groups=dense"), "{counted}");
+    assert!(!counted.contains("JoinAggregate"), "{counted}");
+    assert_eq!(counted.matches("keys=dense").count(), 2, "{counted}");
+    // The conv shape whose data refuses the grid runs the unfused pair
+    // inside the fused operator: groups too sparse for the grid...
+    let sparse_groups = plan(
+        "SELECT A.k, SUM(A.v * B.Value) AS v \
+         FROM wide A INNER JOIN kernel B ON A.o = B.OrderID GROUP BY A.k",
+    );
+    assert!(sparse_groups.contains("build=dense; groups=hash; fold=unfused"), "{sparse_groups}");
+    // ... or a join build that came out hashed.
+    let hashed_build = plan(
+        "SELECT B.KernelID, SUM(A.v * B.Value) AS v \
+         FROM wide A INNER JOIN kernel B ON A.k = B.OrderID GROUP BY B.KernelID",
+    );
+    assert!(hashed_build.contains("build=hash; groups=dense; fold=unfused"), "{hashed_build}");
     let join = plan("SELECT A.s FROM sparse A, sparse B WHERE A.k = B.k");
     assert!(join.contains("keys=hash"), "{join}");
     let grouped = plan("SELECT MatrixID, count(*) AS n FROM fm GROUP BY MatrixID");

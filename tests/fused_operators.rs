@@ -4,8 +4,8 @@
 //! the (pixel × weight) intermediate is never materialized — never *what
 //! comes out*. Fused plans must be bit-identical to the forced-unfused
 //! pair at every parallelism level, across the SQL corpus and all four
-//! collaboration strategies; unsupported shapes must fall back to the
-//! unfused pair rather than fuse incorrectly.
+//! collaboration strategies; every shape but the conv grid's stays the
+//! unfused pair, and so calls its UDFs exactly as often.
 //!
 //! All fixture values are dyadic rationals (x.5 / x.25), so float
 //! aggregation is exact under any morsel decomposition and "identical"
@@ -14,6 +14,7 @@
 //! a single range in the same order.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use collab::{CollabEngine, QueryType, StrategyKind};
@@ -71,29 +72,42 @@ fn fixture_db(parallelism: usize, fuse: bool) -> Database {
     db
 }
 
-/// Queries whose aggregate-over-equi-join shape fuses.
+/// Queries of the grid's shape, which fuse: every aggregate is
+/// `SUM(f64 × f64)` with a factor per join side, at most two `Int64` keys.
 const FUSABLE_CORPUS: &[&str] = &[
     // The compiled conv layer shape (paper Q1).
     "SELECT B.KernelID AS KernelID, A.MatrixID AS TupleID, SUM(A.Value * B.Value) AS Value \
      FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID \
      GROUP BY B.KernelID, A.MatrixID ORDER BY KernelID, TupleID",
-    // Comma join + WHERE equality (the pooling-with-mapping shape).
-    "SELECT A.MatrixID AS m, SUM(B.Value) AS s, COUNT(*) AS n FROM fm A, kernel B \
+    // Comma join + WHERE equality, the product's operands swapped.
+    "SELECT A.MatrixID AS m, SUM(B.Value * A.Value) AS s FROM fm A, kernel B \
      WHERE A.OrderID = B.OrderID GROUP BY A.MatrixID ORDER BY m",
-    // Every decomposable aggregate at once, single group key.
-    "SELECT B.KernelID AS k, COUNT(*) AS n, SUM(A.Value) AS s, AVG(A.Value * B.Value) AS a, \
-     MIN(B.Value) AS lo, MAX(A.Value) AS hi \
-     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID ORDER BY k",
     // Global aggregate over a join: no group keys at all.
-    "SELECT SUM(A.Value * B.Value) AS dot, COUNT(*) AS pairs \
-     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID",
+    "SELECT SUM(A.Value * B.Value) AS dot FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID",
     // Two equi-key columns.
-    "SELECT B.KernelID AS k, SUM(A.Value) AS s FROM fm A, kernel B \
+    "SELECT B.KernelID AS k, SUM(A.Value * B.Value) AS s FROM fm A, kernel B \
      WHERE A.OrderID = B.OrderID AND A.MatrixID = B.KernelID GROUP BY B.KernelID ORDER BY k",
 ];
 
 /// Shapes the rewrite must refuse: results still match, plans stay unfused.
 const FALLBACK_CORPUS: &[&str] = &[
+    // Comma join + WHERE equality (the pooling-with-mapping shape): a
+    // single-side SUM and a COUNT(*).
+    "SELECT A.MatrixID AS m, SUM(B.Value) AS s, COUNT(*) AS n FROM fm A, kernel B \
+     WHERE A.OrderID = B.OrderID GROUP BY A.MatrixID ORDER BY m",
+    // Every other decomposable aggregate at once, single group key.
+    "SELECT B.KernelID AS k, COUNT(*) AS n, SUM(A.Value) AS s, AVG(A.Value * B.Value) AS a, \
+     MIN(B.Value) AS lo, MAX(A.Value) AS hi \
+     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID ORDER BY k",
+    // A product next to a COUNT(*), no group keys.
+    "SELECT SUM(A.Value * B.Value) AS dot, COUNT(*) AS pairs \
+     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID",
+    // Two equi-key columns, a single-side SUM.
+    "SELECT B.KernelID AS k, SUM(A.Value) AS s FROM fm A, kernel B \
+     WHERE A.OrderID = B.OrderID AND A.MatrixID = B.KernelID GROUP BY B.KernelID ORDER BY k",
+    // An Int64 product.
+    "SELECT B.KernelID AS k, SUM(A.MatrixID * B.KernelID) AS s \
+     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID GROUP BY B.KernelID ORDER BY k",
     // Non-equi residual on the join.
     "SELECT B.KernelID AS k, SUM(A.Value) AS s FROM fm A, kernel B \
      WHERE A.OrderID = B.OrderID AND A.Value > B.Value GROUP BY B.KernelID ORDER BY k",
@@ -126,6 +140,51 @@ fn fused_matches_unfused_bit_for_bit_over_sql_corpus() {
                 &format!("p={parallelism}: {sql}"),
             );
         }
+    }
+}
+
+/// Statements whose product factor calls `tally`, a UDF counting its
+/// calls: they stay unfused, so the UDF runs once per joined row, as in
+/// the unfused plan, and never over rows the join drops.
+const UDF_CORPUS: &[&str] = &[
+    "SELECT B.KernelID AS k, SUM(tally(A.Value) * B.Value) AS s \
+     FROM fm A INNER JOIN kernel B ON A.OrderID = B.OrderID \
+     WHERE B.OrderID < 4 GROUP BY B.KernelID ORDER BY k",
+    "SELECT SUM(A.Value * B.Value) AS dot, COUNT(tally(A.Value) > 0.0) AS n \
+     FROM fm A, kernel B WHERE A.OrderID = B.OrderID AND A.OrderID < 3",
+];
+
+#[test]
+fn udf_factors_stay_unfused_and_call_the_udf_as_often() {
+    let calls = |fuse: bool| {
+        let db = fixture_db(1, fuse);
+        let tally = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&tally);
+        db.register_udf(minidb::ScalarUdf::new(
+            "tally",
+            vec![minidb::DataType::Float64],
+            minidb::DataType::Float64,
+            move |args| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                Ok(Value::Float64(args[0].as_f64()? * 2.0))
+            },
+        ));
+        UDF_CORPUS
+            .iter()
+            .map(|sql| {
+                let plan = db.explain(sql).unwrap();
+                assert!(!plan.contains("JoinAggregate"), "a UDF factor must not fuse:\n{plan}");
+                let before = tally.load(Ordering::Relaxed);
+                let table = db.execute(sql).unwrap().table().clone();
+                (table, tally.load(Ordering::Relaxed) - before)
+            })
+            .collect::<Vec<_>>()
+    };
+    let (fused, unfused) = (calls(true), calls(false));
+    for ((sql, (got, n_fused)), (want, n_unfused)) in UDF_CORPUS.iter().zip(fused).zip(unfused) {
+        assert_tables_identical(&want, &got, sql);
+        assert_eq!(n_fused, n_unfused, "UDF calls, fusion on vs off: {sql}");
+        assert!(n_fused > 0, "the UDF ran: {sql}");
     }
 }
 
@@ -513,10 +572,11 @@ fn all_strategies_match_forced_unfused_at_every_parallelism() {
         histogram_samples: 16,
         ..Default::default()
     });
-    let queries: Vec<String> = [QueryType::Type1, QueryType::Type3]
-        .into_iter()
-        .map(|t| workload::queries::template(t, 0.1, "").sql)
-        .collect();
+    let queries: Vec<String> =
+        [QueryType::Type1, QueryType::Type2, QueryType::Type3, QueryType::Type4]
+            .into_iter()
+            .map(|t| workload::queries::template(t, 0.1, "").sql)
+            .collect();
     for parallelism in [1usize, 2, 8] {
         let (fused_db, unfused_db) = (collab_db(parallelism, true), collab_db(parallelism, false));
         let fused_ops = count_join_aggregates(&fused_db);
@@ -532,6 +592,10 @@ fn all_strategies_match_forced_unfused_at_every_parallelism() {
                 let got =
                     fused.execute(sql, kind).unwrap_or_else(|e| panic!("fused {ctx} failed: {e}"));
                 assert_tables_identical(&reference.table, &got.table, &ctx);
+                // Inference and device work do not depend on the plan: a
+                // fused aggregate never runs an nUDF over rows the join
+                // drops.
+                assert_eq!(reference.sim, got.sim, "{ctx}: SimSummary");
             }
             // The forced-unfused engine really ran unfused plans — DL2SQL-OP's
             // own settings included — and the fused one fused the conv SQL.
