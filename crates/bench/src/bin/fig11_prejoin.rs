@@ -63,16 +63,20 @@ fn main() {
         fuse * 1e3,
         prejoin * 1e3,
     );
-    if fuse < default {
-        println!("paper shape (avoiding joins speeds up CNN blocks): matches");
+    // The paper's claim is the whole progression, not its first step.
+    if default > fuse && fuse > prejoin {
+        println!(
+            "paper shape (default > fuse-mapping > pre-join-kernel: avoiding joins speeds up \
+             CNN blocks): matches"
+        );
     } else {
         println!(
-            "paper shape DIVERGES: in this fully in-memory, operator-at-a-time engine, \
-             temp-table materialization is a memcpy (ClickHouse pays disk/merge costs \
-             for it), so eliminating the staging statements does not pay; the pre-joined \
-             layout additionally probes ~8x more rows per conv. The mechanism the paper \
-             exploits (fewer joins/materializations) is visible in the operator counts, \
-             not the wall time. See EXPERIMENTS.md."
+            "paper shape (default > fuse-mapping > pre-join-kernel) DIVERGES: in this fully \
+             in-memory, operator-at-a-time engine, temp-table materialization is a memcpy \
+             (ClickHouse pays disk/merge costs for it), so eliminating the staging statements \
+             gains little; the pre-joined layout additionally probes ~8x more rows per conv. \
+             The mechanism the paper exploits (fewer joins/materializations) is visible in the \
+             operator counts, not the wall time. See EXPERIMENTS.md."
         );
     }
     // All strategies agree on the prediction (correctness guard).

@@ -4,10 +4,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dl2sql::{ArtifactCache, NeuralRegistry};
+use dl2sql::{hints, ArtifactCache, NeuralRegistry};
 use minidb::sql::ast::{Query, Statement};
 use minidb::sql::parser::parse_statement;
-use minidb::Database;
+use minidb::{Database, PlanSettings};
 use parking_lot::RwLock;
 
 use crate::cache::InferenceCache;
@@ -66,6 +66,9 @@ pub struct CollabEngine {
     repo: Arc<ModelRepo>,
     registry: Arc<NeuralRegistry>,
     server: Arc<DlServer>,
+    /// DL2SQL-OP's planning settings, built once: a cached runner keeps
+    /// its plans only for settings it has seen, by identity.
+    op_settings: PlanSettings,
     /// nUDF result memoization, shared by all four strategies. Disabled
     /// (capacity 0) by default so the Fig. 8 harnesses keep measuring
     /// cold inference costs; see [`CollabEngine::set_inference_cache_capacity`].
@@ -111,11 +114,15 @@ impl CollabEngine {
     pub fn new(db: Arc<Database>, repo: Arc<ModelRepo>) -> Self {
         taskpool::set_default_parallelism(db.exec_config().parallelism);
         let server = Arc::new(DlServer::start(Arc::clone(&repo)));
+        let registry = NeuralRegistry::shared();
+        // The database's settings are fixed when it is built.
+        let op_settings = hints::op_settings(Arc::clone(&registry), &db.settings().optimizer);
         CollabEngine {
             db,
             repo,
-            registry: NeuralRegistry::shared(),
+            registry,
             server,
+            op_settings,
             inference_cache: Arc::new(InferenceCache::new(0)),
             artifact_cache: Arc::new(ArtifactCache::new(0)),
             totals: RwLock::new(HashMap::new()),
@@ -219,7 +226,7 @@ impl CollabEngine {
                     Arc::clone(&self.db),
                     Arc::clone(&self.repo),
                     Arc::clone(&self.registry),
-                    false,
+                    None,
                 )
                 .with_caches(Arc::clone(&self.inference_cache), Arc::clone(&self.artifact_cache)),
             ),
@@ -228,7 +235,7 @@ impl CollabEngine {
                     Arc::clone(&self.db),
                     Arc::clone(&self.repo),
                     Arc::clone(&self.registry),
-                    true,
+                    Some(self.op_settings.clone()),
                 )
                 .with_caches(Arc::clone(&self.inference_cache), Arc::clone(&self.artifact_cache)),
             ),

@@ -14,8 +14,8 @@
 //!   into the database as scalar UDFs; the query runs entirely in the
 //!   database but the UDF is a black box to the optimizer,
 //! * [`tight`] — **DL2SQL / DL2SQL-OP**: inference itself is SQL over
-//!   relational tables; with `optimized` set, the customized cost model
-//!   and the hint rules of paper Sec. IV-B are active.
+//!   relational tables; under DL2SQL-OP's settings, the customized cost
+//!   model and the hint rules of paper Sec. IV-B are active.
 //!
 //! [`query`] classifies collaborative queries into the paper's Types 1–4
 //! (Table I); [`metrics`] carries the loading/inference/relational cost

@@ -9,14 +9,17 @@
 //!
 //! Each query runs in a session of its own: the nUDF binding and the
 //! planning settings belong to that session, and every inference the
-//! nUDF triggers runs in a further session under the same settings.
+//! nUDF triggers runs in a further session under the same settings. The
+//! engine builds DL2SQL-OP's settings once and hands every query the same,
+//! so a runner the artifact cache hands back keeps the plans of its
+//! earlier queries.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dl2sql::{hints, ArtifactCache, NeuralRegistry, PreJoinStrategy, Runner};
+use dl2sql::{ArtifactCache, NeuralRegistry, PreJoinStrategy, Runner};
 use minidb::sql::ast::Query;
-use minidb::{Database, ScalarUdf};
+use minidb::{Database, PlanSettings, ScalarUdf};
 
 use crate::cache::{InferenceCache, Keyframe};
 use crate::error::Result;
@@ -25,12 +28,14 @@ use crate::nudf::{blob_to_tensor, ModelRepo};
 use crate::query::nudf_calls_in_query;
 use crate::Strategy;
 
-/// The DL2SQL strategy; `optimized` selects DL2SQL-OP.
+/// The DL2SQL strategy, or DL2SQL-OP when built with its settings.
 pub struct Tight {
     db: Arc<Database>,
     repo: Arc<ModelRepo>,
     registry: Arc<NeuralRegistry>,
     optimized: bool,
+    /// What the strategy's statements plan under.
+    settings: PlanSettings,
     inference: Arc<InferenceCache>,
     artifacts: Arc<ArtifactCache>,
 }
@@ -40,17 +45,26 @@ impl Tight {
     /// caches start disabled, preserving the paper's per-query
     /// "integrated on the fly" loading cost; [`Tight::with_caches`]
     /// attaches the engine's shared caches.
+    ///
+    /// `op_settings` selects DL2SQL-OP, planned under them: the
+    /// customized cost model with the hint rules on
+    /// ([`dl2sql::hints::op_settings`]). Pass every query the same
+    /// settings, so that a cached runner keeps its plans. `None` is plain
+    /// DL2SQL, planned under the database's own settings.
     pub fn new(
         db: Arc<Database>,
         repo: Arc<ModelRepo>,
         registry: Arc<NeuralRegistry>,
-        optimized: bool,
+        op_settings: Option<PlanSettings>,
     ) -> Self {
+        let optimized = op_settings.is_some();
+        let settings = op_settings.unwrap_or_else(|| db.settings().clone());
         Tight {
             db,
             repo,
             registry,
             optimized,
+            settings,
             inference: Arc::new(InferenceCache::new(0)),
             artifacts: Arc::new(ArtifactCache::new(0)),
         }
@@ -81,15 +95,7 @@ impl Strategy for Tight {
     fn execute_query(&self, q: &Query) -> Result<StrategyOutcome> {
         let meter = InferenceMeter::shared();
         let calls = nudf_calls_in_query(q, &self.repo);
-        // DL2SQL-OP plans under the customized cost model with the hint
-        // rules on (fusion as the database has it); plain DL2SQL under the
-        // database's own settings.
-        let session = if self.optimized {
-            let base = &self.db.settings().optimizer;
-            self.db.session_with(hints::op_settings(Arc::clone(&self.registry), base))
-        } else {
-            self.db.session()
-        };
+        let session = self.db.session_with(self.settings.clone());
 
         // ---- loading: model → relational tables -------------------------
         let mut loading = Duration::ZERO;

@@ -6,7 +6,8 @@
 //! database, and registers their roles. The tight strategies re-integrate
 //! the model "on the fly" per query, so a dashboard replaying the same
 //! collaborative query pays that cost every time. [`ArtifactCache`]
-//! memoizes the compilation — and the once-parsed [`Runner`] over it — per
+//! memoizes the compilation — and the [`Runner`] over it, parsed once and
+//! keeping the plans its inferences built — per
 //! (model identity, pre-join strategy).
 //!
 //! Model identity is the `Arc<Model>` pointer. That is sound here because

@@ -9,11 +9,17 @@
 //! intermediate `TEMP` table and the output are private to that call and
 //! dropped when it returns, so any number of threads can share one
 //! runner.
+//!
+//! The program is parsed and planned once. Each statement is a
+//! [`PreparedStatement`]: the first inference under a given set of planning
+//! settings plans it in its own session, and every later inference, in
+//! any session and on any thread, runs the kept plan while the tables it
+//! scans keep their schema and row count.
 
 use std::time::{Duration, Instant};
 
-use minidb::sql::{parse_statement, Statement};
-use minidb::{Database, PlanSettings, Session};
+use minidb::sql::parse_statement;
+use minidb::{Database, PlanSettings, PreparedStatement, Session};
 use neuro::Tensor;
 
 use crate::compiler::{CompiledModel, StepKind};
@@ -47,34 +53,37 @@ pub struct InferenceOutcome {
     pub trace: Option<std::sync::Arc<obs::SpanTree>>,
 }
 
-/// A prepared executor for one compiled model: statements are parsed once
-/// and replayed per inference, each in its own session. Owns shared
-/// handles so it can live inside long-lived closures (the tight strategy
-/// binds inference as a UDF).
+/// A prepared executor for one compiled model: statements are parsed and
+/// planned once and replayed per inference, each inference in its own
+/// session. Owns shared handles so it can live inside long-lived closures
+/// (the tight strategy binds inference as a UDF).
 pub struct Runner {
     db: std::sync::Arc<Database>,
     registry: std::sync::Arc<NeuralRegistry>,
     compiled: std::sync::Arc<CompiledModel>,
-    parsed_steps: Vec<Vec<Statement>>,
-    predict_stmt: Statement,
+    /// One prepared statement per program statement, step by step.
+    steps: Vec<Vec<PreparedStatement>>,
+    predict: PreparedStatement,
 }
 
 impl Runner {
-    /// Prepares a runner (parses the whole program once).
+    /// Prepares a runner: parses the whole program once. Its statements
+    /// are planned by the first inference, and their plans kept.
     pub fn new(
         db: std::sync::Arc<Database>,
         registry: std::sync::Arc<NeuralRegistry>,
         compiled: std::sync::Arc<CompiledModel>,
     ) -> Result<Self> {
-        let parsed_steps = compiled
+        let session = db.session();
+        let prepare = |sql: &str| Ok(session.prepare(parse_statement(sql)?));
+        let steps = compiled
             .steps
             .iter()
-            .map(|s| {
-                s.statements.iter().map(|sql| Ok(parse_statement(sql)?)).collect::<Result<Vec<_>>>()
-            })
+            .map(|s| s.statements.iter().map(|sql| prepare(sql)).collect::<Result<Vec<_>>>())
             .collect::<Result<Vec<_>>>()?;
-        let predict_stmt = parse_statement(&compiled.predict_sql)?;
-        Ok(Runner { db, registry, compiled, parsed_steps, predict_stmt })
+        let predict = prepare(&compiled.predict_sql)?;
+        drop(session);
+        Ok(Runner { db, registry, compiled, steps, predict })
     }
 
     /// The compiled model this runner executes.
@@ -140,7 +149,7 @@ impl Runner {
 
         let infer_start = Instant::now();
         let mut step_timings = Vec::with_capacity(self.compiled.steps.len());
-        for (step, stmts) in self.compiled.steps.iter().zip(&self.parsed_steps) {
+        for (step, stmts) in self.compiled.steps.iter().zip(&self.steps) {
             // Layer boundaries are the coarse cancellation points above
             // statement granularity: a cancel lands here even when every
             // individual statement is fast.
@@ -149,7 +158,7 @@ impl Runner {
                 tracer.child(root, obs::SpanKind::Phase, &step.label, &format!("{:?}", step.kind));
             let t0 = Instant::now();
             for stmt in stmts {
-                session.execute_statement(stmt)?;
+                session.execute_prepared(stmt)?;
             }
             tracer.finish(span);
             step_timings.push(StepTiming {
@@ -162,7 +171,7 @@ impl Runner {
         // Prediction through the SQL path (ORDER BY prob DESC LIMIT 1).
         self.db.check_canceled()?;
         let predict_span = tracer.child(root, obs::SpanKind::Phase, "predict", "");
-        let pred = session.execute_statement(&self.predict_stmt)?;
+        let pred = session.execute_prepared(&self.predict)?;
         tracer.finish(predict_span);
         if pred.table().num_rows() != 1 {
             return Err(Error::Geometry("prediction query returned no rows".into()));

@@ -13,6 +13,7 @@ use crate::expr::EvalContext;
 use crate::optimizer::{Optimizer, OptimizerConfig};
 use crate::plan::logical::LogicalPlan;
 use crate::plan::planner::Planner;
+use crate::prepared::{KeptPlan, PreparedStatement, TableDep};
 use crate::session::{PlanSettings, Session};
 use crate::sql::ast::{ObjectKind, Query, Statement};
 use crate::sql::{lexer, parser};
@@ -89,15 +90,16 @@ impl QueryResult {
         self.rows_scanned
     }
 
-    /// Whether `Database::execute` served this SELECT from the plan cache
-    /// (skipping parse + plan). Always false for prepared queries and
-    /// non-SELECT statements.
+    /// Whether this statement reused a plan: a SELECT that
+    /// `Database::execute` served from its plan cache (skipping parse and
+    /// plan), or a prepared statement that ran the plan it keeps.
     pub fn plan_cache_hit(&self) -> bool {
         self.plan_cache.hits > 0
     }
 
-    /// This statement's own plan-cache lookup: one hit, one miss, or
-    /// nothing (prepared queries and non-SELECT statements).
+    /// This statement's own plan lookup: one hit, one miss, or nothing (a
+    /// statement with no plan to keep, or one run outside the plan cache
+    /// and unprepared).
     pub fn plan_cache_stats(&self) -> cachekit::StatsSnapshot {
         self.plan_cache
     }
@@ -130,11 +132,13 @@ pub type SlowQueryHook = Arc<dyn Fn(&obs::SpanTree) + Send + Sync>;
 /// borrowed down to the executor: the executor configuration it runs
 /// under, its governance checkpoint, its operator counters (which give the
 /// result's scan count and are added into the database totals when the
-/// statement ends) and its root span (`NONE` when untraced).
+/// statement ends), its plan lookup and its root span (`NONE` when
+/// untraced).
 struct StmtScope {
     config: ExecConfig,
     governor: govern::Governor,
     ops: OpCounters,
+    plan_lookup: cachekit::CacheStats,
     root: obs::SpanId,
 }
 
@@ -186,8 +190,9 @@ pub struct Database {
     /// own table is added in when it ends. Exported by
     /// [`Database::metrics_snapshot`].
     ops: OpCounters,
-    /// Hits and misses of SELECT plan-cache lookups through
-    /// [`Database::execute`] (a stale entry counts as a miss).
+    /// Hits and misses of plan lookups: SELECTs through
+    /// [`Database::execute`] and prepared statements (a stale entry, or a
+    /// plan that could not be kept, counts as a miss).
     plan_lookups: cachekit::CacheStats,
     exec_config: RwLock<ExecConfig>,
     /// The planning settings of statements run on the database itself
@@ -198,7 +203,8 @@ pub struct Database {
     /// treated as misses and replaced.
     plan_cache: cachekit::LruCache<String, (u64, Arc<LogicalPlan>)>,
     /// Bumped when the executor configuration is swapped: parallelism
-    /// feeds the cost model, so it can change which plan is best.
+    /// feeds the cost model, so it can change which plan is best. Both the
+    /// plan cache and prepared statements check it.
     config_epoch: cachekit::Epoch,
     /// Span collector for parse/plan/execute tracing. Disabled by default;
     /// when off the only cost per statement is a few atomic loads.
@@ -395,9 +401,10 @@ impl Database {
         self.udfs.register(udf);
     }
 
-    /// Plan-cache counters since the database was built: SELECT lookups
-    /// through [`execute`](Self::execute) (a stale entry counts as a miss)
-    /// and the cache's capacity evictions.
+    /// Plan-cache counters since the database was built: plan lookups of
+    /// SELECTs through [`execute`](Self::execute) and of prepared
+    /// statements (a stale entry counts as a miss), and the cache's
+    /// capacity evictions.
     pub fn plan_cache_stats(&self) -> cachekit::StatsSnapshot {
         let evictions = self.plan_cache.stats().evictions;
         cachekit::StatsSnapshot { evictions, ..self.plan_lookups.snapshot() }
@@ -427,8 +434,8 @@ impl Database {
 
     /// Replaces the executor configuration mid-session, returning the
     /// previous one (`parallelism` clamped to at least 1). Invalidates
-    /// cached plans (parallelism feeds the cost model) and applies the new
-    /// plan-cache capacity.
+    /// cached and prepared plans (parallelism feeds the cost model) and
+    /// applies the new plan-cache capacity.
     pub fn swap_exec_config(&self, config: ExecConfig) -> ExecConfig {
         let config = ExecConfig { parallelism: config.parallelism.max(1), ..config };
         self.config_epoch.bump();
@@ -506,7 +513,8 @@ impl Database {
 
     /// Runs one statement. Every entry point (`execute`,
     /// `execute_statement`, `run_query`, `execute_plan`,
-    /// `PreparedQuery::run` and their `Session` forms) is one call to this,
+    /// `PreparedQuery::run` and their `Session` forms, and
+    /// `Session::execute_prepared`) is one call to this,
     /// so each statement is scoped, traced and accounted for alike.
     ///
     /// `body` runs under the statement's scope: the current executor
@@ -515,7 +523,8 @@ impl Database {
     /// [`ExecConfig::query_timeout`] deadline, and a root span as `trace`
     /// asks. The governor is unarmed — a single-branch no-op per check —
     /// when neither a token nor a deadline is configured. Then the
-    /// statement's counters join the database totals; its wall time from
+    /// statement's counters join the database totals; its plan lookup
+    /// becomes [`QueryResult::plan_cache_stats`]; its wall time from
     /// entry to result becomes [`QueryResult::elapsed`] and a latency
     /// observation; a failure is counted by governance cause; and a traced
     /// statement's tree goes to the slow-query hook (when over the
@@ -537,7 +546,13 @@ impl Database {
             Trace::Off => false,
         };
         let root = if traced { self.tracer.start_root("query") } else { obs::SpanId::NONE };
-        let scope = StmtScope { config, governor, ops: OpCounters::default(), root };
+        let scope = StmtScope {
+            config,
+            governor,
+            ops: OpCounters::default(),
+            plan_lookup: cachekit::CacheStats::default(),
+            root,
+        };
         let out = body(&scope);
         let elapsed = started.elapsed();
         self.ops.absorb(&scope.ops);
@@ -568,6 +583,7 @@ impl Database {
         }
         result.elapsed = elapsed;
         result.rows_scanned = scope.ops.get(OperatorKind::Scan).rows_out;
+        result.plan_cache = scope.plan_lookup.snapshot();
         Ok(result)
     }
 
@@ -589,11 +605,8 @@ impl Database {
         if let Some(key) = &key {
             if let Some((cached_epoch, plan)) = self.plan_cache.get(key) {
                 if cached_epoch == epoch {
-                    self.plan_lookups.record_hit();
-                    self.tracer.event(root, "plan_cache", "hit");
-                    let mut result = self.run_plan(env, &plan, scope)?;
-                    result.plan_cache.hits = 1;
-                    return Ok(result);
+                    self.note_plan_lookup(scope, true);
+                    return self.run_plan(env, &plan, scope);
                 }
                 self.plan_cache.remove(key);
             }
@@ -601,16 +614,26 @@ impl Database {
         let stmt = self.parse_spanned(sql, root)?;
         match (&stmt, key) {
             (Statement::Query(q), Some(key)) => {
-                self.plan_lookups.record_miss();
-                self.tracer.event(root, "plan_cache", "miss");
+                self.note_plan_lookup(scope, false);
                 let plan = Arc::new(self.plan_query_spanned(env, q, root)?);
                 self.plan_cache.insert(key, (epoch, Arc::clone(&plan)));
-                let mut result = self.run_plan(env, &plan, scope)?;
-                result.plan_cache.misses = 1;
-                Ok(result)
+                self.run_plan(env, &plan, scope)
             }
-            _ => self.execute_statement_inner(env, &stmt, scope),
+            _ => self.execute_statement_inner(env, &stmt, None, scope),
         }
+    }
+
+    /// Counts one plan lookup into the database totals and the
+    /// statement's own, with a `plan_cache` event when traced.
+    fn note_plan_lookup(&self, scope: &StmtScope, hit: bool) {
+        for stats in [&self.plan_lookups, &scope.plan_lookup] {
+            if hit {
+                stats.record_hit();
+            } else {
+                stats.record_miss();
+            }
+        }
+        self.tracer.event(scope.root, "plan_cache", if hit { "hit" } else { "miss" });
     }
 
     /// Failure-side bookkeeping for [`run_statement`](Self::run_statement):
@@ -685,18 +708,37 @@ impl Database {
         env: &Env<'_>,
         stmt: &Statement,
     ) -> Result<QueryResult> {
-        self.run_statement(None, Trace::of(stmt), |s| self.execute_statement_inner(env, stmt, s))
+        self.run_statement(None, Trace::of(stmt), |s| {
+            self.execute_statement_inner(env, stmt, None, s)
+        })
     }
 
+    /// Executes a prepared statement as a statement of its own, reusing
+    /// the plan it keeps for `env`'s settings while that plan holds.
+    pub(crate) fn execute_prepared_in(
+        &self,
+        env: &Env<'_>,
+        prepared: &PreparedStatement,
+        token: Option<govern::CancelToken>,
+    ) -> Result<QueryResult> {
+        let stmt = prepared.statement();
+        self.run_statement(token, Trace::of(stmt), |s| {
+            self.execute_statement_inner(env, stmt, Some(prepared), s)
+        })
+    }
+
+    /// The body of every parsed statement. `prepared` is the handle
+    /// `stmt` came from, whose kept plan its query may reuse.
     fn execute_statement_inner(
         &self,
         env: &Env<'_>,
         stmt: &Statement,
+        prepared: Option<&PreparedStatement>,
         scope: &StmtScope,
     ) -> Result<QueryResult> {
         let root = scope.root;
         match stmt {
-            Statement::Query(q) => self.select(env, q, scope),
+            Statement::Query(q) => self.select(env, q, prepared, scope),
             Statement::CreateTable { name, temp, if_not_exists, columns, as_query } => {
                 if *if_not_exists && env.catalog.table(name).is_some() {
                     return Ok(QueryResult::of(Table::empty(Schema::default()), 0));
@@ -704,7 +746,7 @@ impl Database {
                 // The inner query's operators record themselves; the
                 // CreateTable entry covers only the materialization.
                 let table = match as_query {
-                    Some(q) => self.select(env, q, scope)?.into_table(),
+                    Some(q) => self.select(env, q, prepared, scope)?.into_table(),
                     None => {
                         let schema = Schema::new(
                             columns.iter().map(|(n, t)| Field::new(n.clone(), *t)).collect(),
@@ -736,7 +778,7 @@ impl Database {
                     .catalog
                     .table(table)
                     .ok_or_else(|| Error::NotFound(format!("table '{table}'")))?;
-                let incoming = self.select(env, query, scope)?.into_table();
+                let incoming = self.select(env, query, prepared, scope)?.into_table();
                 if incoming.num_columns() != current.num_columns() {
                     return Err(Error::Plan(format!(
                         "INSERT SELECT produces {} columns, table '{table}' has {}",
@@ -763,7 +805,9 @@ impl Database {
             }
             // Runs the statement under the root `run_statement` opened for
             // it, which renders the tree as the result.
-            Statement::ExplainAnalyze(inner) => self.execute_statement_inner(env, inner, scope),
+            Statement::ExplainAnalyze(inner) => {
+                self.execute_statement_inner(env, inner, prepared, scope)
+            }
             Statement::Drop { kind, name, if_exists } => {
                 let dropped = match kind {
                     ObjectKind::Table => env.catalog.drop_table(name, *if_exists)?,
@@ -775,20 +819,28 @@ impl Database {
     }
 
     /// Parses and plans a SELECT once, for repeated execution through
-    /// [`PreparedQuery::run`]. The plan is bound to this database; table
-    /// *contents* are re-read from the catalog on every run, so prepared
-    /// queries observe later INSERTs/UPDATEs.
+    /// [`PreparedQuery::run`]. Each run re-reads table contents from the
+    /// catalog, so prepared queries observe later INSERTs/UPDATEs; the plan
+    /// is reused while the tables it scans keep their schema and row count
+    /// (see [`PreparedStatement`]) and rebuilt otherwise.
     pub fn prepare(&self, sql: &str) -> Result<PreparedQuery<'_>> {
-        let stmt = parser::parse_statement(sql)?;
-        let Statement::Query(q) = stmt else {
-            return Err(Error::Plan("prepare supports SELECT statements".into()));
-        };
-        self.prepare_query(&q)
+        self.prepare_select(parser::parse_statement(sql)?)
     }
 
     /// Plans an already-parsed SELECT for repeated execution.
     pub fn prepare_query(&self, q: &Query) -> Result<PreparedQuery<'_>> {
-        Ok(PreparedQuery { db: self, plan: self.plan_query(q)?, token: std::sync::OnceLock::new() })
+        self.prepare_select(Statement::Query(q.clone()))
+    }
+
+    fn prepare_select(&self, stmt: Statement) -> Result<PreparedQuery<'_>> {
+        let prepared = PreparedStatement::new(stmt);
+        let Statement::Query(q) = prepared.statement() else {
+            return Err(Error::Plan("prepare supports SELECT statements".into()));
+        };
+        // Planned now so that a bad query fails here; the first run reuses it.
+        let config_epoch = self.config_epoch.current();
+        self.plan_and_keep(&self.env(), &prepared, q, config_epoch, obs::SpanId::NONE)?;
+        Ok(PreparedQuery { db: self, prepared, token: std::sync::OnceLock::new() })
     }
 
     /// Plans, optimizes and executes a SELECT: a statement like any
@@ -798,14 +850,56 @@ impl Database {
     }
 
     pub(crate) fn query_in(&self, env: &Env<'_>, q: &Query, trace: Trace) -> Result<Table> {
-        self.run_statement(None, trace, |s| self.select(env, q, s)).map(QueryResult::into_table)
+        self.run_statement(None, trace, |s| self.select(env, q, None, s))
+            .map(QueryResult::into_table)
     }
 
     /// Plans and executes a SELECT under the statement's root, with plan
-    /// and execute phase spans.
-    fn select(&self, env: &Env<'_>, q: &Query, scope: &StmtScope) -> Result<QueryResult> {
-        let plan = self.plan_query_spanned(env, q, scope.root)?;
+    /// and execute phase spans; with `prepared`, runs the plan it keeps
+    /// instead of planning, while that plan holds.
+    fn select(
+        &self,
+        env: &Env<'_>,
+        q: &Query,
+        prepared: Option<&PreparedStatement>,
+        scope: &StmtScope,
+    ) -> Result<QueryResult> {
+        let Some(prepared) = prepared.filter(|p| p.keeps_plans()) else {
+            let plan = self.plan_query_spanned(env, q, scope.root)?;
+            return self.run_plan(env, &plan, scope);
+        };
+        // Read before planning: a swap that races the plan leaves it
+        // stamped old, so the next lookup replans.
+        let config_epoch = self.config_epoch.current();
+        let kept = prepared.lookup(env.settings, env.catalog, config_epoch);
+        self.note_plan_lookup(scope, kept.is_some());
+        let plan = match kept {
+            Some(plan) => plan,
+            None => self.plan_and_keep(env, prepared, q, config_epoch, scope.root)?,
+        };
         self.run_plan(env, &plan, scope)
+    }
+
+    /// Plans `q` under `parent` and keeps the plan in `prepared` when
+    /// nothing but its tables, settings and `config_epoch` went into it;
+    /// otherwise `prepared` stops keeping plans.
+    fn plan_and_keep(
+        &self,
+        env: &Env<'_>,
+        prepared: &PreparedStatement,
+        q: &Query,
+        config_epoch: u64,
+        parent: obs::SpanId,
+    ) -> Result<Arc<LogicalPlan>> {
+        let (plan, tables) = self.plan_query_tracked(env, q, parent)?;
+        let plan = Arc::new(plan);
+        prepared.keep(tables.map(|tables| KeptPlan {
+            plan: Arc::clone(&plan),
+            tables,
+            settings: env.settings.clone(),
+            config_epoch,
+        }));
+        Ok(plan)
     }
 
     fn cost_ctx<'a>(&self, env: &Env<'a>) -> CostContext<'a> {
@@ -829,6 +923,18 @@ impl Database {
         q: &Query,
         parent: obs::SpanId,
     ) -> Result<LogicalPlan> {
+        self.plan_query_tracked(env, q, parent).map(|(plan, _)| plan)
+    }
+
+    /// [`plan_query_spanned`](Self::plan_query_spanned), with the tables
+    /// the plan depends on (`None` when it cannot be kept; see
+    /// [`Planner::dependencies`]).
+    fn plan_query_tracked(
+        &self,
+        env: &Env<'_>,
+        q: &Query,
+        parent: obs::SpanId,
+    ) -> Result<(LogicalPlan, Option<Vec<TableDep>>)> {
         let span = self.tracer.child(parent, obs::SpanKind::Phase, "plan", "");
         let out = self.plan_query_passes(env, q, span);
         self.tracer.finish(span);
@@ -840,7 +946,7 @@ impl Database {
         env: &Env<'_>,
         q: &Query,
         span: obs::SpanId,
-    ) -> Result<LogicalPlan> {
+    ) -> Result<(LogicalPlan, Option<Vec<TableDep>>)> {
         // Scalar subqueries run as statements of their own: their own
         // counters, and no tree (the planner's caller has the root).
         let runner = |sub: &Query| self.query_in(env, sub, Trace::Off);
@@ -849,6 +955,7 @@ impl Database {
         let plan = planner.plan_query(q);
         self.tracer.finish(s);
         let plan = plan?;
+        let tables = planner.dependencies();
         let settings = env.settings;
         let optimizer =
             Optimizer::new(settings.optimizer.clone(), Arc::clone(&settings.cost_model));
@@ -870,9 +977,9 @@ impl Database {
             let s = self.tracer.child(span, obs::SpanKind::Phase, "fuse_join_aggregates", "");
             let plan = crate::optimizer::fuse_join_aggregates(plan);
             self.tracer.finish(s);
-            return Ok(plan);
+            return Ok((plan, tables));
         }
-        Ok(plan)
+        Ok((plan, tables))
     }
 
     /// Executes an already-optimized plan as a statement of its own.
@@ -1208,26 +1315,24 @@ impl Database {
     }
 }
 
-/// A SELECT parsed, planned and optimized once, executable many times.
+/// A SELECT parsed and planned once, executable many times on the
+/// database itself.
 ///
-/// Obtained from [`Database::prepare`] / [`Database::prepare_query`]. Each
-/// [`run`](PreparedQuery::run) re-reads table contents from the catalog, so
-/// data changes between runs are observed; the *plan* (join order,
-/// algorithm choice) is frozen at prepare time.
+/// Obtained from [`Database::prepare`] / [`Database::prepare_query`]: a
+/// [`PreparedStatement`] bound to the database. Each
+/// [`run`](PreparedQuery::run) re-reads table contents from the catalog,
+/// so data changes between runs are observed; the plan is reused while
+/// the tables it scans keep their schema and row count and the executor
+/// configuration is not swapped, and rebuilt otherwise.
 pub struct PreparedQuery<'a> {
     db: &'a Database,
-    plan: LogicalPlan,
+    prepared: PreparedStatement,
     /// Created lazily on the first [`cancel_handle`](Self::cancel_handle)
     /// call; when absent, runs fall back to the database session token.
     token: std::sync::OnceLock<govern::CancelToken>,
 }
 
 impl PreparedQuery<'_> {
-    /// The frozen optimized plan.
-    pub fn plan(&self) -> &LogicalPlan {
-        &self.plan
-    }
-
     /// A cancel handle scoped to this prepared query: cancelling it aborts
     /// in-flight and subsequent [`run`](Self::run) calls (until
     /// [`reset`](govern::CancelToken::reset)) without touching other
@@ -1236,13 +1341,11 @@ impl PreparedQuery<'_> {
         self.token.get_or_init(govern::CancelToken::new).clone()
     }
 
-    /// Executes the prepared plan as a statement, like
-    /// [`Database::execute_statement`] (it has no parse or plan to time).
+    /// Executes the query as a statement, like
+    /// [`Database::execute_statement`], through its kept plan while that
+    /// plan holds (no parse, and no plan to time).
     pub fn run(&self) -> Result<QueryResult> {
-        let db = self.db;
-        db.run_statement(self.token.get().cloned(), Trace::Auto, |s| {
-            db.run_plan(&db.env(), &self.plan, s)
-        })
+        self.db.execute_prepared_in(&self.db.env(), &self.prepared, self.token.get().cloned())
     }
 }
 
@@ -1688,8 +1791,46 @@ mod tests {
         let prepared = db.prepare("SELECT count(*) FROM video").unwrap();
         assert_eq!(prepared.run().unwrap().table().column(0).i64_at(0), 4);
         db.execute("INSERT INTO video VALUES (10, 1000)").unwrap();
-        assert_eq!(prepared.run().unwrap().table().column(0).i64_at(0), 5);
-        assert!(!prepared.run().unwrap().plan_cache_hit());
+        let replanned = prepared.run().unwrap();
+        assert_eq!(replanned.table().column(0).i64_at(0), 5);
+        assert!(!replanned.plan_cache_hit(), "a new row count replans");
+        assert!(prepared.run().unwrap().plan_cache_hit());
+    }
+
+    #[test]
+    fn prepared_statements_keep_no_plan_built_over_a_subquery_view_or_udf() {
+        // Each change leaves every scanned table's schema and row count as
+        // it was, so only a plan that was never kept sees it.
+        let db = db_with_data();
+        db.execute("CREATE VIEW wet AS SELECT transID FROM fabric WHERE humidity > 80").unwrap();
+        let limit =
+            |n: i64| ScalarUdf::new("lim", vec![], DataType::Int64, move |_| Ok(Value::Int64(n)));
+        db.register_udf(limit(2));
+        let cases = [
+            (
+                "SELECT count(*) FROM video WHERE frame > (SELECT max(frame) FROM video) - 300",
+                "UPDATE video SET frame = frame + 1000 WHERE transID = 1",
+            ),
+            ("SELECT count(*) FROM wet", "UPDATE fabric SET humidity = 10.0 WHERE transID = 1"),
+            ("SELECT count(*) FROM video WHERE transID <= lim()", ""),
+        ];
+        for (sql, change) in cases {
+            let session = db.session();
+            let prepared = session.prepare(parser::parse_statement(sql).unwrap());
+            let first = session.execute_prepared(&prepared).unwrap();
+            assert_eq!(first.plan_cache_stats().misses, 1, "{sql}");
+            if change.is_empty() {
+                db.register_udf(limit(3));
+            } else {
+                db.execute(change).unwrap();
+            }
+            let again = session.execute_prepared(&prepared).unwrap();
+            let s = again.plan_cache_stats();
+            assert_eq!((s.hits, s.misses), (0, 0), "{sql}: plans without a lookup");
+            let fresh = session.execute(sql).unwrap();
+            assert_eq!(again.table().column(0).i64_at(0), fresh.table().column(0).i64_at(0));
+            assert_ne!(first.table().column(0).i64_at(0), fresh.table().column(0).i64_at(0));
+        }
     }
 
     #[test]

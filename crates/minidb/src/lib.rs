@@ -16,6 +16,8 @@
 //! * a logical planner and a rule/cost-based optimizer with a **pluggable
 //!   cost model** ([`plan`], [`optimizer`]) — the hook through which the
 //!   DL2SQL crate installs the paper's customized cost model (Eq. 3–8),
+//! * prepared statements that keep their optimized plan while the tables
+//!   and settings it was planned against hold ([`prepared`]),
 //! * a vectorized executor with hash joins, a symmetric hash join with
 //!   bucket-level LRU (paper Sec. IV-B), hash aggregation, and
 //!   per-operator timing used to reproduce the paper's Fig. 10
@@ -49,6 +51,7 @@ pub mod expr;
 pub mod hash;
 pub mod optimizer;
 pub mod plan;
+pub mod prepared;
 pub mod session;
 pub mod sql;
 pub mod stats;
@@ -63,6 +66,7 @@ pub use db::{Database, DatabaseBuilder, PreparedQuery, QueryResult};
 pub use error::{Error, Result};
 pub use exec::{OpCounters, OperatorKind};
 pub use govern::{CancelToken, QueryError};
+pub use prepared::PreparedStatement;
 pub use session::{PlanSettings, Session};
 pub use table::{Field, Schema, Table};
 pub use udf::{ScalarUdf, UdfRegistry};

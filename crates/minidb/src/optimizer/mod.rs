@@ -32,7 +32,7 @@ use crate::sql::ast::BinOp;
 use crate::table::{Field, Schema};
 
 /// Optimizer behavior switches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptimizerConfig {
     /// Order joins by estimated cardinality (vs. the textual FROM order).
     pub reorder_joins: bool,

@@ -1,10 +1,13 @@
 //! AST → logical plan: name resolution, implicit/explicit join collection,
 //! aggregate extraction, scalar-subquery inlining.
 
+use std::cell::RefCell;
+
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, ScalarFunc};
 use crate::plan::logical::{AggExpr, AggFunc, LogicalPlan};
+use crate::prepared::TableDep;
 use crate::sql::ast::{self, Expr, Literal, Query, SelectItem, TableFactor};
 use crate::table::{Field, Schema, Table};
 use crate::udf::UdfRegistry;
@@ -77,11 +80,22 @@ impl Scope {
     }
 }
 
+/// What a plan was built against: every table its FROM clauses resolved,
+/// and whether the build read something no table dependency covers.
+#[derive(Default)]
+struct Resolved {
+    tables: Vec<TableDep>,
+    /// A scalar subquery's result, a view's body or a UDF binding went
+    /// into the plan.
+    volatile: bool,
+}
+
 /// The query planner.
 pub struct Planner<'a> {
     catalog: &'a Catalog,
     udfs: &'a UdfRegistry,
     subquery: Option<&'a SubqueryRunner<'a>>,
+    resolved: RefCell<Resolved>,
 }
 
 impl<'a> Planner<'a> {
@@ -92,7 +106,20 @@ impl<'a> Planner<'a> {
         udfs: &'a UdfRegistry,
         subquery: Option<&'a SubqueryRunner<'a>>,
     ) -> Self {
-        Planner { catalog, udfs, subquery }
+        Planner { catalog, udfs, subquery, resolved: RefCell::default() }
+    }
+
+    /// The tables the plans built so far scanned, each as it was when
+    /// resolved; `None` when a build evaluated a scalar subquery,
+    /// expanded a view or bound a UDF, whose effect on the plan no table
+    /// dependency can vouch for.
+    pub(crate) fn dependencies(self) -> Option<Vec<TableDep>> {
+        let resolved = self.resolved.into_inner();
+        (!resolved.volatile).then_some(resolved.tables)
+    }
+
+    fn mark_volatile(&self) {
+        self.resolved.borrow_mut().volatile = true;
     }
 
     /// Plans a SELECT query into a logical plan.
@@ -335,9 +362,11 @@ impl<'a> Planner<'a> {
         match factor {
             TableFactor::Named { name, .. } => {
                 if let Some(t) = self.catalog.table(name) {
+                    self.resolved.borrow_mut().tables.push(TableDep::of(name, &t));
                     Ok(LogicalPlan::Scan { table: name.clone(), schema: t.schema().clone() })
                 } else if let Some(view) = self.catalog.view(name) {
                     // Views are inlined: the optimizer sees through them.
+                    self.mark_volatile();
                     self.plan_query(&view)
                 } else {
                     Err(Error::NotFound(format!("table or view '{name}'")))
@@ -505,6 +534,7 @@ impl<'a> Planner<'a> {
                 if let Some(func) = ScalarFunc::from_name(name) {
                     Ok(BoundExpr::ScalarFn { func, args: rewritten })
                 } else if self.udfs.get(name).is_some() {
+                    self.mark_volatile();
                     Ok(BoundExpr::Udf { name: name.clone(), args: rewritten })
                 } else {
                     Err(Error::NotFound(format!("function '{name}'")))
@@ -579,6 +609,7 @@ impl<'a> Planner<'a> {
                 if let Some(func) = ScalarFunc::from_name(name) {
                     Ok(BoundExpr::ScalarFn { func, args: bound })
                 } else if self.udfs.get(name).is_some() {
+                    self.mark_volatile();
                     Ok(BoundExpr::Udf { name: name.clone(), args: bound })
                 } else {
                     Err(Error::NotFound(format!("function '{name}'")))
@@ -588,6 +619,7 @@ impl<'a> Planner<'a> {
                 let runner = self.subquery.ok_or_else(|| {
                     Error::Subquery("scalar subqueries are not available in this context".into())
                 })?;
+                self.mark_volatile();
                 let t = runner(q)?;
                 if t.num_rows() != 1 || t.num_columns() != 1 {
                     return Err(Error::Subquery(format!(

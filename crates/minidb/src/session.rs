@@ -8,6 +8,11 @@
 //! without seeing each other. Its private tables (and their cached
 //! statistics) are dropped with it.
 //!
+//! Session statements bypass the database's SQL-text plan cache. A
+//! statement run many times goes through [`Session::prepare`] instead: the
+//! [`PreparedStatement`] keeps its plan across executions and sessions
+//! while the tables and settings it was planned against still hold.
+//!
 //! ```
 //! use minidb::Database;
 //! let db = Database::new();
@@ -28,6 +33,7 @@ use crate::db::{Database, Env, QueryResult, Trace};
 use crate::error::Result;
 use crate::optimizer::OptimizerConfig;
 use crate::plan::logical::LogicalPlan;
+use crate::prepared::PreparedStatement;
 use crate::sql::ast::{Query, Statement};
 use crate::table::Table;
 use crate::udf::{ScalarUdf, UdfRegistry};
@@ -97,7 +103,8 @@ impl<'db> Session<'db> {
     }
 
     /// Parses and executes one statement (sessions bypass the database's
-    /// plan cache: their names and settings are their own).
+    /// SQL-text plan cache: their names and settings are their own; see
+    /// [`prepare`](Self::prepare) for plans that outlive a session).
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
         self.db.execute_in(&self.env(), sql, false)
     }
@@ -105,6 +112,26 @@ impl<'db> Session<'db> {
     /// Executes a parsed statement, like [`Database::execute_statement`].
     pub fn execute_statement(&self, stmt: &Statement) -> Result<QueryResult> {
         self.db.execute_statement_in(&self.env(), stmt)
+    }
+
+    /// Wraps a parsed statement for repeated execution by
+    /// [`execute_prepared`](Self::execute_prepared), in this session or
+    /// any other. Nothing is planned yet: a program's statements may read
+    /// tables that its earlier statements create, so the first execution
+    /// plans, in whichever session runs it.
+    pub fn prepare(&self, stmt: Statement) -> PreparedStatement {
+        PreparedStatement::new(stmt)
+    }
+
+    /// Executes a prepared statement, like
+    /// [`execute_statement`](Self::execute_statement), reusing the plan
+    /// it keeps for this session's settings while every table that plan
+    /// scans still has the schema and row count it was planned against.
+    /// A reuse counts as a plan-cache hit, a replan as a miss; a statement
+    /// that cannot keep a plan (see [`PreparedStatement`]) looks up
+    /// nothing after its first miss.
+    pub fn execute_prepared(&self, prepared: &PreparedStatement) -> Result<QueryResult> {
+        self.db.execute_prepared_in(&self.env(), prepared, None)
     }
 
     /// Plans, optimizes and executes a SELECT, like

@@ -112,6 +112,37 @@ fn plan_cache_invalidates_on_insert_update_and_ddl() {
     }
 }
 
+#[test]
+fn prepared_query_replans_when_its_table_is_recreated_with_reordered_columns() {
+    // Each case creates `t` with columns (a, b), prepares a query over it,
+    // re-creates `t` with the same rows and its columns swapped, and
+    // compares the prepared run with a fresh execution. A plan kept past
+    // the swap reads `a` from the old position of `b`.
+    let cases = [
+        ("Int64", "(1, 10), (2, 20)", "(10, 1), (20, 2)"),
+        ("Float64", "(1.5, 10), (2.5, 20)", "(10, 1.5), (20, 2.5)"),
+    ];
+    for (a_type, ab_rows, ba_rows) in cases {
+        let db = plan_db(64);
+        db.execute(&format!("CREATE TABLE t (a {a_type}, b Int64)")).unwrap();
+        db.execute(&format!("INSERT INTO t VALUES {ab_rows}")).unwrap();
+        let prepared = db.prepare("SELECT a FROM t WHERE b > 15").unwrap();
+        let before = prepared.run().unwrap();
+        assert!(before.plan_cache_hit(), "{a_type}: the prepare-time plan is reused");
+        db.execute("DROP TABLE t").unwrap();
+        db.execute(&format!("CREATE TABLE t (b Int64, a {a_type})")).unwrap();
+        db.execute(&format!("INSERT INTO t VALUES {ba_rows}")).unwrap();
+        let after = prepared
+            .run()
+            .unwrap_or_else(|e| panic!("{a_type}: prepared run after re-creation failed: {e}"));
+        assert!(!after.plan_cache_hit(), "{a_type}: a new schema replans");
+        let fresh = db.execute("SELECT a FROM t WHERE b > 15").unwrap();
+        assert_eq!(fresh.table().num_rows(), 1, "{a_type}");
+        assert_tables_identical(fresh.table(), after.table(), a_type);
+        assert_tables_identical(before.table(), after.table(), a_type);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Levels 2 + 3: nUDF memoization and compiled-artifact reuse
 // ---------------------------------------------------------------------------
@@ -220,6 +251,33 @@ fn per_query_cache_counts_equal_engine_deltas_in_serial_runs() {
         }
         let memo = engine.inference_cache().stats();
         assert!(memo.hits > 0 && (memo_capacity > 8 || memo.evictions > 0), "{memo:?}");
+    }
+}
+
+#[test]
+fn tight_runners_from_the_artifact_cache_keep_their_plans_across_queries() {
+    // Memo off, artifact cache on: every run of the query infers the same
+    // keyframes with the same cached runner. The first run plans each
+    // statement once; later runs plan only the statements that never keep
+    // a plan, which look up nothing.
+    let repo = build_repo(&repo_config());
+    let engine = CollabEngine::new(collab_db(1), Arc::clone(&repo));
+    engine.set_artifact_cache_capacity(16);
+    let sql = workload::queries::template(QueryType::Type1, 0.2, "").sql;
+    for kind in [StrategyKind::TightOptimized, StrategyKind::Tight] {
+        let runs: Vec<(u64, u64)> = (0..3)
+            .map(|_| {
+                let before = engine.db().plan_cache_stats();
+                engine.execute(&sql, kind).unwrap();
+                let after = engine.db().plan_cache_stats();
+                (after.hits - before.hits, after.misses - before.misses)
+            })
+            .collect();
+        let label = kind.label();
+        assert!(runs[0].1 > 0, "{label}: the first run plans: {runs:?}");
+        assert!(runs[1].0 > 0, "{label}: the second run reuses plans: {runs:?}");
+        assert_eq!(runs[1].1, 0, "{label}: the second run replans nothing: {runs:?}");
+        assert_eq!(runs[1], runs[2], "{label}: warm runs look up alike");
     }
 }
 

@@ -512,6 +512,173 @@ fn threads_share_one_runner_on_one_database() {
     }
 }
 
+/// The statements of `compiled` with a query to plan: how many keep
+/// their plan, and how many never do (a scalar subquery is evaluated
+/// while planning, e.g. softmax's maximum and sum). A statement that
+/// never keeps looks up a plan once, misses, and then plans every time.
+fn planned_statements(compiled: &dl2sql::CompiledModel) -> (u64, u64) {
+    use minidb::sql::ast::Statement;
+    let (mut kept, mut unkept) = (0, 0);
+    for sql in compiled.steps.iter().flat_map(|s| &s.statements).chain([&compiled.predict_sql]) {
+        let planned = matches!(
+            minidb::sql::parse_statement(sql).unwrap(),
+            Statement::Query(_)
+                | Statement::CreateTable { as_query: Some(_), .. }
+                | Statement::InsertSelect { .. }
+        );
+        let subquery = sql.contains("(SELECT");
+        kept += (planned && !subquery) as u64;
+        unkept += (planned && subquery) as u64;
+    }
+    (kept, unkept)
+}
+
+fn student_inputs(n: usize) -> Vec<neuro::Tensor> {
+    (0..n)
+        .map(|i| {
+            let data = (0..144).map(|j| ((i * 144 + j) as f32 * 0.37).cos() * 1.5).collect();
+            neuro::Tensor::new(vec![1, 12, 12], data).unwrap()
+        })
+        .collect()
+}
+
+#[test]
+fn threads_share_one_runners_kept_plans_under_alternating_settings() {
+    const THREADS: usize = 4;
+    const INFERENCES: usize = 8;
+    let model = neuro::zoo::student(vec![1, 12, 12], 4, 11);
+    let inputs = student_inputs(INFERENCES);
+    for parallelism in [1usize, 2, 8] {
+        let db = Arc::new(Database::builder().parallelism(parallelism).build());
+        let registry = dl2sql::NeuralRegistry::shared();
+        let compiled = Arc::new(dl2sql::compile_model(&db, &registry, &model).unwrap());
+        let new_runner = || {
+            dl2sql::Runner::new(Arc::clone(&db), Arc::clone(&registry), Arc::clone(&compiled))
+                .unwrap()
+        };
+        // The database's own settings and DL2SQL-OP's.
+        let base = &db.settings().optimizer;
+        let settings =
+            [db.settings().clone(), dl2sql::hints::op_settings(Arc::clone(&registry), base)];
+        // Reference: a fresh runner per inference plans every statement.
+        let fresh: Vec<Vec<Vec<u64>>> = settings
+            .iter()
+            .map(|s| {
+                inputs
+                    .iter()
+                    .map(|x| {
+                        let probs = new_runner().infer_with(s, x).unwrap().probabilities;
+                        for (p, n) in probs.iter().zip(model.forward(x).unwrap().data()) {
+                            assert!((p - *n as f64).abs() <= 1e-3, "p={parallelism}: {p} vs {n}");
+                        }
+                        prob_bits(&probs)
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let (kept, unkept) = planned_statements(&compiled);
+        assert!(kept > 0 && unkept > 0, "{kept} kept, {unkept} unkept");
+        let runner = new_runner();
+        let start = db.plan_cache_stats();
+        // One inference per settings plans every statement once.
+        for s in &settings {
+            runner.infer_with(s, &inputs[0]).unwrap();
+        }
+        let warm = db.plan_cache_stats();
+        let misses = 2 * kept + unkept;
+        assert_eq!((warm.hits - start.hits, warm.misses - start.misses), (0, misses));
+
+        let barrier = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (runner, inputs, fresh, settings, barrier) =
+                    (&runner, &inputs, &fresh, &settings, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..INFERENCES {
+                        let (k, which) = ((i + t * 3) % INFERENCES, (i + t) % 2);
+                        let got = runner.infer_with(&settings[which], &inputs[k]).unwrap();
+                        assert_eq!(
+                            prob_bits(&got.probabilities),
+                            fresh[which][k],
+                            "p={parallelism} thread {t} input {k} settings {which}"
+                        );
+                    }
+                });
+            }
+        });
+        let end = db.plan_cache_stats();
+        let runs = (THREADS * INFERENCES) as u64;
+        assert_eq!(end.hits - warm.hits, runs * kept, "p={parallelism}: reuses");
+        assert_eq!(end.misses - warm.misses, 0, "p={parallelism}: replans");
+    }
+}
+
+#[test]
+fn kept_runner_plans_replan_when_what_they_were_planned_against_changes() {
+    let model = neuro::zoo::student(vec![1, 12, 12], 4, 11);
+    let x = student_inputs(1).remove(0);
+    let native = model.forward(&x).unwrap();
+    let db = Arc::new(Database::builder().parallelism(1).build());
+    let registry = dl2sql::NeuralRegistry::shared();
+    let compiled = Arc::new(dl2sql::compile_model(&db, &registry, &model).unwrap());
+    let new_runner = || {
+        dl2sql::Runner::new(Arc::clone(&db), Arc::clone(&registry), Arc::clone(&compiled)).unwrap()
+    };
+    let runner = new_runner();
+    let (kept, _) = planned_statements(&compiled);
+    // The next inference replans `replanned` kept plans, reuses the rest,
+    // and answers as a runner that plans everything afresh.
+    let check = |case: &str, replanned: u64| {
+        let before = db.plan_cache_stats();
+        let got = runner.infer(&x).unwrap_or_else(|e| panic!("{case}: {e}")).probabilities;
+        let after = db.plan_cache_stats();
+        assert_eq!(after.misses - before.misses, replanned, "{case}: replans");
+        assert_eq!(after.hits - before.hits, kept - replanned, "{case}: reuses");
+        let fresh = new_runner().infer(&x).unwrap().probabilities;
+        assert_eq!(prob_bits(&got), prob_bits(&fresh), "{case}");
+        for (p, n) in got.iter().zip(native.data()) {
+            assert!((p - *n as f64).abs() <= 1e-3, "{case}: {p} vs native {n}");
+        }
+    };
+    runner.infer(&x).unwrap();
+    check("nothing changed", 0);
+
+    // Only the first conv statement scans the first kernel table.
+    let kernel = format!("{}_l1_kernel", compiled.prefix);
+    let table = db.catalog().table(&kernel).unwrap();
+    let schema = table.schema().clone();
+    let order = schema.index_of("OrderID").unwrap();
+    let past_last = (0..table.num_rows()).map(|r| table.column(order).i64_at(r)).max().unwrap() + 1;
+    // A row whose OrderID no feature-map row has joins nothing.
+    let mut grown = (*table).clone();
+    let row = schema
+        .fields()
+        .iter()
+        .map(|f| match (f.name.as_str(), f.data_type) {
+            ("OrderID", _) => Value::Int64(past_last),
+            (_, DataType::Float64) => Value::Float64(1.0),
+            _ => Value::Int64(0),
+        })
+        .collect();
+    grown.push_row(row).unwrap();
+    db.catalog().create_table(&kernel, grown.clone(), true).unwrap();
+    check("kernel re-created with another row count", 1);
+
+    // The same rows again, so only the column order differs.
+    let reversed = minidb::Table::new(
+        minidb::Schema::new(schema.fields().iter().rev().cloned().collect()),
+        grown.columns().iter().rev().cloned().collect(),
+    )
+    .unwrap();
+    db.catalog().create_table(&kernel, reversed, true).unwrap();
+    check("kernel re-created with its columns reversed", 1);
+
+    db.swap_exec_config(minidb::exec::ExecConfig { parallelism: 2, ..db.exec_config() });
+    check("parallelism swapped", kept);
+}
+
 #[test]
 fn type1_query_over_4096_keyframes_matches_serial_at_every_parallelism() {
     use collab::{CollabEngine, QueryType, StrategyKind};
