@@ -3,8 +3,9 @@
 //!
 //! Three cache layers sit on top of this crate:
 //!
-//! * `minidb`'s **plan cache** (normalized SQL text → optimized plan,
-//!   validated against the catalog [`Epoch`]),
+//! * `minidb`'s **plan cache** (SQL text → prepared statement, whose
+//!   kept plans each check what they were planned against, the config
+//!   [`Epoch`] among it),
 //! * `collab`'s **nUDF inference memoization** (model generation +
 //!   keyframe bytes → prediction, a [`ShardedLru`]),
 //! * `dl2sql`'s **compiled-artifact cache** (model + pre-join strategy →
@@ -241,18 +242,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         evicted
     }
 
-    /// Removes an entry, returning its value.
-    pub fn remove<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let mut inner = self.inner.lock();
-        let (value, last) = inner.map.remove(key)?;
-        inner.recency.remove(&last);
-        Some(value)
-    }
-
     /// Removes every entry for which `pred` returns true (targeted
     /// invalidation), returning how many were removed.
     pub fn retain(&self, mut pred: impl FnMut(&K, &V) -> bool) -> usize {
@@ -390,15 +379,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// Inserts into the key's shard; returns how many entries it evicted.
     pub fn insert(&self, key: K, value: V) -> usize {
         self.shard(&key).insert(key, value)
-    }
-
-    /// Removes from the key's shard.
-    pub fn remove<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.shard(key).remove(key)
     }
 
     /// Removes entries failing `pred` across all shards.

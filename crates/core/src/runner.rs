@@ -13,8 +13,9 @@
 //! The program is parsed and planned once. Each statement is a
 //! [`PreparedStatement`]: the first inference under a given set of planning
 //! settings plans it in its own session, and every later inference, in
-//! any session and on any thread, runs the kept plan while the tables it
-//! scans keep their schema and row count.
+//! any session and on any thread, runs the kept plan while what it was
+//! planned against holds: the shared parameter tables unwritten, and each
+//! `TEMP` table of the same schema and row count.
 
 use std::time::{Duration, Instant};
 

@@ -7,7 +7,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cachekit::Epoch;
 use parking_lot::RwLock;
 
 use crate::error::{Error, Result};
@@ -29,9 +28,6 @@ struct Inner {
 #[derive(Default)]
 pub struct Catalog {
     inner: RwLock<Inner>,
-    /// Bumped on every mutation (DDL, data replacement).
-    /// Caches over planning artifacts key on this to stay coherent.
-    epoch: Epoch,
     /// Distinct counts of this layer's tables, keyed by this layer's
     /// per-table epochs.
     pub(crate) stats: StatsCache,
@@ -71,14 +67,6 @@ impl Catalog {
         }
     }
 
-    /// The catalog-wide version counter. Any mutation — CREATE/DROP of
-    /// tables or views, INSERT/UPDATE data replacement — bumps it, so a
-    /// plan cached under one epoch is known valid iff the epoch is
-    /// unchanged.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.current()
-    }
-
     /// The version counter of one table in this layer (0 for never-seen
     /// names). Survives DROP: re-creating a table continues its sequence
     /// rather than restarting at 0, so stale per-table cache entries can
@@ -89,7 +77,6 @@ impl Catalog {
 
     fn touch(&self, inner: &mut Inner, k: &str) {
         *inner.table_epochs.entry(k.to_string()).or_insert(0) += 1;
-        self.epoch.bump();
     }
 
     /// Registers a table. Fails if a table or view of that name exists and
@@ -123,6 +110,24 @@ impl Catalog {
     pub fn table(&self, name: &str) -> Option<TableRef> {
         let local = self.inner.read().tables.get(&key(name)).cloned();
         local.or_else(|| self.shared.as_ref()?.table(name))
+    }
+
+    /// A table by name with its epoch, read together: `Some(epoch)` for a
+    /// table of the shared catalog, `None` for one private to a session's
+    /// layer (whose epochs restart with every session).
+    pub(crate) fn resolve_table(&self, name: &str) -> Option<(TableRef, Option<u64>)> {
+        let k = key(name);
+        let inner = self.inner.read();
+        match inner.tables.get(&k) {
+            Some(t) => {
+                let epoch = self.shared.is_none().then(|| inner.table_epochs[&k]);
+                Some((Arc::clone(t), epoch))
+            }
+            None => {
+                drop(inner);
+                self.shared.as_ref()?.resolve_table(name)
+            }
+        }
     }
 
     /// View definition by name.
@@ -228,10 +233,8 @@ mod tests {
     #[test]
     fn epochs_advance_on_mutation_and_survive_drop() {
         let c = Catalog::new();
-        let e0 = c.epoch();
         assert_eq!(c.table_epoch("t"), 0);
         c.create_table("t", t(vec![1]), false).unwrap();
-        assert!(c.epoch() > e0);
         let te1 = c.table_epoch("T");
         assert!(te1 > 0, "case-insensitive per-table epoch");
         c.replace_table("t", t(vec![1, 2])).unwrap();

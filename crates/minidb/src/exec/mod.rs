@@ -45,9 +45,9 @@ pub struct ExecConfig {
     pub parallelism: usize,
     /// Rows per morsel when an operator is split over workers.
     pub morsel_rows: usize,
-    /// Entries in the ad-hoc `Database::execute` plan cache (normalized SQL
-    /// text → optimized plan, validated against the catalog epoch). `0`
-    /// disables the cache.
+    /// SELECT texts in the plan cache of `Database::execute` and
+    /// `Session::execute` (exact SQL text → prepared statement, whose kept
+    /// plans check their own dependencies). `0` disables the cache.
     pub plan_cache_capacity: usize,
     /// Queries slower than this are traced (even with the collector off)
     /// and their full span tree is handed to the database's slow-query

@@ -16,8 +16,9 @@
 //! * a logical planner and a rule/cost-based optimizer with a **pluggable
 //!   cost model** ([`plan`], [`optimizer`]) — the hook through which the
 //!   DL2SQL crate installs the paper's customized cost model (Eq. 3–8),
-//! * prepared statements that keep their optimized plan while the tables
-//!   and settings it was planned against hold ([`prepared`]),
+//! * prepared statements that keep their optimized plan while what it
+//!   was planned against holds, and the plan cache that stores one per
+//!   SELECT text ([`prepared`]),
 //! * a vectorized executor with hash joins, a symmetric hash join with
 //!   bucket-level LRU (paper Sec. IV-B), hash aggregation, and
 //!   per-operator timing used to reproduce the paper's Fig. 10

@@ -7,7 +7,7 @@ use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, ScalarFunc};
 use crate::plan::logical::{AggExpr, AggFunc, LogicalPlan};
-use crate::prepared::TableDep;
+use crate::prepared::Dependencies;
 use crate::sql::ast::{self, Expr, Literal, Query, SelectItem, TableFactor};
 use crate::table::{Field, Schema, Table};
 use crate::udf::UdfRegistry;
@@ -80,14 +80,12 @@ impl Scope {
     }
 }
 
-/// What a plan was built against: every table its FROM clauses resolved,
-/// and whether the build read something no table dependency covers.
+/// What a plan was built against, and whether the build evaluated a
+/// scalar subquery, whose result no dependency can vouch for.
 #[derive(Default)]
 struct Resolved {
-    tables: Vec<TableDep>,
-    /// A scalar subquery's result, a view's body or a UDF binding went
-    /// into the plan.
-    volatile: bool,
+    deps: Dependencies,
+    subquery: bool,
 }
 
 /// The query planner.
@@ -109,17 +107,19 @@ impl<'a> Planner<'a> {
         Planner { catalog, udfs, subquery, resolved: RefCell::default() }
     }
 
-    /// The tables the plans built so far scanned, each as it was when
-    /// resolved; `None` when a build evaluated a scalar subquery,
-    /// expanded a view or bound a UDF, whose effect on the plan no table
-    /// dependency can vouch for.
-    pub(crate) fn dependencies(self) -> Option<Vec<TableDep>> {
+    /// The tables, views and UDFs the plans built so far resolved, each
+    /// as it was when resolved; `None` when a build evaluated a scalar
+    /// subquery.
+    pub(crate) fn dependencies(self) -> Option<Dependencies> {
         let resolved = self.resolved.into_inner();
-        (!resolved.volatile).then_some(resolved.tables)
+        (!resolved.subquery).then_some(resolved.deps)
     }
 
-    fn mark_volatile(&self) {
-        self.resolved.borrow_mut().volatile = true;
+    /// Whether `name` binds a UDF, recording the binding as a dependency.
+    fn bind_udf(&self, name: &str) -> bool {
+        let Some(udf) = self.udfs.get(name) else { return false };
+        self.resolved.borrow_mut().deps.udf(name, &udf);
+        true
     }
 
     /// Plans a SELECT query into a logical plan.
@@ -361,12 +361,12 @@ impl<'a> Planner<'a> {
     fn plan_factor(&self, factor: &TableFactor) -> Result<LogicalPlan> {
         match factor {
             TableFactor::Named { name, .. } => {
-                if let Some(t) = self.catalog.table(name) {
-                    self.resolved.borrow_mut().tables.push(TableDep::of(name, &t));
+                if let Some((t, epoch)) = self.catalog.resolve_table(name) {
+                    self.resolved.borrow_mut().deps.table(name, &t, epoch);
                     Ok(LogicalPlan::Scan { table: name.clone(), schema: t.schema().clone() })
                 } else if let Some(view) = self.catalog.view(name) {
                     // Views are inlined: the optimizer sees through them.
-                    self.mark_volatile();
+                    self.resolved.borrow_mut().deps.view(name, &view);
                     self.plan_query(&view)
                 } else {
                     Err(Error::NotFound(format!("table or view '{name}'")))
@@ -533,8 +533,7 @@ impl<'a> Planner<'a> {
                     .collect::<Result<_>>()?;
                 if let Some(func) = ScalarFunc::from_name(name) {
                     Ok(BoundExpr::ScalarFn { func, args: rewritten })
-                } else if self.udfs.get(name).is_some() {
-                    self.mark_volatile();
+                } else if self.bind_udf(name) {
                     Ok(BoundExpr::Udf { name: name.clone(), args: rewritten })
                 } else {
                     Err(Error::NotFound(format!("function '{name}'")))
@@ -608,8 +607,7 @@ impl<'a> Planner<'a> {
                     args.iter().map(|a| self.bind(a, scope)).collect::<Result<_>>()?;
                 if let Some(func) = ScalarFunc::from_name(name) {
                     Ok(BoundExpr::ScalarFn { func, args: bound })
-                } else if self.udfs.get(name).is_some() {
-                    self.mark_volatile();
+                } else if self.bind_udf(name) {
                     Ok(BoundExpr::Udf { name: name.clone(), args: bound })
                 } else {
                     Err(Error::NotFound(format!("function '{name}'")))
@@ -619,7 +617,7 @@ impl<'a> Planner<'a> {
                 let runner = self.subquery.ok_or_else(|| {
                     Error::Subquery("scalar subqueries are not available in this context".into())
                 })?;
-                self.mark_volatile();
+                self.resolved.borrow_mut().subquery = true;
                 let t = runner(q)?;
                 if t.num_rows() != 1 || t.num_columns() != 1 {
                     return Err(Error::Subquery(format!(

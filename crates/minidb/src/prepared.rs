@@ -2,57 +2,116 @@
 //! kept across executions for as long as what it was planned against
 //! still holds.
 //!
-//! A kept plan records its dependencies: each table it scans (name,
-//! schema and row count when it was planned), the planning settings it
-//! was built under (the optimizer configuration by value, the cost model
-//! by identity) and the executor-config epoch (parallelism feeds the cost
-//! model). An execution reuses the plan kept for its session's settings
-//! while every dependency still matches, and replans otherwise. Tables
-//! resolve by name in the executing session, so the plans of a program
-//! of `TEMP` tables hold in every session that runs the same program.
+//! A kept plan records its dependencies. An execution reuses the newest
+//! plan kept for its session's settings whose dependencies all still hold
+//! in the executing session, and otherwise replans and keeps the new plan
+//! (a statement keeps a few, so sessions whose private tables differ in
+//! shape each find theirs). The dependencies:
 //!
-//! A plan whose build evaluated a scalar subquery, expanded a view or
-//! bound a UDF is never kept: the subquery's result, the view's body and
-//! the UDF binding are baked into the plan, and no table dependency
-//! vouches for them. From then on the statement plans on every execution
-//! like an unprepared one, and looks up nothing.
+//! * each table it scans: a table of the shared catalog by its per-table
+//!   epoch, so any write to it replans; a session-private `TEMP` table by
+//!   its schema and row count, so the plans of a program of `TEMP` tables
+//!   hold in every session that runs the same program;
+//! * each view it expanded and each UDF it bound, by identity;
+//! * the planning settings it was built under (the optimizer configuration
+//!   by value, the cost model by identity) and the executor-config epoch
+//!   (parallelism feeds the cost model).
+//!
+//! Names resolve as the planner resolves them: in the executing session
+//! first, then in the shared catalog. A plan whose build evaluated a
+//! scalar subquery is never kept: the subquery's result is baked into the
+//! plan and no dependency vouches for it. From then on the statement plans
+//! on every execution like an unprepared one, and looks up nothing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
 use crate::catalog::Catalog;
 use crate::plan::logical::LogicalPlan;
 use crate::session::PlanSettings;
-use crate::sql::ast::Statement;
-use crate::table::{Schema, Table};
+use crate::sql::ast::{Query, Statement};
+use crate::table::{Schema, TableRef};
+use crate::udf::{ScalarUdf, UdfRegistry};
 
 /// One table a plan scans, as it was when the plan was built.
-#[derive(Debug, Clone)]
-pub(crate) struct TableDep {
+struct TableDep {
     name: String,
+    /// The table's epoch in the shared catalog; `None` for a table private
+    /// to the session that planned.
+    epoch: Option<u64>,
+    /// Within one database the epoch of a shared table already fixes
+    /// these; they also keep a statement run on another database's catalog
+    /// from reusing a plan over a table of another shape.
     schema: Schema,
     rows: usize,
 }
 
 impl TableDep {
-    pub(crate) fn of(name: &str, table: &Table) -> Self {
-        TableDep { name: name.to_string(), schema: table.schema().clone(), rows: table.num_rows() }
+    fn holds(&self, catalog: &Catalog) -> bool {
+        catalog.resolve_table(&self.name).is_some_and(|(t, epoch)| {
+            epoch == self.epoch && t.num_rows() == self.rows && *t.schema() == self.schema
+        })
+    }
+}
+
+/// A view a plan expanded or a UDF it bound, by identity. The `Weak` keeps
+/// the address from being reused by another object without keeping the
+/// object (a session's UDF closure, say) alive.
+struct Bound<T> {
+    name: String,
+    target: Weak<T>,
+}
+
+impl<T> Bound<T> {
+    fn is(&self, current: Option<&Arc<T>>) -> bool {
+        current.is_some_and(|c| std::ptr::eq(Arc::as_ptr(c), self.target.as_ptr()))
+    }
+}
+
+/// What a plan was built against in the catalog and UDF registry;
+/// recorded by the planner.
+#[derive(Default)]
+pub(crate) struct Dependencies {
+    tables: Vec<TableDep>,
+    views: Vec<Bound<Query>>,
+    udfs: Vec<Bound<ScalarUdf>>,
+}
+
+impl Dependencies {
+    pub(crate) fn table(&mut self, name: &str, table: &TableRef, epoch: Option<u64>) {
+        let (schema, rows) = (table.schema().clone(), table.num_rows());
+        self.tables.push(TableDep { name: name.to_string(), epoch, schema, rows });
     }
 
-    /// `name` still resolves to a table of the same schema and row count.
-    fn holds(&self, catalog: &Catalog) -> bool {
-        catalog
-            .table(&self.name)
-            .is_some_and(|t| t.num_rows() == self.rows && *t.schema() == self.schema)
+    pub(crate) fn view(&mut self, name: &str, query: &Arc<Query>) {
+        self.views.push(Bound { name: name.to_string(), target: Arc::downgrade(query) });
+    }
+
+    pub(crate) fn udf(&mut self, name: &str, udf: &Arc<ScalarUdf>) {
+        if !self.udfs.iter().any(|u| u.is(Some(udf))) {
+            self.udfs.push(Bound { name: name.to_string(), target: Arc::downgrade(udf) });
+        }
+    }
+
+    /// Every name still resolves to what the plan was built against. A
+    /// view holds only while no table of its name shadows it, as the
+    /// planner tries tables first.
+    fn hold(&self, catalog: &Catalog, udfs: &UdfRegistry) -> bool {
+        self.tables.iter().all(|t| t.holds(catalog))
+            && self
+                .views
+                .iter()
+                .all(|v| catalog.table(&v.name).is_none() && v.is(catalog.view(&v.name).as_ref()))
+            && self.udfs.iter().all(|u| u.is(udfs.get(&u.name).as_ref()))
     }
 }
 
 /// An optimized plan with the dependencies that keep it valid.
 pub(crate) struct KeptPlan {
     pub(crate) plan: Arc<LogicalPlan>,
-    pub(crate) tables: Vec<TableDep>,
+    pub(crate) deps: Dependencies,
     /// Holding the cost model's `Arc` keeps its address from being reused
     /// by another model, so comparing addresses compares identities.
     pub(crate) settings: PlanSettings,
@@ -66,21 +125,24 @@ impl KeptPlan {
     }
 }
 
-/// A statement keeps plans for at most this many planning settings; one
+/// A statement keeps at most this many plans, over every planning
+/// settings and every shape of the session-private tables it read; one
 /// more drops the oldest.
-const KEPT_SETTINGS: usize = 4;
+const KEPT_PLANS: usize = 4;
 
 /// A parsed statement that keeps its optimized plan between executions;
 /// see the module docs. Obtained from
 /// [`Session::prepare`](crate::Session::prepare) and run by
 /// [`Session::execute_prepared`](crate::Session::execute_prepared), or
-/// wrapped by [`PreparedQuery`](crate::PreparedQuery). Safe to share
-/// across threads and sessions.
+/// wrapped by [`PreparedQuery`](crate::PreparedQuery); the database's plan
+/// cache stores one per SELECT text. Safe to share across threads and
+/// sessions.
 pub struct PreparedStatement {
     stmt: Statement,
-    /// One plan per planning settings, oldest first. Only a SELECT, or the
-    /// query of a CTAS or INSERT-SELECT, has a plan to keep.
-    kept: Mutex<Vec<Arc<KeptPlan>>>,
+    /// The kept plans, oldest first, replaced as a whole so that a lookup
+    /// checks them without holding the lock. Only a SELECT, or the query
+    /// of a CTAS or INSERT-SELECT, has a plan to keep.
+    kept: Mutex<Arc<[Arc<KeptPlan>]>>,
     /// Set once a plan of the statement could not be kept.
     never_keeps: AtomicBool,
 }
@@ -89,7 +151,7 @@ impl PreparedStatement {
     pub(crate) fn new(stmt: Statement) -> Self {
         PreparedStatement {
             stmt,
-            kept: Mutex::new(Vec::new()),
+            kept: Mutex::new(Arc::new([])),
             never_keeps: AtomicBool::new(false),
         }
     }
@@ -98,18 +160,23 @@ impl PreparedStatement {
         &self.stmt
     }
 
-    /// The plan kept for `settings`, if every dependency still holds in
-    /// `catalog` under executor-config epoch `config_epoch`.
+    /// The newest plan kept for `settings` whose dependencies all still
+    /// hold in `catalog` and `udfs` under executor-config epoch
+    /// `config_epoch`.
     pub(crate) fn lookup(
         &self,
         settings: &PlanSettings,
         catalog: &Catalog,
+        udfs: &UdfRegistry,
         config_epoch: u64,
     ) -> Option<Arc<LogicalPlan>> {
-        let kept = self.kept.lock().iter().find(|k| k.planned_under(settings)).cloned()?;
-        let holds =
-            kept.config_epoch == config_epoch && kept.tables.iter().all(|t| t.holds(catalog));
-        holds.then(|| Arc::clone(&kept.plan))
+        let kept = Arc::clone(&self.kept.lock());
+        let holds = |k: &&Arc<KeptPlan>| {
+            k.planned_under(settings)
+                && k.config_epoch == config_epoch
+                && k.deps.hold(catalog, udfs)
+        };
+        kept.iter().rev().find(holds).map(|k| Arc::clone(&k.plan))
     }
 
     /// Whether the statement may still keep a plan, i.e. no plan of it
@@ -118,22 +185,19 @@ impl PreparedStatement {
         !self.never_keeps.load(Ordering::Relaxed)
     }
 
-    /// Keeps `plan`, replacing the one kept for the same settings; `None`
-    /// (a plan that cannot be kept) stops the statement keeping any.
+    /// Keeps `plan` as the newest; `None` (a plan that cannot be kept)
+    /// stops the statement keeping any.
     pub(crate) fn keep(&self, plan: Option<KeptPlan>) {
         let Some(plan) = plan else {
             self.never_keeps.store(true, Ordering::Relaxed);
-            self.kept.lock().clear();
+            *self.kept.lock() = Arc::new([]);
             return;
         };
         let mut kept = self.kept.lock();
         if !self.keeps_plans() {
             return;
         }
-        kept.retain(|k| !k.planned_under(&plan.settings));
-        if kept.len() == KEPT_SETTINGS {
-            kept.remove(0);
-        }
-        kept.push(Arc::new(plan));
+        let older = kept.len().saturating_sub(KEPT_PLANS - 1);
+        *kept = kept[older..].iter().cloned().chain([Arc::new(plan)]).collect();
     }
 }

@@ -8,10 +8,11 @@
 //! without seeing each other. Its private tables (and their cached
 //! statistics) are dropped with it.
 //!
-//! Session statements bypass the database's SQL-text plan cache. A
-//! statement run many times goes through [`Session::prepare`] instead: the
-//! [`PreparedStatement`] keeps its plan across executions and sessions
-//! while the tables and settings it was planned against still hold.
+//! A session's SELECT texts share the database's plan cache, and a
+//! statement run many times can also go through [`Session::prepare`]:
+//! either way the [`PreparedStatement`] keeps its plan across executions
+//! and sessions while what it was planned against still holds, resolved in
+//! the session that runs it.
 //!
 //! ```
 //! use minidb::Database;
@@ -102,11 +103,10 @@ impl<'db> Session<'db> {
         Env { catalog: &self.catalog, udfs: &self.udfs, settings: &self.settings }
     }
 
-    /// Parses and executes one statement (sessions bypass the database's
-    /// SQL-text plan cache: their names and settings are their own; see
-    /// [`prepare`](Self::prepare) for plans that outlive a session).
+    /// Parses and executes one statement, like [`Database::execute`],
+    /// through the database's plan cache.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.db.execute_in(&self.env(), sql, false)
+        self.db.execute_in(&self.env(), sql)
     }
 
     /// Executes a parsed statement, like [`Database::execute_statement`].
@@ -125,8 +125,8 @@ impl<'db> Session<'db> {
 
     /// Executes a prepared statement, like
     /// [`execute_statement`](Self::execute_statement), reusing the plan
-    /// it keeps for this session's settings while every table that plan
-    /// scans still has the schema and row count it was planned against.
+    /// it keeps for this session's settings while every dependency of
+    /// that plan still holds in this session.
     /// A reuse counts as a plan-cache hit, a replan as a miss; a statement
     /// that cannot keep a plan (see [`PreparedStatement`]) looks up
     /// nothing after its first miss.

@@ -137,10 +137,6 @@ impl ScalarUdf {
 #[derive(Debug, Default)]
 pub struct UdfRegistry {
     map: RwLock<HashMap<String, Arc<ScalarUdf>>>,
-    /// Bumped on register/unregister. Cached plans capture bound UDF
-    /// closures, so a re-registration must invalidate them; the plan cache
-    /// folds this counter into its epoch.
-    epoch: cachekit::Epoch,
     /// For a private layer: the registry names it does not bind resolve in.
     shared: Option<Arc<UdfRegistry>>,
 }
@@ -156,15 +152,9 @@ impl UdfRegistry {
         UdfRegistry { shared: Some(shared), ..UdfRegistry::default() }
     }
 
-    /// The registry's version counter (bumped by register/unregister).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.current()
-    }
-
     /// Registers (or replaces) a UDF in this layer.
     pub fn register(&self, udf: ScalarUdf) {
         self.map.write().insert(udf.name.to_ascii_lowercase(), Arc::new(udf));
-        self.epoch.bump();
     }
 
     /// Looks up a UDF by case-insensitive name, in this layer first.
@@ -175,11 +165,7 @@ impl UdfRegistry {
 
     /// Removes a UDF from this layer; true if it existed.
     pub fn unregister(&self, name: &str) -> bool {
-        let removed = self.map.write().remove(&name.to_ascii_lowercase()).is_some();
-        if removed {
-            self.epoch.bump();
-        }
-        removed
+        self.map.write().remove(&name.to_ascii_lowercase()).is_some()
     }
 
     /// Names of the UDFs registered in this layer.

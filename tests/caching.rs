@@ -91,25 +91,60 @@ fn plan_cache_matches_uncached_over_sql_corpus() {
 
 #[test]
 fn plan_cache_invalidates_on_insert_update_and_ddl() {
+    // A write to a table the query reads replans it; DDL and writes on
+    // tables it does not read keep its plan.
     let cached = plan_db(64);
     let uncached = plan_db(0);
     let sql = "SELECT count(*) AS n, SUM(Value) AS s FROM fm WHERE Value > 4.0";
     let mutations = [
-        "INSERT INTO fm VALUES (99, 0, 100.5)",
-        "UPDATE fm SET Value = 0.0 WHERE MatrixID = 99",
-        "CREATE TABLE unrelated (x Int64)",
+        ("INSERT INTO fm VALUES (99, 0, 100.5)", false),
+        ("UPDATE fm SET Value = 0.0 WHERE MatrixID = 99", false),
+        ("CREATE TABLE unrelated (x Int64)", true),
+        ("INSERT INTO kernel VALUES (9, 0, 1.25)", true),
     ];
     cached.execute(sql).unwrap();
-    for mutation in mutations {
+    for (mutation, keeps) in mutations {
         cached.execute(mutation).unwrap();
         uncached.execute(mutation).unwrap();
         let after = cached.execute(sql).unwrap();
-        assert!(!after.plan_cache_hit(), "stale plan served after: {mutation}");
+        assert_eq!(after.plan_cache_hit(), keeps, "plan kept after: {mutation}");
         let reference = uncached.execute(sql).unwrap();
         assert_tables_identical(reference.table(), after.table(), &format!("after {mutation}"));
         // With the data quiescent again the very next execution hits.
         assert!(cached.execute(sql).unwrap().plan_cache_hit());
     }
+}
+
+#[test]
+fn sessions_share_stored_plans_but_resolve_names_in_their_own_session() {
+    // One SELECT text runs in three sessions, each over a TEMP table `t`
+    // of its own. The stored statement's plan holds only where `t` has
+    // the schema and row count it was planned against: (b) reorders the
+    // columns and adds a row, so it replans; (c) matches (a) and reuses
+    // (a)'s plan over its own rows.
+    let cached = plan_db(64);
+    let uncached = plan_db(0);
+    let sql = "SELECT a, b * 2 AS b2 FROM t WHERE a > 1 ORDER BY a";
+    let ab = "CREATE TEMP TABLE t (a Int64, b Float64)";
+    let ba = "CREATE TEMP TABLE t (b Float64, a Int64)";
+    let cases = [
+        ("(a) t(a, b)", ab, "(1, 0.5), (2, 1.5)", false),
+        ("(b) t(b, a)", ba, "(2.5, 3), (3.5, 4), (0.5, 1)", false),
+        ("(c) shaped as (a)", ab, "(5, 7.25), (0, 9.5)", true),
+    ];
+    for (case, create, rows, hit) in cases {
+        let (session, reference_session) = (cached.session(), uncached.session());
+        for s in [&session, &reference_session] {
+            s.execute(create).unwrap();
+            s.execute(&format!("INSERT INTO t VALUES {rows}")).unwrap();
+        }
+        let got = session.execute(sql).unwrap_or_else(|e| panic!("{case}: {e}"));
+        assert_eq!(got.plan_cache_hit(), hit, "{case}: plan reused");
+        let reference = reference_session.execute(sql).unwrap();
+        assert!(reference.table().num_rows() > 0, "{case}: the query selects rows");
+        assert_tables_identical(reference.table(), got.table(), case);
+    }
+    assert!(cached.catalog().table("t").is_none(), "TEMP tables end with their session");
 }
 
 #[test]
