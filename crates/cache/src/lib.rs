@@ -416,23 +416,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// content hashing
-// ---------------------------------------------------------------------------
-
-/// FNV-1a over a byte slice — a cheap, dependency-free content hash for
-/// keyframe blobs and normalized SQL. Collisions only affect shard
-/// selection / HashMap bucketing, never correctness: cache keys compare
-/// full contents.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,11 +577,5 @@ mod tests {
         assert_eq!(c.len(), n as usize);
         // Visits stay linear in the inserts (doublings sum to < 4n).
         assert!(SCANNED.load(Ordering::Relaxed) < 4 * n as u64, "{:?}", SCANNED);
-    }
-
-    #[test]
-    fn fnv1a_distinguishes_contents() {
-        assert_ne!(fnv1a(b"abc"), fnv1a(b"abd"));
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
     }
 }

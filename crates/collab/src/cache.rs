@@ -12,15 +12,16 @@
 //!   entries stop matching without an explicit flush),
 //! * the model-selection **condition** (paper Type 3 nUDFs pick a variant
 //!   per row), and
-//! * the **full keyframe blob bytes** ([`BlobKey`] hashes and compares
-//!   contents, so a hash collision can degrade to a miss but can never
-//!   return the wrong row's prediction — cached results stay bit-identical
-//!   to uncached ones).
+//! * the **full keyframe blob bytes** (a key compares contents when the
+//!   hashes match, so a hash collision costs a byte comparison but can
+//!   never return the wrong row's prediction — cached results stay
+//!   bit-identical to uncached ones).
 //!
-//! A key hashes its keyframe once, when it is built, and holds the blob
-//! weakly: a memoized result never keeps a deleted keyframe alive, and
-//! before a shard's map would grow, entries whose keyframe is gone are
-//! dropped.
+//! A key never hashes the keyframe: it copies the content hash the
+//! [`Blob`] computed once, when it was built, and every copy of the blob a
+//! query makes shares that hash. A key holds the blob weakly: a memoized
+//! result never keeps a deleted keyframe alive, and before a shard's map
+//! would grow, entries whose keyframe is gone are dropped.
 //!
 //! Every strategy scores keyframes through one method,
 //! [`InferenceCache::score`]: the strategies differ in where inference
@@ -32,48 +33,47 @@
 //! [`crate::CollabEngine::set_inference_cache_capacity`].
 
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Weak};
 
 use cachekit::{ShardedLru, StatsSnapshot};
-use minidb::Value;
+use minidb::{Blob, Value, WeakBlob};
 
 use crate::metrics::InferenceMeter;
 
-/// A keyframe blob as a cache key: hashes and compares the *contents*.
-/// The content hash is computed once, at construction. The blob is held
-/// weakly, so the key does not keep a deleted keyframe in memory; a key
-/// whose blob is gone equals only itself. Comparing allocations is sound
-/// because a `Weak` keeps its allocation reserved (no new blob can reuse
-/// the address), and `Arc::get_mut` refuses while weak references exist,
-/// so a live blob's bytes cannot change under a key.
+/// A keyframe blob as a cache key: hashes and compares the *contents*,
+/// by the content hash the blob computed when it was built. The
+/// blob is held weakly, so the key does not keep a deleted keyframe in
+/// memory; a key whose blob is gone equals only itself. Comparing
+/// allocations is sound because a weak reference keeps its allocation
+/// reserved (no new blob can reuse the address), and a blob's bytes never
+/// change.
 #[derive(Debug, Clone)]
-pub struct BlobKey {
-    blob: Weak<Vec<u8>>,
+struct BlobKey {
+    blob: WeakBlob,
     hash: u64,
 }
 
 impl BlobKey {
     /// A key over `blob`'s contents.
-    pub fn new(blob: &Arc<Vec<u8>>) -> Self {
-        BlobKey { blob: Arc::downgrade(blob), hash: cachekit::fnv1a(blob) }
+    fn new(blob: &Blob) -> Self {
+        BlobKey { blob: blob.downgrade(), hash: blob.content_hash() }
     }
 
     /// Whether the keyframe has been dropped everywhere else.
-    pub fn is_dead(&self) -> bool {
-        self.blob.strong_count() == 0
+    fn is_dead(&self) -> bool {
+        self.blob.is_dead()
     }
 }
 
 impl PartialEq for BlobKey {
     fn eq(&self, other: &Self) -> bool {
-        if Weak::ptr_eq(&self.blob, &other.blob) {
+        if self.blob.ptr_eq(&other.blob) {
             return true;
         }
         if self.hash != other.hash {
             return false;
         }
         match (self.blob.upgrade(), other.blob.upgrade()) {
-            (Some(a), Some(b)) => a.as_slice() == b.as_slice(),
+            (Some(a), Some(b)) => *a == *b,
             _ => false,
         }
     }
@@ -96,7 +96,7 @@ pub struct InferenceKey {
     /// keys rather than poisoning equality.
     pub condition_bits: Option<u64>,
     /// The keyframe contents.
-    pub blob: BlobKey,
+    blob: BlobKey,
 }
 
 impl InferenceKey {
@@ -146,16 +146,6 @@ impl InferenceCache {
     /// Changes the capacity in place (0 disables; shrinking evicts).
     pub fn set_capacity(&self, capacity: usize) {
         self.lru.set_capacity(capacity);
-    }
-
-    /// A memoized prediction, refreshing recency.
-    pub fn get(&self, key: &InferenceKey) -> Option<Value> {
-        self.lru.get(key)
-    }
-
-    /// Memoizes one prediction.
-    pub fn insert(&self, key: InferenceKey, value: Value) {
-        self.lru.insert(key, value);
     }
 
     /// Scores `items` for the nUDF of `generation`, handing one value per
@@ -256,7 +246,27 @@ mod tests {
     use super::*;
 
     fn blob(bytes: &[u8]) -> Value {
-        Value::Blob(Arc::new(bytes.to_vec()))
+        Value::Blob(Blob::new(bytes.to_vec()))
+    }
+
+    /// Scores unconditional `blobs` under `generation`, answering every miss
+    /// with `miss`. Returns the emitted values and how many items missed.
+    fn score_all(
+        cache: &InferenceCache,
+        generation: u64,
+        blobs: &[&Value],
+        miss: &Value,
+    ) -> (Vec<Value>, usize) {
+        let items: Vec<Keyframe> = blobs.iter().map(|&v| (v, None)).collect();
+        let (mut values, mut missed) = (Vec::new(), 0);
+        let score = |m: &[Keyframe]| {
+            missed = m.len();
+            Ok(vec![miss.clone(); m.len()])
+        };
+        cache
+            .score(&InferenceMeter::default(), generation, &items, score, |v| values.push(v))
+            .unwrap();
+        (values, missed)
     }
 
     #[test]
@@ -293,18 +303,17 @@ mod tests {
         let cache = InferenceCache::new(1 << 16);
         let kept: Vec<Value> = (0..64u32).map(|i| blob(&i.to_le_bytes())).collect();
         for v in &kept {
-            cache.insert(InferenceKey::new(1, None, v).unwrap(), Value::Bool(true));
+            score_all(&cache, 1, &[v], &Value::Bool(true));
         }
         // Keyframes scored once and then deleted.
         for i in 0..20_000u32 {
             let gone = blob(&(1_000_000 + i).to_le_bytes());
-            cache.insert(InferenceKey::new(1, None, &gone).unwrap(), Value::Bool(false));
+            score_all(&cache, 1, &[&gone], &Value::Bool(false));
         }
         assert!(cache.len() < 10_000, "dead entries were not reclaimed: {}", cache.len());
-        for v in &kept {
-            let key = InferenceKey::new(1, None, v).unwrap();
-            assert_eq!(cache.get(&key), Some(Value::Bool(true)));
-        }
+        let kept: Vec<&Value> = kept.iter().collect();
+        let (values, missed) = score_all(&cache, 1, &kept, &Value::Bool(false));
+        assert_eq!((values, missed), (vec![Value::Bool(true); 64], 0));
         assert_eq!(cache.stats().evictions, 0);
     }
 
@@ -312,15 +321,16 @@ mod tests {
     fn memoizes_and_respects_capacity_zero() {
         let cache = InferenceCache::new(16);
         assert!(cache.enabled());
-        let k = InferenceKey::new(1, None, &blob(b"kf")).unwrap();
-        assert_eq!(cache.get(&k), None);
-        cache.insert(k.clone(), Value::Bool(true));
-        assert_eq!(cache.get(&k), Some(Value::Bool(true)));
+        let kf = blob(b"kf");
+        assert_eq!(score_all(&cache, 1, &[&kf], &Value::Bool(true)), (vec![Value::Bool(true)], 1));
+        let memoized = score_all(&cache, 1, &[&kf], &Value::Bool(false));
+        assert_eq!(memoized, (vec![Value::Bool(true)], 0));
 
         let off = InferenceCache::new(0);
         assert!(!off.enabled());
-        off.insert(k.clone(), Value::Bool(true));
-        assert_eq!(off.get(&k), None);
+        score_all(&off, 1, &[&kf], &Value::Bool(true));
+        assert_eq!(score_all(&off, 1, &[&kf], &Value::Bool(false)), (vec![Value::Bool(false)], 1));
+        assert!(off.is_empty());
     }
 
     #[test]
@@ -331,7 +341,7 @@ mod tests {
             |v: &Value| Value::Int64(i64::from(matches!(v, Value::Blob(x) if x[0] == b'b')));
         let cache = InferenceCache::new(64);
         let meter = InferenceMeter::default();
-        cache.insert(InferenceKey::new(1, None, &a).unwrap(), Value::Int64(7));
+        score_all(&cache, 1, &[&a], &Value::Int64(7));
         let mut scored = Vec::new();
         let mut values = Vec::new();
         cache
@@ -374,12 +384,11 @@ mod tests {
     #[test]
     fn generation_invalidation_removes_only_that_generation() {
         let cache = InferenceCache::new(16);
-        let k1 = InferenceKey::new(1, None, &blob(b"a")).unwrap();
-        let k2 = InferenceKey::new(2, None, &blob(b"a")).unwrap();
-        cache.insert(k1.clone(), Value::Bool(true));
-        cache.insert(k2.clone(), Value::Bool(false));
+        let a = blob(b"a");
+        score_all(&cache, 1, &[&a], &Value::Bool(true));
+        score_all(&cache, 2, &[&a], &Value::Bool(false));
         assert_eq!(cache.invalidate_generation(1), 1);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&k2), Some(Value::Bool(false)));
+        assert_eq!(score_all(&cache, 2, &[&a], &Value::Bool(true)), (vec![Value::Bool(false)], 0));
     }
 }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use minidb::{DataType, Value};
+use minidb::{Blob, DataType, Value};
 use neuro::serialize::{tensor_from_bytes, tensor_to_bytes};
 use neuro::{Model, Tensor};
 use parking_lot::RwLock;
@@ -18,7 +18,7 @@ use crate::error::{Error, Result};
 
 /// Serializes a keyframe tensor into a database blob value.
 pub fn tensor_to_blob(t: &Tensor) -> Value {
-    Value::Blob(Arc::new(tensor_to_bytes(t)))
+    Value::Blob(Blob::new(tensor_to_bytes(t)))
 }
 
 /// Decodes a keyframe blob back into a tensor.

@@ -200,7 +200,7 @@ pub fn compile_model_with_strategy(
         PreJoinStrategy::FuseMapping => "_fuse",
         PreJoinStrategy::PreJoinKernel => "_prejoin",
     };
-    let identity = cachekit::fnv1a(&neuro::serialize::compile_udf_binary(model));
+    let identity = minidb::hash::content_hash(&neuro::serialize::compile_udf_binary(model));
     let prefix = format!("m_{}_{identity:016x}{suffix}", sanitize(&model.name));
     let mut c = Compiler {
         db,

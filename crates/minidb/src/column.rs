@@ -1,9 +1,7 @@
 //! Typed columnar storage.
 
-use std::sync::Arc;
-
 use crate::error::{Error, Result};
-use crate::value::{DataType, Value};
+use crate::value::{Blob, DataType, Value};
 
 /// A column of values, stored as a typed vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,20 +11,21 @@ pub enum Column {
     Bool(Vec<bool>),
     Utf8(Vec<String>),
     Date(Vec<i32>),
-    Blob(Vec<Arc<Vec<u8>>>),
+    Blob(Vec<Blob>),
 }
 
 /// A hashable, equatable key derived from a [`Value`], used by hash joins
 /// and hash aggregation. Floats key by their bit pattern; integer-valued
 /// floats key identically to the equal integer so that cross-type equi
-/// joins behave like [`Value::sql_eq`].
+/// joins behave like [`Value::sql_eq`]. A blob keys as itself: it hashes
+/// by its stored content hash and compares its bytes only on a hash match.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Key {
     Int(i64),
     FloatBits(u64),
     Bool(bool),
     Str(String),
-    Bytes(Vec<u8>),
+    Blob(Blob),
 }
 
 impl Value {
@@ -44,7 +43,7 @@ impl Value {
             Value::Bool(b) => Key::Bool(*b),
             Value::Utf8(s) => Key::Str(s.clone()),
             Value::Date(d) => Key::Int(*d as i64),
-            Value::Blob(b) => Key::Bytes(b.as_ref().clone()),
+            Value::Blob(b) => Key::Blob(b.clone()),
         }
     }
 }
@@ -235,8 +234,8 @@ impl Column {
     }
 
     /// The hash key at `row`, built without materializing an intermediate
-    /// [`Value`] (avoids a throw-away `String`/`Vec` clone per row on
-    /// Utf8/Blob columns; identical to `value(row).to_key()`).
+    /// [`Value`] (avoids a throw-away `String` clone per row on Utf8
+    /// columns; identical to `value(row).to_key()`).
     pub fn key_at(&self, row: usize) -> Key {
         match self {
             Column::Int64(v) => Key::Int(v[row]),
@@ -251,7 +250,7 @@ impl Column {
             Column::Bool(v) => Key::Bool(v[row]),
             Column::Utf8(v) => Key::Str(v[row].clone()),
             Column::Date(v) => Key::Int(v[row] as i64),
-            Column::Blob(v) => Key::Bytes(v[row].as_ref().clone()),
+            Column::Blob(v) => Key::Blob(v[row].clone()),
         }
     }
 
@@ -348,7 +347,7 @@ mod tests {
             Column::Bool(vec![true]),
             Column::Utf8(vec!["x".into()]),
             Column::Date(vec![11]),
-            Column::Blob(vec![Arc::new(vec![1u8, 2])]),
+            Column::Blob(vec![Blob::new(vec![1u8, 2])]),
         ];
         for c in &cols {
             assert_eq!(c.key_at(0), c.value(0).to_key(), "{}", c.data_type());

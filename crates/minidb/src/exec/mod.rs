@@ -905,7 +905,7 @@ fn zero_of(dt: DataType) -> Value {
         DataType::Bool => Value::Bool(false),
         DataType::Utf8 => Value::Utf8(String::new()),
         DataType::Date => Value::Date(0),
-        DataType::Blob => Value::Blob(std::sync::Arc::new(Vec::new())),
+        DataType::Blob => Value::Blob(crate::Blob::new(Vec::new())),
     }
 }
 

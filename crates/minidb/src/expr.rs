@@ -5,7 +5,6 @@
 //! subqueries are evaluated at plan time and appear here as literals.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use crate::column::Column;
 use crate::error::{Error, Result};
@@ -357,7 +356,7 @@ fn broadcast(v: &Value, n: usize) -> Column {
         Value::Bool(b) => Column::Bool(vec![*b; n]),
         Value::Utf8(s) => Column::Utf8(vec![s.clone(); n]),
         Value::Date(d) => Column::Date(vec![*d; n]),
-        Value::Blob(b) => Column::Blob(vec![Arc::clone(b); n]),
+        Value::Blob(b) => Column::Blob(vec![b.clone(); n]),
     }
 }
 

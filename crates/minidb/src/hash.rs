@@ -75,6 +75,25 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The splitmix64 finalizer: a bijection on 64-bit words, so distinct
+/// words stay distinct, that moves every input bit into the low bits
+/// (FxHash takes a table's bucket bits from a key's low bits alone).
+pub(crate) fn spread(x: u64) -> u64 {
+    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// The content hash of a byte string: [`FxHasher`] over its length, then
+/// its bytes a word at a time, finished with the splitmix64 finalizer.
+/// Blobs store it ([`crate::Blob`]); compiled models are named by it.
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(bytes.len());
+    h.write(bytes);
+    spread(h.finish())
+}
+
 /// `BuildHasher` producing [`FxHasher`]s (no per-map random state: the
 /// executor's maps are never exposed to untrusted key choice, and a fixed
 /// state keeps iteration—and thus any map-order-dependent cost—repeatable).
@@ -137,5 +156,19 @@ mod tests {
         let mut b = FxHasher::default();
         b.write(b"abcdefghj");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn content_hash_covers_every_byte_and_the_length() {
+        assert_ne!(content_hash(b"abc"), content_hash(b"abd"));
+        // Zero padding of the last word does not merge lengths.
+        assert_ne!(content_hash(b""), content_hash(&[0]));
+        assert_ne!(content_hash(&[1]), content_hash(&[1, 0]));
+        assert_eq!(content_hash(b"keyframe"), content_hash(b"keyframe"));
+        // Words that differ in their high bits alone still differ in the
+        // low bits a hash table reads.
+        let low = |w: u64| content_hash(&w.to_le_bytes()) & 0xff;
+        let lows: std::collections::HashSet<u64> = (0..64u64).map(|i| low(i << 56)).collect();
+        assert!(lows.len() > 32, "{} distinct low bytes", lows.len());
     }
 }

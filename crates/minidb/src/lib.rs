@@ -71,4 +71,4 @@ pub use prepared::PreparedStatement;
 pub use session::{PlanSettings, Session};
 pub use table::{Field, Schema, Table};
 pub use udf::{ScalarUdf, UdfRegistry};
-pub use value::{DataType, Value};
+pub use value::{Blob, DataType, Value, WeakBlob};

@@ -10,7 +10,7 @@ use parking_lot::Mutex;
 
 use crate::catalog::Catalog;
 use crate::column::{Column, Key};
-use crate::hash::FxBuildHasher;
+use crate::hash::{spread, FxBuildHasher};
 
 /// Per-column distinct counts, keyed by lower-cased (table, column) and
 /// stamped with the table epoch they were computed under: any data
@@ -81,18 +81,8 @@ fn distinct_count(col: &Column) -> u64 {
     }
 }
 
-/// The splitmix64 finalizer: a bijection on 64-bit words, so distinct keys
-/// stay distinct, that moves every input bit into the low bits.
-fn spread(x: u64) -> u64 {
-    let x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    let x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::table::{Field, Schema, Table};
     use crate::value::DataType;
@@ -125,7 +115,7 @@ mod tests {
 
     #[test]
     fn ndv_matches_value_keys_for_every_type() {
-        let blob = |b: &[u8]| Arc::new(b.to_vec());
+        let blob = |b: &[u8]| crate::Blob::new(b.to_vec());
         assert_parity(Column::Int64(vec![
             1,
             1,

@@ -2,7 +2,9 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::{Arc, Weak};
 
 use crate::error::{Error, Result};
 
@@ -68,7 +70,83 @@ pub enum Value {
     Utf8(String),
     /// Days since the Unix epoch.
     Date(i32),
-    Blob(Arc<Vec<u8>>),
+    Blob(Blob),
+}
+
+/// An immutable binary payload (a video keyframe) that carries its content
+/// hash ([`crate::hash::content_hash`]), computed once by [`Blob::new`]:
+/// every copy a query makes is a refcount bump sharing it, so keying a
+/// blob — a join, a group, a distinct count, the nUDF memo — never reads
+/// its bytes again. Equality compares the allocation, then the hash, then
+/// the bytes, so a hash collision costs a comparison, never a wrong match.
+#[derive(Debug, Clone)]
+pub struct Blob(Arc<BlobData>);
+
+#[derive(Debug)]
+struct BlobData {
+    hash: u64,
+    bytes: Vec<u8>,
+}
+
+impl Blob {
+    /// A blob over `bytes`, hashing them.
+    pub fn new(bytes: Vec<u8>) -> Self {
+        Blob(Arc::new(BlobData { hash: crate::hash::content_hash(&bytes), bytes }))
+    }
+
+    /// The content hash computed when the blob was built.
+    pub fn content_hash(&self) -> u64 {
+        self.0.hash
+    }
+
+    /// A reference that does not keep the blob alive.
+    pub fn downgrade(&self) -> WeakBlob {
+        WeakBlob(Arc::downgrade(&self.0))
+    }
+}
+
+impl Deref for Blob {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0.bytes
+    }
+}
+
+impl PartialEq for Blob {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || (self.0.hash == other.0.hash && **self == **other)
+    }
+}
+impl Eq for Blob {}
+
+impl Hash for Blob {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash);
+    }
+}
+
+/// A [`Blob`] held without keeping it alive ([`Blob::downgrade`]). While
+/// it exists the blob's allocation stays reserved, so no other blob can
+/// be built at its address.
+#[derive(Debug, Clone)]
+pub struct WeakBlob(Weak<BlobData>);
+
+impl WeakBlob {
+    /// The blob, unless every [`Blob`] handle to it has been dropped.
+    pub fn upgrade(&self) -> Option<Blob> {
+        self.0.upgrade().map(Blob)
+    }
+
+    /// Whether every [`Blob`] handle to it has been dropped.
+    pub fn is_dead(&self) -> bool {
+        self.0.strong_count() == 0
+    }
+
+    /// Whether both refer to the same allocation.
+    pub fn ptr_eq(&self, other: &WeakBlob) -> bool {
+        Weak::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl Value {
@@ -136,7 +214,7 @@ impl Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Utf8(a), Utf8(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
-            (Blob(a), Blob(b)) => a.cmp(b),
+            (Blob(a), Blob(b)) => a[..].cmp(&b[..]),
             (a, b) => type_rank(a).cmp(&type_rank(b)),
         }
     }
@@ -270,6 +348,26 @@ mod tests {
         assert_eq!(Value::Int64(2).total_cmp(&Value::Float64(2.5)), Ordering::Less);
         assert_eq!(Value::Utf8("a".into()).total_cmp(&Value::Utf8("b".into())), Ordering::Less);
         assert_eq!(Value::Float64(f64::NAN).total_cmp(&Value::Float64(f64::NAN)), Ordering::Equal);
+    }
+
+    #[test]
+    fn blobs_hash_once_and_compare_contents() {
+        let a = Blob::new(vec![1, 2, 3]);
+        let b = Blob::new(vec![1, 2, 3]);
+        assert_eq!(a.content_hash(), crate::hash::content_hash(&[1, 2, 3]));
+        assert_eq!(a.content_hash(), b.content_hash());
+        assert_eq!(a, b, "separate allocations, equal bytes");
+        assert_ne!(a, Blob::new(vec![1, 2, 4]));
+        assert_ne!(Blob::new(vec![]).content_hash(), Blob::new(vec![0]).content_hash());
+        assert_eq!(*a, [1, 2, 3]);
+        assert_eq!(
+            Value::Blob(a.clone()).total_cmp(&Value::Blob(Blob::new(vec![1, 3]))),
+            Ordering::Less
+        );
+        let weak = a.clone().downgrade();
+        assert!(!weak.is_dead() && weak.upgrade() == Some(b));
+        drop(a);
+        assert!(weak.is_dead() && weak.upgrade().is_none());
     }
 
     #[test]

@@ -419,15 +419,15 @@ fn memo_keeps_warm_hits_while_rows_exist_and_never_pins_deleted_keyframes() {
 
     // Delete the keyframes: replace the video table with copies of the same
     // bytes in fresh allocations. The memo must not keep the old ones alive.
-    let old: Vec<std::sync::Weak<Vec<u8>>> = {
+    let old: Vec<minidb::WeakBlob> = {
         let n = db.catalog().table("video").unwrap().num_rows();
-        (0..n).map(|row| Arc::downgrade(&blob_at(row))).collect()
+        (0..n).map(|row| blob_at(row).downgrade()).collect()
     };
     let video = db.catalog().table("video").unwrap();
     let cols: Vec<minidb::Column> = (0..video.num_columns())
         .map(|c| match video.column(c) {
             minidb::Column::Blob(v) => {
-                minidb::Column::Blob(v.iter().map(|b| Arc::new(b.as_ref().clone())).collect())
+                minidb::Column::Blob(v.iter().map(|b| minidb::Blob::new(b.to_vec())).collect())
             }
             other => other.clone(),
         })
@@ -435,7 +435,7 @@ fn memo_keeps_warm_hits_while_rows_exist_and_never_pins_deleted_keyframes() {
     let fresh = minidb::Table::new(video.schema().clone(), cols).unwrap();
     drop(video);
     db.catalog().create_table("video", fresh, true).unwrap();
-    assert!(old.iter().all(|w| w.strong_count() == 0), "memoized keys pinned deleted keyframes");
+    assert!(old.iter().all(|w| w.is_dead()), "memoized keys pinned deleted keyframes");
 
     // The same bytes in new rows are scored afresh, with the same answers.
     let reference = CollabEngine::new(collab_db(1), Arc::clone(&repo));
@@ -549,4 +549,133 @@ fn same_named_models_keep_their_own_artifacts() {
         }
     }
     assert_eq!(cache.stats().misses, 2, "each model compiled once");
+}
+
+// ---------------------------------------------------------------------------
+// Keyframe identity: the content hash a blob stores
+// ---------------------------------------------------------------------------
+
+/// Scores unconditional `blobs` through `cache` under generation 1; each
+/// miss is answered by `predict`. Returns the emitted values and the
+/// query's own (hits, misses).
+fn memo_score(
+    cache: &collab::InferenceCache,
+    blobs: &[&Value],
+    predict: impl Fn(&Value) -> Value,
+) -> (Vec<Value>, (u64, u64)) {
+    let meter = collab::metrics::InferenceMeter::default();
+    let items: Vec<collab::cache::Keyframe> = blobs.iter().map(|&v| (v, None)).collect();
+    let mut values = Vec::new();
+    let score =
+        |misses: &[collab::cache::Keyframe]| Ok(misses.iter().map(|m| predict(m.0)).collect());
+    cache.score(&meter, 1, &items, score, |v| values.push(v)).unwrap();
+    let counted = meter.cache().inference;
+    (values, (counted.hits, counted.misses))
+}
+
+/// A table `name (id Int64, frame Blob)` holding `frames`, ids from 0.
+fn blob_table(db: &Database, name: &str, frames: &[minidb::Blob]) {
+    use minidb::{Column, DataType, Field, Schema, Table};
+    let table = Table::new(
+        Schema::new(vec![Field::new("id", DataType::Int64), Field::new("frame", DataType::Blob)]),
+        vec![Column::Int64((0..frames.len() as i64).collect()), Column::Blob(frames.to_vec())],
+    )
+    .unwrap();
+    db.catalog().create_table(name, table, false).unwrap();
+}
+
+/// Two different 16-byte blobs with the same stored hash. The content hash
+/// is `FxHasher` over the length and then each little-endian word, put
+/// through a bijective finalizer, so equal hasher states make equal
+/// hashes. Each word step is `h = (rotl(h, 5) ^ w) * K`: after different
+/// first words, a second word that cancels the difference between the two
+/// `rotl(h, 5)` leaves both states equal.
+fn colliding_blobs() -> (minidb::Blob, minidb::Blob) {
+    use std::hash::Hasher;
+    let rotated_state = |first: u64| {
+        let mut h = minidb::hash::FxHasher::default();
+        h.write_usize(16);
+        h.write_u64(first);
+        h.finish().rotate_left(5)
+    };
+    let (a0, a1, b0) = (0x0101_0101_0101_0101u64, 7u64, 0x0202_0202_0202_0202u64);
+    let b1 = a1 ^ rotated_state(a0) ^ rotated_state(b0);
+    let bytes = |w0: u64, w1: u64| [w0.to_le_bytes(), w1.to_le_bytes()].concat();
+    (minidb::Blob::new(bytes(a0, a1)), minidb::Blob::new(bytes(b0, b1)))
+}
+
+#[test]
+fn a_blob_hash_collision_costs_time_never_correctness() {
+    let (a, b) = colliding_blobs();
+    assert_eq!(a.content_hash(), b.content_hash(), "the construction collides");
+    assert_ne!(*a, *b, "with different bytes");
+    let (va, vb) = (Value::Blob(a.clone()), Value::Blob(b.clone()));
+    assert_ne!(va, vb);
+    assert!(!va.sql_eq(&vb));
+
+    // The memo keeps one entry per blob and answers each with its own
+    // prediction (the first byte tells them apart).
+    let cache = collab::InferenceCache::new(64);
+    let first_byte = |v: &Value| match v {
+        Value::Blob(b) => Value::Int64(i64::from(b[0])),
+        other => panic!("not a blob: {other:?}"),
+    };
+    let (values, counts) = memo_score(&cache, &[&va, &vb], first_byte);
+    assert_eq!((values, counts), (vec![Value::Int64(1), Value::Int64(2)], (0, 2)));
+    assert_eq!(cache.len(), 2);
+    let (values, counts) = memo_score(&cache, &[&vb, &va], |_| unreachable!("both memoized"));
+    assert_eq!((values, counts), (vec![Value::Int64(2), Value::Int64(1)], (2, 0)));
+
+    // Grouping and joining on the blob column keep them apart too.
+    let db = Database::new();
+    blob_table(&db, "t", &[a.clone(), b.clone(), a, b]);
+    let groups = db.execute("SELECT count(*) AS n FROM t GROUP BY frame").unwrap();
+    let counts = groups.table().column(0);
+    assert_eq!((0..counts.len()).map(|row| counts.i64_at(row)).collect::<Vec<_>>(), [2, 2]);
+    let pairs = db.execute("SELECT count(*) AS n FROM t X, t Y WHERE X.frame = Y.frame").unwrap();
+    assert_eq!(pairs.table().column(0).i64_at(0), 8, "each row meets its own two copies");
+}
+
+#[test]
+fn memo_keys_keyframes_by_content_and_every_copy_keeps_its_hash() {
+    // Two separately built blobs with equal bytes share one memo entry.
+    let keyframe = |k: u64| match collab::tensor_to_blob(&workload::dataset::keyframe(
+        &KEYFRAME_SHAPE,
+        7,
+        k,
+    )) {
+        Value::Blob(b) => b,
+        other => panic!("not a blob: {other:?}"),
+    };
+    let (first, second) = (Value::Blob(keyframe(0)), Value::Blob(keyframe(0)));
+    let cache = collab::InferenceCache::new(64);
+    assert_eq!(memo_score(&cache, &[&first], |_| Value::Bool(true)).1, (0, 1));
+    let (values, counts) = memo_score(&cache, &[&second], |_| unreachable!("memoized"));
+    assert_eq!((values, counts), (vec![Value::Bool(true)], (1, 0)));
+    assert_eq!(cache.len(), 1);
+
+    // Every path a keyframe takes through the engine keeps the hash its
+    // bytes give.
+    let db = Database::new();
+    blob_table(&db, "v", &(0..4).map(keyframe).collect::<Vec<_>>());
+    blob_table(&db, "ids", &[keyframe(9), keyframe(9)]);
+    db.execute("CREATE TABLE inserted (id Int64, frame Blob)").unwrap();
+    db.execute("INSERT INTO inserted SELECT id, frame FROM v").unwrap();
+    db.execute("CREATE TABLE created AS SELECT id, frame FROM v").unwrap();
+    let paths = [
+        ("INSERT ... SELECT", "SELECT frame FROM inserted"),
+        ("CREATE TABLE ... AS", "SELECT frame FROM created"),
+        ("filter", "SELECT frame FROM v WHERE id > 1"),
+        ("join gather", "SELECT V.frame FROM v V, ids I WHERE V.id = I.id"),
+    ];
+    for (path, sql) in paths {
+        let out = db.execute(sql).unwrap();
+        let frames = out.table().column(0);
+        assert!(!frames.is_empty(), "{path}: no rows");
+        for row in 0..frames.len() {
+            let Value::Blob(b) = frames.value(row) else { panic!("{path}: not a blob") };
+            let rebuilt = minidb::Blob::new(b.to_vec());
+            assert_eq!(b.content_hash(), rebuilt.content_hash(), "{path}, row {row}");
+        }
+    }
 }

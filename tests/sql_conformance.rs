@@ -290,9 +290,9 @@ fn blob_values_roundtrip_through_projection() {
     db.execute("CREATE TABLE v (id Int64, frame Blob)").unwrap();
     let table = db.catalog().table("v").unwrap();
     let mut t = (*table).clone();
-    t.push_row(vec![Value::Int64(1), Value::Blob(std::sync::Arc::new(vec![1, 2, 3]))]).unwrap();
+    t.push_row(vec![Value::Int64(1), Value::Blob(minidb::Blob::new(vec![1, 2, 3]))]).unwrap();
     db.catalog().replace_table("v", t).unwrap();
     let out = db.execute("SELECT frame FROM v WHERE id = 1").unwrap();
     let Value::Blob(b) = out.table().column(0).value(0) else { panic!("expected blob") };
-    assert_eq!(*b, vec![1, 2, 3]);
+    assert_eq!(*b, [1, 2, 3]);
 }
